@@ -202,7 +202,8 @@ def evolve_vec(
 
     Returns (times, channels, q_final); channel arrays have shape
     (n_records, *batch).  Raises BlowupError if the l2 norm exceeds 1000x its
-    initial value, and StepBudgetError if the step count exceeds the budget.
+    initial value or is not finite, and StepBudgetError if the step count
+    exceeds the budget.
     """
     model = spectral_model(M)
     q = np.array(q0, dtype=complex)
@@ -250,7 +251,7 @@ def evolve_vec(
         if i % stride == 0 or i == n_steps:
             t = i * h
             l2 = np.sqrt(np.max(np.sum(np.abs(q) ** 2, axis=-1)))
-            if l2 > 1e3 * max(initial_l2, 1e-300):
+            if not l2 <= 1e3 * max(initial_l2, 1e-300):
                 raise BlowupError(
                     f"norm grew to {l2:.3e} at t={t:.6g} "
                     f"(initial {initial_l2:.3e}); aborting"

@@ -31,7 +31,7 @@ from .poly import (
     build_B_closed_form,
     _zero_momentum_quartets,
 )
-from .states import mode_range
+from .states import mode_range, rejection_sample
 
 
 def quad_divisor(j: int, k: int, l: int, m: int) -> int:
@@ -107,15 +107,21 @@ def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
 
 def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
     """Random sampling of Delta at large index sizes; exact integer math."""
+    if max_abs < 2:
+        raise ValueError("Delta has no quadruple with entries bounded by max_abs < 2")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    checked = 0
-    violations = []
-    while checked < n_samples:
+
+    def draw():
         j, k, l = (int(v) for v in rng.integers(-max_abs, max_abs + 1, size=3))
         m = j - k + l
         if 0 in (j, k, l) or m == 0 or abs(m) > max_abs or j in (k, m):
-            continue
-        rep = divisor_bound_check((j, k, l, m))
+            return None
+        return (j, k, l, m)
+
+    checked = 0
+    violations = []
+    for t in rejection_sample(n_samples, draw):
+        rep = divisor_bound_check(t)
         checked += 1
         if not (rep.holds and rep.factorization_ok):
             violations.append(rep)

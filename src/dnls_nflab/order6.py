@@ -20,7 +20,7 @@ from .coeffs import ExactCoeff
 from .identities import TriplePair, nine_term_sums
 from .order4 import compute_R6, in_delta
 from .poly import Monomial, PolyHamiltonian, split_normal
-from .states import mode_range
+from .states import mode_range, rejection_sample, zero_momentum_sextuples
 
 
 def tau(j: int, k: int, l: int) -> Fraction:
@@ -249,40 +249,40 @@ def sextuple_bound_check(t) -> SextupleReport:
 def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
     """Vectorized bound check over all non-resonant sextuples within max_abs.
 
-    The sixth entry is solved from zero momentum.  At desk scale the excluded
-    case cannot occur (it needs a leading star above 100 j3*^2 >= 100), but
-    the classification is still applied for fidelity.
+    Runs over zero_momentum_sextuples one j1 chunk at a time.  At desk scale
+    the excluded case cannot occur (it needs a leading star above
+    100 j3*^2 >= 100), but the classification is still applied for fidelity.
     """
-    values = np.array([v for v in range(-max_abs, max_abs + 1) if v != 0])
-    grids = np.meshgrid(values, values, values, values, values, indexing="ij")
-    j1, j2, j3, j4, j5 = (g.ravel().astype(np.int64) for g in grids)
-    j6 = j1 - j2 + j3 - j4 + j5
-    ok = (j6 != 0) & (np.abs(j6) <= max_abs)
-    cols = [c[ok] for c in (j1, j2, j3, j4, j5, j6)]
-    d = (
-        cols[0] ** 2 - cols[1] ** 2 + cols[2] ** 2
-        - cols[3] ** 2 + cols[4] ** 2 - cols[5] ** 2
-    )
-    nz = d != 0
-    cols = [c[nz] for c in cols]
-    d = d[nz]
-    arr = np.stack(cols, axis=1)
-    stars = np.sort(np.abs(arr), axis=1)[:, ::-1]
-    top = stars[:, 0]
-    plus = arr[:, 0::2]
-    minus = arr[:, 1::2]
-    shared = np.zeros(len(d), dtype=bool)
-    for sign in (1, -1):
-        v = sign * top
-        shared |= (plus == v[:, None]).any(axis=1) & (minus == v[:, None]).any(axis=1)
-    excluded = shared & (top > 100 * stars[:, 2] ** 2)
-    tail = stars[:, 1] * stars[:, 2] * stars[:, 3] * stars[:, 4] * stars[:, 5]
-    holds = 100 * np.abs(d) * tail * tail >= top**3
-    bad = ~holds & ~excluded
-    violations = [tuple(int(v) for v in arr[i]) for i in np.flatnonzero(bad)[:20]]
+    # |d| <= 3 max_abs^2 and tail <= max_abs^5 bound 100 |d| tail^2
+    if 300 * max_abs**12 > np.iinfo(np.int64).max:
+        raise OverflowError(f"max_abs={max_abs} overflows the int64 bound check")
+    checked = 0
+    excluded_count = 0
+    violations = []
+    for arr in zero_momentum_sextuples(max_abs):
+        sq = arr * arr
+        d = sq[:, 0] - sq[:, 1] + sq[:, 2] - sq[:, 3] + sq[:, 4] - sq[:, 5]
+        nz = d != 0
+        arr = arr[nz]
+        d = d[nz]
+        stars = np.sort(np.abs(arr), axis=1)[:, ::-1]
+        top = stars[:, 0]
+        plus = arr[:, 0::2]
+        minus = arr[:, 1::2]
+        shared = np.zeros(len(d), dtype=bool)
+        for sign in (1, -1):
+            v = sign * top
+            shared |= (plus == v[:, None]).any(axis=1) & (minus == v[:, None]).any(axis=1)
+        excluded = shared & (top > 100 * stars[:, 2] ** 2)
+        tail = stars[:, 1] * stars[:, 2] * stars[:, 3] * stars[:, 4] * stars[:, 5]
+        holds = 100 * np.abs(d) * tail * tail >= top**3
+        bad = ~holds & ~excluded
+        checked += len(d)
+        excluded_count += int(excluded.sum())
+        violations += [tuple(int(v) for v in arr[i]) for i in np.flatnonzero(bad)[: 20 - len(violations)]]
     return {
-        "checked": int(len(d)),
-        "excluded": int(excluded.sum()),
+        "checked": checked,
+        "excluded": excluded_count,
         "violations": violations,
         "max_abs": max_abs,
     }
@@ -290,20 +290,24 @@ def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
 
 def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
     """Random non-resonant sextuples at large sizes; exact integer math."""
+    if max_abs < 2:
+        raise ValueError("every sextuple with entries bounded by max_abs < 2 is resonant")
     rng = np.random.default_rng(np.random.Philox(key=seed))
+
+    def draw():
+        vals = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=5)]
+        if any(v == 0 for v in vals):
+            return None
+        j6 = vals[0] - vals[1] + vals[2] - vals[3] + vals[4]
+        if j6 == 0 or abs(j6) > max_abs:
+            return None
+        t = (*vals, j6)
+        return t if sextuple_divisor(t) != 0 else None
+
     checked = 0
     excluded = 0
     violations = []
-    while checked < n_samples:
-        vals = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=5)]
-        if any(v == 0 for v in vals):
-            continue
-        j6 = vals[0] - vals[1] + vals[2] - vals[3] + vals[4]
-        if j6 == 0 or abs(j6) > max_abs:
-            continue
-        t = (*vals, j6)
-        if sextuple_divisor(t) == 0:
-            continue
+    for t in rejection_sample(n_samples, draw):
         rep = sextuple_bound_check(t)
         checked += 1
         if rep.excluded:

@@ -9,12 +9,19 @@ floating error.  The bracket carries the mode weight j:
 
 Polynomials are graded internally by total degree, which keeps the
 order-by-order bookkeeping of the normal-form constructions explicit.
+
+bracket indexes both operands per call by contracted mode n: one entry per
+derivative by q_n or qbar_n, holding the remaining multisets, their largest
+|mode| and one Fraction per real or imaginary part.  Sorted by that largest
+mode, a support bound becomes a bisect prefix of each list, so pairs whose
+product leaves the window are never formed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -230,35 +237,37 @@ def split_normal(H: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
 # -- bracket ----------------------------------------------------------------------
 
 
-def _remove_one(t: tuple[int, ...], value: int) -> tuple[int, ...]:
-    i = t.index(value)
-    return t[:i] + t[i + 1 :]
+def _derivatives(mono: Monomial, slot: str):
+    """Yield (n, multiplicity, plus, minus) for each distinct mode n in the
+    slot ('plus' or 'minus'): d mono / d(q_n resp. qbar_n) is the
+    multiplicity times the monomial (plus, minus), which lacks one n."""
+    entries = getattr(mono, slot)
+    for i, n in enumerate(entries):
+        if i and entries[i - 1] == n:
+            continue
+        rest = entries[:i] + entries[i + 1 :]
+        mult = entries.count(n)
+        yield (n, mult, rest, mono.minus) if slot == "plus" else (n, mult, mono.plus, rest)
 
 
-def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
-
-
-def _mode_index(poly: PolyHamiltonian):
-    """Maps n -> [(mono, coeff, multiplicity)] for n in plus resp. minus slots."""
-    key = "mode_index"
-    if key in poly._cache:
-        return poly._cache[key]
-    plus_idx: dict[int, list] = {}
-    minus_idx: dict[int, list] = {}
-    for mono, coeff in poly.terms():
-        seen = set()
-        for n in mono.plus:
-            if n not in seen:
-                seen.add(n)
-                plus_idx.setdefault(n, []).append((mono, coeff, mono.plus.count(n)))
-        seen = set()
-        for n in mono.minus:
-            if n not in seen:
-                seen.add(n)
-                minus_idx.setdefault(n, []).append((mono, coeff, mono.minus.count(n)))
-    poly._cache[key] = (plus_idx, minus_idx)
-    return poly._cache[key]
+def _contraction_index(P: PolyHamiltonian, slot: str) -> dict[int, list]:
+    """n -> entries (top, plus, minus, value, phase, pi_power) of the
+    derivatives of P by the slot's mode n, sorted by top: the largest |mode|
+    of the remainder (plus, minus).  value is the multiplicity times the
+    real (phase 0) or imaginary (phase 1) part, one entry per nonzero part.
+    """
+    index: dict[int, list] = {}
+    for block in P._blocks.values():
+        for mono, c in block.items():
+            for n, mult, plus, minus in _derivatives(mono, slot):
+                top = max(map(abs, plus + minus), default=0)
+                for phase, part in ((0, c.re), (1, c.im)):
+                    if part:
+                        value = part * mult if mult > 1 else part
+                        index.setdefault(n, []).append((top, plus, minus, value, phase, c.pi_power))
+    for entries in index.values():
+        entries.sort(key=lambda e: e[0])
+    return index
 
 
 def bracket(
@@ -268,45 +277,45 @@ def bracket(
 ) -> PolyHamiltonian:
     """Exact weighted Poisson bracket {H, F}.
 
-    If support_bound is given, output terms with any mode exceeding it are
-    dropped (used to window large intermediate-mode computations).
+    Every product term pairs an entry of _contraction_index(H) with one of
+    F for the same n: one Fraction product times -i n (dH/dq_n dF/dqbar_n)
+    or +i n (dH/dqbar_n dF/dq_n), whose phase picks the output's real or
+    imaginary part.  If support_bound is given, output terms with any mode
+    exceeding it are dropped; an output's modes are the two remainders', so
+    only the bisected prefixes with top <= support_bound are ever paired.
+    Terms of different pi powers meeting on one monomial raise ValueError.
     """
     if H.truncation != F.truncation:
         raise ValueError("truncation mismatch")
-    h_plus, h_minus = _mode_index(H)
-    f_plus, f_minus = _mode_index(F)
-    acc: dict[Monomial, ExactCoeff] = {}
+    bound = math.inf if support_bound is None else support_bound
 
-    def _accumulate(side_a, side_b, sign: int):
-        # sign=-1: dH/dq_n * dF/dqbar_n weighted by (-i n);
-        # sign=+1: dH/dqbar_n * dF/dq_n weighted by (+i n).
-        for n in side_a.keys() & side_b.keys():
-            for mono_a, ca, mult_a in side_a[n]:
-                for mono_b, cb, mult_b in side_b[n]:
-                    if sign < 0:
-                        plus = _merge(_remove_one(mono_a.plus, n), mono_b.plus)
-                        minus = _merge(mono_a.minus, _remove_one(mono_b.minus, n))
-                    else:
-                        plus = _merge(mono_a.plus, _remove_one(mono_b.plus, n))
-                        minus = _merge(_remove_one(mono_a.minus, n), mono_b.minus)
-                    if support_bound is not None:
-                        if plus and max(abs(plus[0]), abs(plus[-1])) > support_bound:
-                            continue
-                        if minus and max(abs(minus[0]), abs(minus[-1])) > support_bound:
-                            continue
-                    mono = Monomial(plus, minus)
-                    coeff = (ca * cb).scaled(mult_a * mult_b).mul_imag_int(sign * n)
-                    prev = acc.get(mono)
-                    s = coeff if prev is None else prev + coeff
-                    if s.is_zero:
-                        acc.pop(mono, None)
-                    else:
-                        acc[mono] = s
+    def window(entries):
+        return entries[: bisect_right(entries, bound, key=lambda e: e[0])]
 
-    _accumulate(h_plus, f_minus, -1)
-    _accumulate(h_minus, f_plus, +1)
-    out_M = H.truncation if support_bound is None else min(H.truncation, support_bound)
-    return PolyHamiltonian.from_terms(out_M, acc.items())
+    acc: dict[tuple, list] = {}
+    for h_slot, f_slot, sign in (("plus", "minus", -1), ("minus", "plus", 1)):
+        h_index = _contraction_index(H, h_slot)
+        f_index = _contraction_index(F, f_slot)
+        for n in h_index.keys() & f_index.keys():
+            f_entries = window(f_index[n])
+            for _, hp, hm, hv, hph, hpi in window(h_index[n]):
+                w = sign * n * hv
+                weights = (w, -w, -w)  # i^(hph + fph + 1): imaginary +, real -, imaginary -
+                for _, fp, fm, fv, fph, fpi in f_entries:
+                    key = (tuple(sorted(hp + fp)), tuple(sorted(hm + fm)))
+                    slot = acc.get(key)
+                    if slot is None:
+                        acc[key] = slot = [0, 0, hpi + fpi]
+                    elif slot[2] != hpi + fpi:
+                        raise ValueError(f"pi powers {slot[2]} and {hpi + fpi} meet on {key}")
+                    ph = hph + fph
+                    slot[1 - ph % 2] += weights[ph] * fv
+    out_M = min(H.truncation, bound)
+    blocks: dict[int, dict[Monomial, ExactCoeff]] = {}
+    for (plus, minus), (re, im, pi) in acc.items():
+        if re or im:
+            blocks.setdefault(len(plus) + len(minus), {})[Monomial(plus, minus)] = ExactCoeff(re, im, pi)
+    return PolyHamiltonian(out_M, blocks)
 
 
 # -- standard Hamiltonians -----------------------------------------------------------
@@ -503,22 +512,11 @@ def _compile_rows(poly: PolyHamiltonian, slot: str, weighted: bool, dtype):
     index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
     by_width: dict[int, list] = {}
     for mono, coeff in poly.terms():
-        entries = mono.minus if slot == "minus" else mono.plus
-        others = mono.plus if slot == "minus" else mono.minus
-        for n in sorted(set(entries)):
-            mult = entries.count(n)
+        for n, mult, plus, minus in _derivatives(mono, slot):
             pref = _to_dtype_coeff(coeff.scaled(mult), dtype)
             if weighted:
                 pref = pref * (-1j * n)
-            remaining = _remove_one(entries, n)
-            if slot == "minus":
-                slots = [(index[j], False) for j in mono.plus] + [
-                    (index[j], True) for j in remaining
-                ]
-            else:
-                slots = [(index[j], False) for j in remaining] + [
-                    (index[j], True) for j in mono.minus
-                ]
+            slots = [(index[j], False) for j in plus] + [(index[j], True) for j in minus]
             by_width.setdefault(len(slots), []).append((index[n], pref, slots))
     groups = []
     for width in sorted(by_width):

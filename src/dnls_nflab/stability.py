@@ -24,7 +24,14 @@ from .flows import (
     normal_form_bundle,
     spectral_model,
 )
-from .states import TWO_PI, FourierState, mode_range, sobolev_norm
+from .states import (
+    TWO_PI,
+    FourierState,
+    mode_range,
+    rejection_sample,
+    sobolev_norm,
+    zero_momentum_sextuples,
+)
 
 
 def _has_zero_momentum(entries) -> bool:
@@ -87,34 +94,37 @@ def omega_bound_check(entries, s: float) -> OmegaReport:
 def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
     """All zero-momentum 6-tuples within max_abs, vectorized, integer exact.
 
-    int64 suffices: the worst products stay far below 2^63 at these sizes.
+    Runs over zero_momentum_sextuples one j1 chunk at a time; raises
+    OverflowError where the value or the bound could leave int64.
     """
-    values = np.array([v for v in range(-max_abs, max_abs + 1) if v != 0], dtype=np.int64)
-    grids = np.meshgrid(values, values, values, values, values, indexing="ij")
-    j1, j2, j3, j4, j5 = (g.ravel() for g in grids)
-    j6 = j1 - j2 + j3 - j4 + j5
-    ok = (j6 != 0) & (np.abs(j6) <= max_abs)
-    cols = [c[ok] for c in (j1, j2, j3, j4, j5, j6)]
-    arr = np.stack(cols, axis=1)
-    stars = np.sort(np.abs(arr), axis=1)[:, ::-1]
-    checked = 0
-    violations = []
     for s in s_values:
-        p = int(2 * s)
-        signs = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
-        val = np.sum(signs * arr * np.abs(arr) ** p, axis=1)
-        bound = (
-            (2 * s + 1)
-            * 6 ** (s + 2)
-            * stars[:, 0] ** s
-            * stars[:, 1] ** s
-            * stars[:, 2]
-        )
-        bad = np.abs(val) > bound
-        checked += len(val)
-        for i in np.flatnonzero(bad)[:20]:
-            violations.append((tuple(int(v) for v in arr[i]), s))
-    return {"checked": checked, "violations": violations, "max_abs": max_abs}
+        # both |Omega_s| <= 6 max_abs^(2s+1) and the bound stay below this
+        if (2 * s + 1) * 6 ** (s + 2) * max_abs ** (2 * s + 1) > np.iinfo(np.int64).max:
+            raise OverflowError(f"max_abs={max_abs}, s={s} overflows the int64 audit")
+    signs = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
+    checked = 0
+    violations: dict = {s: [] for s in s_values}
+    for arr in zero_momentum_sextuples(max_abs):
+        stars = np.sort(np.abs(arr), axis=1)[:, ::-1]
+        for s in s_values:
+            p = int(2 * s)
+            val = np.sum(signs * arr * np.abs(arr) ** p, axis=1)
+            bound = (
+                (2 * s + 1)
+                * 6 ** (s + 2)
+                * stars[:, 0] ** s
+                * stars[:, 1] ** s
+                * stars[:, 2]
+            )
+            bad = np.abs(val) > bound
+            checked += len(val)
+            found = violations[s]
+            found += [(tuple(int(v) for v in arr[i]), s) for i in np.flatnonzero(bad)[: 20 - len(found)]]
+    return {
+        "checked": checked,
+        "violations": [v for s in s_values for v in violations[s]],
+        "max_abs": max_abs,
+    }
 
 
 def random_omega_audit(
@@ -125,19 +135,24 @@ def random_omega_audit(
     seed: int = 0,
 ) -> dict:
     """Random zero-momentum tuples at larger radii; Python ints, exact."""
+    if max_abs < 1:
+        raise ValueError("max_abs must be at least 1")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    checked = 0
-    violations = []
-    while checked < n_samples:
+
+    def draw():
         r = int(rng.choice(r_values))
         head = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=2 * r - 1)]
         if any(v == 0 for v in head):
-            continue
+            return None
         # zero momentum fixes the last (barred) entry
         last = sum((1 if i % 2 == 0 else -1) * v for i, v in enumerate(head))
         if last == 0 or abs(last) > max_abs:
-            continue
-        entries = tuple(head + [last])
+            return None
+        return tuple(head + [last])
+
+    checked = 0
+    violations = []
+    for entries in rejection_sample(n_samples, draw):
         for s in s_values:
             rep = omega_bound_check(entries, s)
             if not rep.holds:

@@ -23,6 +23,43 @@ def mode_range(M: int) -> list[int]:
     return list(range(-M, 0)) + list(range(1, M + 1))
 
 
+def zero_momentum_sextuples(max_abs: int):
+    """All zero-momentum 6-tuples j1 - j2 + j3 - j4 + j5 - j6 = 0 of modes
+    with 1 <= |j| <= max_abs, in chunks of one j1 each.
+
+    Yields int64 arrays of shape (n, 6); rows run in lexicographic order of
+    (j1, ..., j5), j6 being solved from zero momentum.  A chunk holds at most
+    (2 max_abs)^4 rows, so memory stays bounded at any radius.
+    """
+    values = np.array(mode_range(max_abs), dtype=np.int64)
+    j2, j3, j4, j5 = (g.ravel() for g in np.meshgrid(values, values, values, values, indexing="ij"))
+    rest = -j2 + j3 - j4 + j5
+    for j1 in values:
+        j6 = j1 + rest
+        ok = (j6 != 0) & (np.abs(j6) <= max_abs)
+        yield np.stack([np.full(int(ok.sum()), j1), j2[ok], j3[ok], j4[ok], j5[ok], j6[ok]], axis=1)
+
+
+def rejection_sample(n_samples: int, draw):
+    """Yield n_samples accepted draws; draw() returns a sample or None.
+
+    Raises RuntimeError after 1000 draws per requested sample, so a sampler
+    whose acceptance set is (nearly) empty fails instead of looping forever.
+    """
+    accepted = 0
+    for _ in range(1000 * n_samples):
+        if accepted == n_samples:
+            return
+        sample = draw()
+        if sample is not None:
+            accepted += 1
+            yield sample
+    if accepted < n_samples:
+        raise RuntimeError(
+            f"only {accepted} of {n_samples} samples accepted in {1000 * n_samples} draws"
+        )
+
+
 class FourierState:
     """Immutable finite-support map mode -> complex amplitude.
 

@@ -8,6 +8,7 @@ truncations 8 and 10) come from session fixtures.
 import math
 
 import numpy as np
+import pytest
 
 from dnls_nflab.flows import FlowConfig, evolve_vec, residual_scaling
 from dnls_nflab.identities import (
@@ -65,6 +66,7 @@ def test_criterion_1_homological_equations(r6_at_8):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_resonant_cancellation(r6_at_10):
     rep = verify_Ktilde_zero(10, r6_at_10)
     _report(
@@ -76,6 +78,7 @@ def test_criterion_2_resonant_cancellation(r6_at_10):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_action_part_closed_form(r6_at_10):
     normal, qtilde = split_r6(r6_at_10)
     ok = normal == build_K(10)
@@ -194,6 +197,7 @@ def test_criterion_7_simulator_correctness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_longtime_stability():
     seeds = (1, 2, 3)
     configs = [

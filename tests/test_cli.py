@@ -146,6 +146,21 @@ def test_config_file_flags_win(tmp_path):
     assert args2.bound == 5  # config fills defaults
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nonfinite_blowup_exit_code(tmp_path):
+    # plain RK4 at dt = 0.3 overflows to nan within one record interval;
+    # a non-finite norm is a blow-up, not a trajectory
+    out = tmp_path / "traj.csv"
+    code = main(
+        ["simulate", "--modes", "16", "--init", "planewave:1,0.8", "--dt", "0.3",
+         "--t-end", "60", "--scheme", "rk4-plain", "--record-interval", "60",
+         "--out", str(out)]
+    )
+    assert code == 3
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # an impossible step budget surfaces as exit 3 through the CLI
     code = main(

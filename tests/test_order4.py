@@ -68,6 +68,14 @@ def test_random_divisor_audit():
     assert rep["checked"] == 3000
 
 
+def test_random_divisor_audit_radius():
+    # Delta has no quadruple with entries of modulus 1
+    with pytest.raises(ValueError):
+        random_divisor_audit(3, max_abs=1, seed=0)
+    rep = random_divisor_audit(50, max_abs=2, seed=0)
+    assert rep["checked"] == 50 and rep["violations"] == []
+
+
 # -- generator -------------------------------------------------------------------
 
 

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +25,23 @@ from dnls_nflab.order6 import (
     tau_bound_check,
     verify_Ktilde_zero,
 )
-from dnls_nflab.poly import Monomial, PolyHamiltonian, bracket, build_lambda
+from dnls_nflab.poly import Monomial, PolyHamiltonian, bracket, build_lambda, poly_to_records
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _records_digest(P) -> str:
+    text = json.dumps(poly_to_records(P), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_exact_records_match_golden_digests():
+    golden = json.loads((GOLDEN / "exact_m6_sha256.json").read_text())
+    M = golden["M"]
+    r6 = compute_R6(M)
+    assert _records_digest(r6) == golden["compute_R6"]
+    assert _records_digest(build_F6(M, r6)) == golden["build_F6"]
+    assert _records_digest(build_K(M)) == golden["build_K"]
 
 
 # -- tau -------------------------------------------------------------------------
@@ -205,11 +224,24 @@ def test_exhaustive_sextuple_bound_small():
     rep = exhaustive_sextuple_audit(6)
     assert rep["violations"] == []
     assert rep["excluded"] == 0
+    assert rep["checked"] == 111324
+
+
+def test_exhaustive_sextuple_audit_overflow_guard():
+    with pytest.raises(OverflowError):
+        exhaustive_sextuple_audit(30)
 
 
 def test_random_sextuple_bound():
     rep = random_sextuple_audit(2000, 500, seed=3)
     assert rep["violations"] == []
+
+
+def test_random_sextuple_audit_radius():
+    # entries of modulus 1 only give resonant sextuples: nothing to sample
+    with pytest.raises(ValueError):
+        random_sextuple_audit(3, max_abs=1, seed=0)
+    assert random_sextuple_audit(50, max_abs=2, seed=0)["checked"] == 50
 
 
 # -- reducible closed form ------------------------------------------------------------

@@ -190,6 +190,37 @@ def test_mass_is_casimir_on_zero_momentum():
     assert bracket(mass, build_lambda(4)).is_zero
 
 
+@pytest.mark.parametrize("M", [3, 4])
+def test_bracket_support_bound_equals_restricted_full_bracket(M):
+    from dnls_nflab.order4 import build_F4_extended, build_Q_extended
+
+    Qx = build_Q_extended(M, 3 * M)
+    Fx = build_F4_extended(M, 3 * M)
+    windowed = bracket(Qx, Fx, support_bound=M)
+    assert windowed.truncation == M
+    assert not windowed.is_zero
+    assert windowed == bracket(Qx, Fx).with_truncation(M)
+
+
+def test_bracket_rejects_colliding_pi_powers():
+    # {|q1|^2 + |q2|^2/pi, q1 q2 qbar3^2} = (i + 2i/pi) q1 q2 qbar3^2: the two
+    # contractions meet on one monomial with pi powers 0 and 1
+    H = PolyHamiltonian.from_terms(
+        3,
+        [
+            (Monomial.of((1,), (1,)), ExactCoeff.real(1)),
+            (Monomial.of((2,), (2,)), ExactCoeff.real(1, pi_power=1)),
+        ],
+    )
+    F = PolyHamiltonian.from_terms(3, [(Monomial.of((1, 2), (3, 3)), ExactCoeff.real(1))])
+    with pytest.raises(ValueError):
+        bracket(H, F)
+    # each contraction alone is fine
+    assert bracket(H.filtered(lambda m: m.plus == (1,)), F).coefficient(
+        Monomial.of((1, 2), (3, 3))
+    ) == ExactCoeff.imag(1)
+
+
 # -- numeric evaluation -----------------------------------------------------------
 
 

@@ -73,6 +73,17 @@ def test_random_omega_audit_small():
     assert rep["checked"] == 2000
 
 
+def test_random_omega_audit_radius():
+    with pytest.raises(ValueError):
+        random_omega_audit(3, max_abs=0, seed=0)
+    assert random_omega_audit(50, max_abs=1, seed=0)["checked"] == 50
+
+
+def test_exhaustive_omega_audit_overflow_guard():
+    with pytest.raises(OverflowError):
+        exhaustive_omega_audit(1000, (3,))
+
+
 # -- experiment harness ----------------------------------------------------------
 
 

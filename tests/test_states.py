@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from dnls_nflab.states import (
     hamiltonian_physical,
     lambda_energy,
     mode_range,
+    rejection_sample,
     sobolev_norm,
     state_from_json,
     state_to_json,
+    zero_momentum_sextuples,
 )
 
 TWO_PI = 2 * math.pi
@@ -136,3 +139,33 @@ def test_json_rejects_mode_zero_and_duplicates():
 def test_vector_roundtrip():
     st = FourierState({2: 1j, -1: 0.25}, 3)
     assert FourierState.from_vector(st.to_vector(), 3) == st
+
+
+# -- index sets and sampling ------------------------------------------------------------
+
+
+def test_zero_momentum_sextuples_match_brute_force():
+    modes = mode_range(2)
+    expected = [
+        t + (t[0] - t[1] + t[2] - t[3] + t[4],)
+        for t in itertools.product(modes, repeat=5)
+        if t[0] - t[1] + t[2] - t[3] + t[4] in modes
+    ]
+    chunks = list(zero_momentum_sextuples(2))
+    assert len(chunks) == len(modes)
+    got = [tuple(int(v) for v in row) for chunk in chunks for row in chunk]
+    assert got == expected
+
+
+def test_rejection_sample_is_bounded():
+    draws = iter(range(100))
+
+    def even():
+        v = next(draws)
+        return v if v % 2 == 0 else None
+
+    assert list(rejection_sample(3, even)) == [0, 2, 4]
+    # the sampler draws no further once it has enough
+    assert next(draws) == 5
+    with pytest.raises(RuntimeError):
+        list(rejection_sample(2, lambda: None))
