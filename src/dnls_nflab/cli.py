@@ -21,9 +21,9 @@ from fractions import Fraction
 from pathlib import Path
 
 
-
-class CheckFailure(Exception):
-    """An assertion-style verification failed."""
+class UsageError(Exception):
+    """Bad user input: an init spec that does not parse or fit the
+    truncation, or a report path that cannot be written.  Exit code 2."""
 
 
 def _git_describe() -> str:
@@ -52,29 +52,22 @@ def make_manifest(subcommand: str, parameters: dict, outcome: str) -> dict:
     }
 
 
-def write_csv(path: str, manifest: dict, header: list[str], rows: list[list]) -> None:
+def write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+        raise UsageError(f"cannot write report to {path}: {exc}") from exc
+
+
+def write_csv(path: str, manifest: dict, header: list[str], rows: list[list]) -> None:
+    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(header)]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, manifest: dict, data) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump({"manifest": manifest, "data": data}, fh, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-def emit_plotdata(rows: list[tuple[str, float, float]], path: str, manifest: dict) -> None:
-    """Long-format plotting CSV: series, x, y."""
-    write_csv(path, manifest, ["series", "x", "y"], [list(r) for r in rows])
+    write_text(path, json.dumps({"manifest": manifest, "data": data}, indent=1) + "\n")
 
 
 def _status(ok: bool, name: str, detail: str = "") -> bool:
@@ -219,14 +212,17 @@ def _parse_init(spec: str, M: int):
     from .states import FourierState, state_from_json
     import math as _math
 
-    if spec.startswith("planewave:"):
-        body = spec.split(":", 1)[1]
-        k_str, a_str = body.split(",")
-        k = int(k_str)
-        A = complex(a_str)
-        return FourierState({k: A * _math.sqrt(2 * _math.pi)}, M)
-    with open(spec) as fh:
-        return state_from_json(fh.read(), M)
+    try:
+        if spec.startswith("planewave:"):
+            body = spec.split(":", 1)[1]
+            k_str, a_str = body.split(",")
+            k = int(k_str)
+            A = complex(a_str)
+            return FourierState({k: A * _math.sqrt(2 * _math.pi)}, M)
+        with open(spec) as fh:
+            return state_from_json(fh.read(), M)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad --init {spec!r}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -254,8 +250,7 @@ def cmd_simulate(args) -> int:
         rows.append(row)
     write_csv(args.out, manifest, header, rows)
     if args.dump_final:
-        with open(args.dump_final, "w") as fh:
-            fh.write(state_to_json(rec.states[-1]))
+        write_text(args.dump_final, state_to_json(rec.states[-1]))
     print(f"trajectory written to {args.out} ({len(rows)} records)")
     return 0
 
@@ -467,9 +462,9 @@ def main(argv=None) -> int:
     except (FlowConvergenceError, BlowupError, StepBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,18 @@ derivative by q_n or qbar_n, holding the remaining multisets, their largest
 |mode| and one Fraction per real or imaginary part.  Sorted by that largest
 mode, a support bound becomes a bisect prefix of each list, so pairs whose
 product leaves the window are never formed.
+
+The numeric vector field and gradients compile each polynomial once per
+dtype into rows, one per derivative term: an output component, a
+prefactor and a list of factors, the plus slots then the minus slots.  A
+factor is an index into ext = concatenate(vec, conj(vec)), so a barred slot
+needs no conjugation mask.  Rows of one width share a prefix plan: level k
+holds the distinct length-k factor prefixes, each as (index of its
+length-(k-1) prefix, index of its last factor), and the last level is
+aligned with the rows.  A call takes and multiplies one level at a time,
+so a prefix shared by many rows is multiplied once, in the association
+((f0 f1) f2) ... of a row-wise product; results are bit-identical to
+multiplying every row out in full.
 """
 
 from __future__ import annotations
@@ -459,7 +471,7 @@ def _to_dtype_coeff(coeff: ExactCoeff, dtype):
 
 
 def _compile_value(poly: PolyHamiltonian, dtype):
-    key = ("value", np.dtype(dtype).name)
+    key = ("value", dtype)
     if key in poly._cache:
         return poly._cache[key]
     index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
@@ -499,25 +511,48 @@ def evaluate_at_state(poly: PolyHamiltonian, state: FourierState) -> complex:
     return complex(evaluate_poly(poly, state.to_vector()))
 
 
-def _compile_rows(poly: PolyHamiltonian, slot: str, weighted: bool, dtype):
-    """Rows for gradient-type sums.
+def _prefix_plan(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Prefix-product plan for the rows of a (rows, width) factor table.
+
+    Level k (k = 1 .. width) is a table of length-k prefixes, each entry a
+    pair (parent, last): the index of its length-(k-1) prefix in level k-1
+    (0, the empty prefix, at level 1) and its last factor.  Levels below the
+    last hold only the distinct prefixes; the last is row-aligned.
+    """
+    rows, width = factors.shape
+    span = int(factors.max(initial=0)) + 1
+    ids = np.zeros(rows, dtype=np.intp)
+    plan = []
+    for k in range(width - 1):
+        uniq, ids = np.unique(ids * span + factors[:, k], return_inverse=True)
+        plan.append((uniq // span, uniq % span))
+    if width:
+        plan.append((ids, factors[:, -1]))
+    return plan
+
+
+def _compile_rows(poly: PolyHamiltonian, slot: str, weighted: bool, dtype: np.dtype):
+    """Rows for gradient-type sums, grouped by width (factor count).
 
     slot='minus': rows for dP/dqbar_n (vector-field direction);
     slot='plus':  rows for dP/dq_n.
     weighted=True folds the Hamiltonian weight (-i n) into the prefactor.
+    A factor is an index into concatenate(vec, conj(vec)): q_j first, then
+    qbar_j.  Each group is (seg_comp, starts, pref, plan, work).
     """
-    key = (slot, weighted, np.dtype(dtype).name)
+    key = (slot, weighted, dtype)
     if key in poly._cache:
         return poly._cache[key]
     index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
+    n_modes = len(index)
     by_width: dict[int, list] = {}
     for mono, coeff in poly.terms():
         for n, mult, plus, minus in _derivatives(mono, slot):
-            pref = _to_dtype_coeff(coeff.scaled(mult), dtype)
+            pref = _to_dtype_coeff(coeff if mult == 1 else coeff.scaled(mult), dtype)
             if weighted:
                 pref = pref * (-1j * n)
-            slots = [(index[j], False) for j in plus] + [(index[j], True) for j in minus]
-            by_width.setdefault(len(slots), []).append((index[n], pref, slots))
+            factors = [index[j] for j in plus] + [n_modes + index[j] for j in minus]
+            by_width.setdefault(len(factors), []).append((index[n], pref, factors))
     groups = []
     for width in sorted(by_width):
         rows = by_width[width]
@@ -525,27 +560,57 @@ def _compile_rows(poly: PolyHamiltonian, slot: str, weighted: bool, dtype):
         rows.sort(key=lambda r: r[0])
         comp = np.array([r[0] for r in rows], dtype=np.intp)
         pref = np.array([r[1] for r in rows], dtype=dtype)
-        if width:
-            idx = np.array([[s[0] for s in r[2]] for r in rows], dtype=np.intp)
-            conj = np.array([[s[1] for s in r[2]] for r in rows], dtype=bool)
-        else:
-            idx = np.zeros((len(rows), 0), dtype=np.intp)
-            conj = np.zeros((len(rows), 0), dtype=bool)
+        factors = np.array([r[2] for r in rows], dtype=np.intp).reshape(len(rows), width)
         starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-        seg_comp = comp[starts]
-        groups.append((seg_comp, starts, pref, idx, conj))
+        work = tuple(np.empty(len(rows), dtype=dtype) for _ in range(3))
+        groups.append((comp[starts], starts, pref, _prefix_plan(factors), work))
     poly._cache[key] = groups
     return groups
 
 
+def _prefix_products(plan, ext, work) -> np.ndarray:
+    """Row products of a prefix plan, ((f0 f1) f2) ..., the left-to-right
+    order of prod(axis=1).
+
+    ext is concatenate(vec, conj(vec)) in clongdouble, or the (real,
+    imaginary) parts of it in complex128: numpy's vectorised complex128
+    multiply rounds differently from the scalar loop prod(axis=1) runs, so
+    those products are formed from float64 parts with that loop's formula.
+    The products land in the group's work buffers (cur, nxt, x): fresh
+    clongdouble arrays of that size cost page faults on every call.
+    """
+    (_, first), *rest = plan
+    cur, nxt, x = work
+    if isinstance(ext, np.ndarray):
+        # take(out=...) copies through a temporary under the default mode="raise"
+        tab = ext.take(first, out=cur[: len(first)], mode="clip")
+        for parent, last in rest:
+            new = tab.take(parent, out=nxt[: len(last)], mode="clip")
+            new *= ext.take(last, out=x[: len(last)], mode="clip")
+            tab, cur, nxt = new, nxt, cur
+        return tab
+    ext_re, ext_im = ext
+    re, im = ext_re.take(first), ext_im.take(first)
+    for parent, last in rest:
+        re, im = re.take(parent), im.take(parent)
+        xr, xi = ext_re.take(last), ext_im.take(last)
+        re, im = re * xr - im * xi, re * xi + im * xr
+    tab = cur[: len(re)]
+    tab.real, tab.imag = re, im
+    return tab
+
+
 def _rows_apply(groups, vec: np.ndarray, out: np.ndarray):
-    for seg_comp, starts, pref, idx, conj in groups:
-        if idx.shape[1]:
-            factors = vec[idx]
-            np.conj(factors, where=conj, out=factors)
-            vals = pref * factors.prod(axis=1)
-        else:
-            vals = pref.copy()
+    """out[n] += sum of the rows of component n.  Not reentrant: calls on
+    one compile share its work buffers."""
+    ext = np.concatenate((vec, np.conj(vec)))
+    if ext.dtype != LONG_COMPLEX:
+        ext = (ext.real.copy(), ext.imag.copy())
+    for seg_comp, starts, pref, plan, work in groups:
+        vals = pref
+        if plan:
+            tab = _prefix_products(plan, ext, work)
+            vals = np.multiply(pref, tab, out=work[2])
         out[seg_comp] += np.add.reduceat(vals, starts)
 
 
@@ -572,8 +637,9 @@ def vector_field(F: PolyHamiltonian, state: FourierState) -> FourierState:
 
 def gradient_vecs(P: PolyHamiltonian, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dP/dq_j, dP/dqbar_j) as dense vectors at vec."""
-    vec = np.asarray(vec, dtype=complex)
-    dtype = vec.dtype
+    vec = np.asarray(vec)
+    dtype = _eval_dtype(vec)
+    vec = vec.astype(dtype, copy=False)
     gq = np.zeros(vec.shape, dtype=dtype)
     gqbar = np.zeros(vec.shape, dtype=dtype)
     _rows_apply(_compile_rows(P, "plus", False, dtype), vec, gq)

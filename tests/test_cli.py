@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from dnls_nflab.cli import build_parser, emit_plotdata, main, make_manifest
+from dnls_nflab.cli import build_parser, main
 
 
 def _read_manifest(path):
@@ -20,6 +20,31 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["nf4", "--no-such-flag"])
     assert err.value.code == 2
+
+
+def test_init_outside_truncation_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = main(
+        ["simulate", "--modes", "8", "--init", "planewave:40,0.1", "--t-end", "0.01",
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "mode 40 exceeds truncation 8" in err
+    assert not out.exists()
+
+
+def test_unwritable_report_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "traj.csv"
+    code = main(
+        ["simulate", "--modes", "4", "--init", "planewave:1,0.1", "--t-end", "0.01",
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"cannot write report to {out}" in err
 
 
 def test_nf4_passes(tmp_path):
@@ -117,19 +142,6 @@ def test_stability_pass(tmp_path):
 
 def test_verify_all_small():
     assert main(["verify-all", "--modes", "4"]) == 0
-
-
-def test_emit_plotdata(tmp_path):
-    out = tmp_path / "plot.csv"
-    manifest = make_manifest("test", {}, "report-only")
-    emit_plotdata([("order4", -2.0, -13.1), ("order6", -2.0, -17.9)], str(out), manifest)
-    lines = out.read_text().splitlines()
-    assert lines[1] == "series,x,y"
-    assert lines[2] == "order4,-2.0,-13.1"
-    # empty report keeps the header
-    out2 = tmp_path / "empty.csv"
-    emit_plotdata([], str(out2), manifest)
-    assert out2.read_text().splitlines()[1] == "series,x,y"
 
 
 def test_config_file_flags_win(tmp_path):

@@ -1,5 +1,7 @@
 import json
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.poly import (
+    LONG_COMPLEX,
     Monomial,
     PolyHamiltonian,
     bracket,
@@ -16,6 +19,7 @@ from dnls_nflab.poly import (
     build_Q,
     evaluate_at_state,
     evaluate_poly,
+    gradient_vecs,
     is_normal_form,
     ordered_coefficient,
     poisson_bracket_numeric,
@@ -276,6 +280,94 @@ def test_vector_field_matches_finite_differences():
             dbar = (fd_re + 1j * fd_im) / 2
             expect = -1j * j * dbar
             assert abs(analytic[idx] - expect) <= 1e-7 * max(1.0, abs(expect))
+
+
+def _reference_rows(P, vec, slot, weighted):
+    """Per-term reference for the numeric row kernel of vector_field_vec
+    (slot 'minus', weighted) and gradient_vecs (unweighted).
+
+    Each derivative of each term multiplies its factors left to right as
+    scalars, q_j for the plus slots and then conj(q_j) for the minus slots,
+    and takes its prefactor last.  The rows of one component and factor
+    count are summed by np.add.reduceat, whose pairwise order numpy fixes,
+    factor counts ascending.
+    """
+    from dnls_nflab.poly import _to_dtype_coeff
+
+    dtype = vec.dtype
+    scalar = dtype.type if dtype == LONG_COMPLEX else complex
+    index = {j: i for i, j in enumerate(mode_range(P.truncation))}
+    rows: dict[tuple[int, int], list] = {}
+    for mono, coeff in P.terms():
+        entries = getattr(mono, slot)
+        for n in sorted(set(entries)):
+            rest = list(entries)
+            rest.remove(n)
+            plus, minus = (rest, mono.minus) if slot == "plus" else (mono.plus, rest)
+            factors = [scalar(vec[index[j]]) for j in plus]
+            factors += [scalar(vec[index[j]]).conjugate() for j in minus]
+            pref = _to_dtype_coeff(coeff.scaled(entries.count(n)), dtype)
+            if weighted:
+                pref = pref * (-1j * n)
+            product = reduce(mul, factors) if factors else None
+            rows.setdefault((len(factors), index[n]), []).append((pref, product))
+    out = np.zeros(len(vec), dtype=dtype)
+    for (width, comp), terms in sorted(rows.items()):
+        vals = np.array([t[0] for t in terms], dtype=dtype)
+        if width:
+            vals = vals * np.array([t[1] for t in terms], dtype=dtype)
+        out[comp] += np.add.reduceat(vals, [0])[0]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kernel_poly(name):
+    from dnls_nflab.order4 import build_F4, compute_R6
+    from dnls_nflab.order6 import build_F6
+
+    if name == "degree1":
+        return PolyHamiltonian.from_terms(
+            4,
+            [
+                (Monomial.of((), (1,)), ExactCoeff(Fraction(1, 3), Fraction(-2, 5))),
+                (Monomial.of((), (-3,)), ExactCoeff.real(Fraction(7, 2), pi_power=1)),
+                (Monomial.of((2,), ()), ExactCoeff.imag(Fraction(3, 7), pi_power=1)),
+            ],
+        )
+    if name == "lambda":
+        return build_lambda(4)
+    if name == "F4":
+        return build_F4(4)
+    return build_F6(4, compute_R6(4))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("name", ["degree1", "lambda", "F4", "F6"])
+def test_row_kernel_matches_per_term_reference(name, dtype):
+    # the prefix-shared kernel keeps the per-term association, so the
+    # result is bit-identical, not merely close
+    P = _kernel_poly(name)
+    rng = np.random.default_rng(21)
+    n = len(mode_range(P.truncation))
+    base = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    vec = base.astype(dtype) / np.dtype(dtype).type(3)
+    field = vector_field_vec(P, vec)
+    gq, gqbar = gradient_vecs(P, vec)
+    for got in (field, gq, gqbar):
+        assert got.dtype == np.dtype(dtype)
+    assert np.array_equal(field, _reference_rows(P, vec, "minus", True))
+    assert np.array_equal(gq, _reference_rows(P, vec, "plus", False))
+    assert np.array_equal(gqbar, _reference_rows(P, vec, "minus", False))
+
+
+def test_gradient_vecs_keeps_extended_precision():
+    P = _kernel_poly("F4")
+    rng = np.random.default_rng(22)
+    n = len(mode_range(P.truncation))
+    vec = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    for lo, hi in zip(gradient_vecs(P, vec), gradient_vecs(P, vec.astype(np.clongdouble))):
+        assert lo.dtype == np.complex128 and hi.dtype == LONG_COMPLEX
+        assert np.max(np.abs(hi.astype(np.complex128) - lo)) <= 1e-12 * np.max(np.abs(lo))
 
 
 def test_poisson_bracket_numeric_antisymmetry_and_match():
