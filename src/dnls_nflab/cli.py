@@ -23,7 +23,8 @@ from pathlib import Path
 
 class UsageError(Exception):
     """Bad user input: an init spec that does not parse or fit the
-    truncation, or a report path that cannot be written.  Exit code 2."""
+    truncation, a --config file that cannot be read or names an unknown
+    option, or a report path that cannot be written.  Exit code 2."""
 
 
 def _git_describe() -> str:
@@ -50,6 +51,14 @@ def make_manifest(subcommand: str, parameters: dict, outcome: str) -> dict:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outcome": outcome,
     }
+
+
+def _check_writable(path: str) -> None:
+    """Raise UsageError up front if the directory of a report path is
+    missing or not writable; creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise UsageError(f"cannot write report to {path}: {parent} is not a writable directory")
 
 
 def write_text(path: str, text: str) -> None:
@@ -232,6 +241,9 @@ def cmd_simulate(args) -> int:
     M = args.modes
     track = tuple(float(s) for s in args.track_s.split(",")) if args.track_s else ()
     q0 = _parse_init(args.init, M)
+    for path in (args.out, args.dump_final):
+        if path:
+            _check_writable(path)
     cfg = FlowConfig(
         dt=args.dt,
         t_end=args.t_end,
@@ -361,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact normal-form verification lab and simulator for the "
         "derivative NLS on the torus",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("NF_LAB_JOBS", "1")),
-        help="worker cap for parallelizable suites (default NF_LAB_JOBS or 1)",
-    )
     parser.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -425,39 +431,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_defaults(parser) -> dict:
-    defaults = {}
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            else:
-                defaults[action.dest] = action.default
-    return defaults
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad --config {path!r}: {exc}") from exc
+    if not isinstance(conf, dict):
+        raise UsageError(f"bad --config {path!r}: expected a JSON object")
+    return conf
 
 
-def _apply_config(args, parser):
-    if not args.config:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line.  A --config file supplies defaults for the
+    subcommand's options, so every flag given on the command line wins."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
         return args
-    with open(args.config) as fh:
-        conf = json.load(fh)
-    # flags win: only fill values the user left at their defaults
-    defaults = _collect_defaults(parser)
-    for key, value in conf.items():
-        if hasattr(args, key) and getattr(args, key) == defaults.get(key):
-            setattr(args, key, value)
-    return args
+    conf = _load_config(args.config)
+    options = set(vars(args)) - {"config", "subcommand", "func"}
+    unknown = sorted(set(conf) - options)
+    if unknown:
+        raise UsageError(
+            f"--config {args.config!r} has keys that {args.subcommand} does not take: "
+            + ", ".join(unknown)
+        )
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers.choices[args.subcommand].set_defaults(**conf)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     from .flows import BlowupError, FlowConvergenceError, StepBudgetError
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser)
+        args = parse_args(argv)
         return args.func(args)
     except (FlowConvergenceError, BlowupError, StepBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

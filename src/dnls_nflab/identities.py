@@ -26,19 +26,22 @@ def _frac(x) -> Fraction:
 
 
 def mu(x, y, z) -> Fraction:
-    """1/((x-y)(z-y)); poles x=y and z=y are rejected."""
-    x, y, z = _frac(x), _frac(y), _frac(z)
+    """1/((x-y)(z-y)) on integers or rationals; poles x=y and z=y are rejected."""
     if x == y or z == y:
         raise ZeroDivisionError("mu undefined at x=y or z=y")
-    return Fraction(1) / ((x - y) * (z - y))
+    return Fraction(1, (x - y) * (z - y))
 
 
 def tau(x, y, z) -> Fraction:
-    """(x-y+z)/((x-y)(z-y)); poles x=y and z=y are rejected."""
-    x, y, z = _frac(x), _frac(y), _frac(z)
+    """(x-y+z)/((x-y)(z-y)) on integers or rationals; poles x=y and z=y are
+    rejected.
+
+    On integers equal to -2(x-y+z)/(x^2-y^2+z^2-(x-y+z)^2) wherever both
+    forms are defined, which the tests confirm.
+    """
     if x == y or z == y:
         raise ZeroDivisionError("tau undefined at x=y or z=y")
-    return (x - y + z) / ((x - y) * (z - y))
+    return Fraction(x - y + z, (x - y) * (z - y))
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import ExactCoeff
+from .identities import tau
 from .poly import (
     Monomial,
     PolyHamiltonian,
+    _nonnormal_quartets,
     bracket,
     build_B_closed_form,
-    _zero_momentum_quartets,
+    build_Q,
 )
 from .states import mode_range, rejection_sample
 
@@ -45,38 +47,43 @@ def in_delta(j: int, k: int, l: int, m: int) -> bool:
     return j - k + l - m == 0 and j != k and j != m
 
 
+def _stars(entries) -> list[int]:
+    """Absolute values sorted decreasing: j1* >= j2* >= ..."""
+    return sorted(map(abs, entries), reverse=True)
+
+
+def quad_bound_holds(d: int, stars) -> bool:
+    """The quadruple small-divisor bound |d| >= sqrt(j1*)^3 / (2 sqrt(j2* j3* j4*)),
+    squared into the integer inequality j1*^3 <= 4 d^2 j2* j3* j4*."""
+    return stars[0] ** 3 <= 4 * d * d * stars[1] * stars[2] * stars[3]
+
+
 @dataclass(frozen=True)
 class DivisorReport:
     tuple: tuple[int, int, int, int]
     divisor: int
-    lower_bound_squared: Fraction
-    lower_bound: float
     holds: bool
     factorization_ok: bool
+
+    @property
+    def lower_bound(self) -> float:
+        """sqrt(j1*)^3 / (2 sqrt(j2* j3* j4*)), the bound on |divisor|."""
+        stars = _stars(self.tuple)
+        return math.sqrt(stars[0] ** 3 / (4 * stars[1] * stars[2] * stars[3]))
 
 
 def divisor_bound_check(t: tuple[int, int, int, int]) -> DivisorReport:
     """Exact check of the quadruple small-divisor bound and its factorization.
 
-    The bound sqrt(j1*)^3 / (2 sqrt(j2* j3* j4*)) is compared squared, in
-    integers, so the check carries no floating error.
+    The bound is compared squared, in integers, so the check carries no
+    floating error.
     """
     j, k, l, m = t
     if not in_delta(j, k, l, m):
         raise ValueError(f"{t} is not in the non-resonant quadruple set")
     d = quad_divisor(j, k, l, m)
-    stars = sorted((abs(j), abs(k), abs(l), abs(m)), reverse=True)
-    bound_sq = Fraction(stars[0] ** 3, 4 * stars[1] * stars[2] * stars[3])
-    holds = d * d >= bound_sq
     fact_ok = d == -2 * (m - j) * (m - l) and d == -2 * (m - j) * (j - k)
-    return DivisorReport(
-        tuple=t,
-        divisor=d,
-        lower_bound_squared=bound_sq,
-        lower_bound=math.sqrt(float(bound_sq)),
-        holds=bool(holds),
-        factorization_ok=bool(fact_ok),
-    )
+    return DivisorReport(t, d, quad_bound_holds(d, _stars(t)), fact_ok)
 
 
 def iter_delta(max_abs: int):
@@ -131,64 +138,16 @@ def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
 # -- generator --------------------------------------------------------------------
 
 
-def build_F4(M: int) -> PolyHamiltonian:
-    """Quartic generator solving the homological equation at truncation M."""
-    items = []
-    for plus, minus in _zero_momentum_quartets(mode_range(M)):
-        mono = Monomial.of(plus, minus)
-        if mono.is_normal():
-            continue
-        d = mono.square_divisor()
-        coeff = ExactCoeff.imag(
-            Fraction(mono.arrangements(), 4) / d, pi_power=1
-        )
-        items.append((mono, coeff))
-    return PolyHamiltonian.from_terms(M, items)
+def build_F4(M: int, Mx: int | None = None) -> PolyHamiltonian:
+    """Quartic generator solving the homological equation at truncation M.
 
-
-def _extended_nonnormal_items(M: int, Mx: int):
-    """Canonical non-normal quartic monomials with at most one mode outside
-    the window [1, M] in absolute value, all modes within Mx.
-
-    Yields (monomial, arrangement count).  This is exactly the set of quartic
-    terms that can contribute to a window-supported sextic bracket product:
-    the out-of-window mode, if any, must be the contracted one.
+    With Mx > M it also carries the generator terms with one mode in
+    M < |n| <= Mx, the ones a window-supported sextic bracket can contract.
     """
-    window = mode_range(M)
-    seen = set()
-    for plus, minus in _zero_momentum_quartets(window):
-        mono = Monomial.of(plus, minus)
-        if not mono.is_normal():
-            seen.add(mono)
-            yield mono, mono.arrangements()
-    for p in window:
-        for i, m1 in enumerate(window):
-            for m2 in window[i:]:
-                n = m1 + m2 - p
-                if M < abs(n) <= Mx:
-                    mono = Monomial.of((p, n), (m1, m2))
-                    if mono not in seen:
-                        seen.add(mono)
-                        yield mono, mono.arrangements()
-                    # mirrored big mode in the barred slots
-                    mono2 = Monomial.of((m1, m2), (p, n))
-                    if mono2 not in seen:
-                        seen.add(mono2)
-                        yield mono2, mono2.arrangements()
-
-
-def build_Q_extended(M: int, Mx: int) -> PolyHamiltonian:
-    items = [
-        (mono, ExactCoeff.real(Fraction(arr, 4), pi_power=1))
-        for mono, arr in _extended_nonnormal_items(M, Mx)
-    ]
-    return PolyHamiltonian.from_terms(Mx, items)
-
-
-def build_F4_extended(M: int, Mx: int) -> PolyHamiltonian:
+    Mx = M if Mx is None else Mx
     items = [
         (mono, ExactCoeff.imag(Fraction(arr, 4) / mono.square_divisor(), pi_power=1))
-        for mono, arr in _extended_nonnormal_items(M, Mx)
+        for mono, arr in _nonnormal_quartets(M, Mx)
     ]
     return PolyHamiltonian.from_terms(Mx, items)
 
@@ -203,10 +162,7 @@ def r6_parts(M: int) -> tuple[PolyHamiltonian, PolyHamiltonian]:
     B = build_B_closed_form(M)
     F = build_F4(M)
     bf = bracket(B, F)
-    Mx = 3 * M
-    Qx = build_Q_extended(M, Mx)
-    Fx = build_F4_extended(M, Mx)
-    qf = bracket(Qx, Fx, support_bound=M)
+    qf = bracket(build_Q(M, 3 * M), build_F4(M, 3 * M), support_bound=M)
     return bf, qf.scaled(Fraction(1, 2))
 
 
@@ -249,8 +205,6 @@ def closed_form_qf_half(M: int) -> PolyHamiltonian:
     this form is window-complete by construction and must agree exactly with
     the engine's enlarged-intermediate bracket.
     """
-    from .identities import tau as tau_rat
-
     window = mode_range(M)
     acc: dict[Monomial, Fraction] = {}
     for j in window:
@@ -260,7 +214,7 @@ def closed_form_qf_half(M: int) -> PolyHamiltonian:
             for l in window:
                 if l == k:
                     continue
-                t = tau_rat(j, k, l)
+                t = tau(j, k, l)
                 if t == 0:
                     continue
                 for m1 in window:
@@ -319,7 +273,7 @@ def coefficient_growth_audit(
     n = 0
     for mono, coeff in P.terms():
         n += 1
-        stars = sorted((abs(v) for v in mono.plus + mono.minus), reverse=True)
+        stars = _stars(mono.plus + mono.minus)
         shape = math.prod(stars[1:]) ** tail / stars[0] ** head
         c_abs = coeff.abs_float()
         ratio = c_abs / shape
@@ -341,12 +295,11 @@ def f4_coefficient_bound_audit(F: PolyHamiltonian) -> dict:
     violations = []
     for mono, coeff in F.terms():
         d = mono.square_divisor()
-        stars = sorted((abs(v) for v in mono.plus + mono.minus), reverse=True)
         arr = mono.arrangements()
         ordered_abs_sq = coeff.abs_squared_rational() / (arr * arr)
         expected = Fraction(1, 16) / (d * d)
         value_ok = ordered_abs_sq == expected and coeff.pi_power == 1
-        bound_ok = stars[0] ** 3 <= 4 * d * d * stars[1] * stars[2] * stars[3]
+        bound_ok = quad_bound_holds(d, _stars(mono.plus + mono.minus))
         checked += 1
         if not (value_ok and bound_ok):
             violations.append((mono, coeff))

@@ -10,28 +10,16 @@ same index data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .coeffs import ExactCoeff
-from .identities import TriplePair, nine_term_sums
+from .identities import TriplePair, enumerate_triple_pairs, nine_term_sums, tau
 from .order4 import compute_R6, in_delta
 from .poly import Monomial, PolyHamiltonian, split_normal
 from .states import mode_range, rejection_sample, zero_momentum_sextuples
-
-
-def tau(j: int, k: int, l: int) -> Fraction:
-    """(j-k+l)/((j-k)(l-k)), exact; requires j != k and l != k.
-
-    Equal to -2(j-k+l)/(j^2-k^2+l^2-(j-k+l)^2) wherever both forms are
-    defined, which the tests confirm.
-    """
-    if j == k or l == k:
-        raise ZeroDivisionError("tau undefined at j=k or l=k")
-    return Fraction(j - k + l, (j - k) * (l - k))
 
 
 def build_K(M: int) -> PolyHamiltonian:
@@ -57,28 +45,26 @@ def build_K(M: int) -> PolyHamiltonian:
 # -- resonant set ----------------------------------------------------------------
 
 
-def _nonzero_triples_by_invariants(M: int):
-    values = [v for v in range(-M, M + 1) if v != 0]
-    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for triple in itertools.combinations_with_replacement(values, 3):
-        key = (sum(triple), sum(v * v for v in triple))
-        buckets.setdefault(key, []).append(triple)
-    return buckets
+def _resonant_classes(M: int):
+    """Each resonant class once, as the sorted distinct images (x, y), (y, x),
+    (-x, -y), (-y, -x) of one pair of sorted nonzero triples with |entries| <= M."""
+    for pair in enumerate_triple_pairs(M, nonzero_entries=True):
+        x = tuple(int(v) for v in pair.x)
+        y = tuple(int(v) for v in pair.y)
+        negx = tuple(sorted(-v for v in x))
+        negy = tuple(sorted(-v for v in y))
+        yield sorted({(x, y), (y, x), (negx, negy), (negy, negx)})
 
 
 def iter_resonant_monomials(M: int):
     """Every degree-6 monomial on the resonant non-normal index set with
     |modes| <= M: zero momentum, zero square sum, disjoint plus/minus values.
 
-    Not deduplicated: conjugate and negated monomials are distinct monomials
-    and are all yielded.
+    Conjugate and negated monomials are distinct monomials and are all
+    yielded, each once.
     """
-    for group in _nonzero_triples_by_invariants(M).values():
-        if len(group) < 2:
-            continue
-        for x, y in itertools.permutations(group, 2):
-            if set(x) & set(y):
-                continue
+    for images in _resonant_classes(M):
+        for x, y in images:
             yield Monomial.of(x, y)
 
 
@@ -86,27 +72,16 @@ def enumerate_resonant(M: int) -> list[tuple[int, int, int, int, int, int]]:
     """Canonical resonant sextuples (j1..j6, alternating slots), deduplicated
     up to permutations within slot parities, conjugation and global negation.
 
-    The index set admits repeated entries within a parity class and mixed
-    signs, so members exist from max index 2 on (plus {1,1,-2} against minus
+    The representative of a class is its smallest image.  The index set
+    admits repeated entries within a parity class and mixed signs, so
+    members exist from max index 2 on (plus {1,1,-2} against minus
     {-1,-1,2}); the smallest all-positive member is {1,4,4} against {2,2,5}
     at index 5, and the all-distinct positive ones start at 7.
     """
-    seen = set()
     out = []
-    for group in _nonzero_triples_by_invariants(M).values():
-        if len(group) < 2:
-            continue
-        for x, y in itertools.combinations(group, 2):
-            if set(x) & set(y):
-                continue
-            negx = tuple(sorted(-v for v in x))
-            negy = tuple(sorted(-v for v in y))
-            canon = min((x, y), (y, x), (negx, negy), (negy, negx))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            px, py = canon
-            out.append((px[0], py[0], px[1], py[1], px[2], py[2]))
+    for images in _resonant_classes(M):
+        px, py = images[0]
+        out.append((px[0], py[0], px[1], py[1], px[2], py[2]))
     out.sort()
     return out
 

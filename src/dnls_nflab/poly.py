@@ -356,6 +356,34 @@ def _zero_momentum_quartets(modes: list[int]):
                 yield plus, minus
 
 
+def _nonnormal_quartets(M: int, Mx: int):
+    """Canonical non-normal quartic monomials with at most one mode outside
+    the window [1, M] in absolute value, all modes within Mx.
+
+    Yields (monomial, arrangement count).  This is exactly the set of quartic
+    terms that can contribute to a window-supported sextic bracket product:
+    the out-of-window mode, if any, must be the contracted one.  At Mx = M
+    these are the window's non-normal quartets.
+    """
+    window = mode_range(M)
+    seen = set()
+    for plus, minus in _zero_momentum_quartets(window):
+        mono = Monomial.of(plus, minus)
+        if not mono.is_normal():
+            seen.add(mono)
+            yield mono, mono.arrangements()
+    for p in window:
+        for i, m1 in enumerate(window):
+            for m2 in window[i:]:
+                n = m1 + m2 - p
+                if M < abs(n) <= Mx:
+                    # the big mode in the plain slots, then mirrored
+                    for mono in (Monomial.of((p, n), (m1, m2)), Monomial.of((m1, m2), (p, n))):
+                        if mono not in seen:
+                            seen.add(mono)
+                            yield mono, mono.arrangements()
+
+
 def build_G(M: int) -> PolyHamiltonian:
     """Full quartic Hamiltonian: (1/4pi) over all zero-momentum quadruples.
 
@@ -389,16 +417,18 @@ def build_B_closed_form(M: int) -> PolyHamiltonian:
     return PolyHamiltonian.from_terms(M, items)
 
 
-def build_Q(M: int) -> PolyHamiltonian:
-    """Non-normal quartic part: zero momentum with plus != minus."""
-    quarter = Fraction(1, 4)
-    items = []
-    for plus, minus in _zero_momentum_quartets(mode_range(M)):
-        mono = Monomial.of(plus, minus)
-        if mono.is_normal():
-            continue
-        items.append((mono, ExactCoeff.real(quarter * mono.arrangements(), pi_power=1)))
-    return PolyHamiltonian.from_terms(M, items)
+def build_Q(M: int, Mx: int | None = None) -> PolyHamiltonian:
+    """Non-normal quartic part: zero momentum with plus != minus.
+
+    With Mx > M the terms with one mode in M < |n| <= Mx are included too
+    (see _nonnormal_quartets), on a polynomial of truncation Mx.
+    """
+    Mx = M if Mx is None else Mx
+    items = [
+        (mono, ExactCoeff.real(Fraction(arr, 4), pi_power=1))
+        for mono, arr in _nonnormal_quartets(M, Mx)
+    ]
+    return PolyHamiltonian.from_terms(Mx, items)
 
 
 def ordered_coefficient(poly: PolyHamiltonian, entries: tuple[int, ...]) -> ExactCoeff:

@@ -1,9 +1,23 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from dnls_nflab.cli import build_parser, main
+from dnls_nflab.cli import main, parse_args
+
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "cli_reports_sha256.json"
+
+# Each run writes its reports into the working directory; the golden file
+# maps every report (and each run's stdout) to the digest of its body.
+CLI_REPORT_RUNS = {
+    "nf4": ["nf4", "--modes", "4", "--audit", "--divisor-bound", "6",
+            "--divisor-csv", "nf4_divisor.csv"],
+    "nf6": ["nf6", "--modes", "6", "--verify-ktilde", "--resonant-csv",
+            "nf6_resonant.csv", "--dump-k", "nf6_k.json"],
+    "identities": ["identities", "--bound", "6", "--report", "identities.csv"],
+}
 
 
 def _read_manifest(path):
@@ -147,15 +161,48 @@ def test_verify_all_small():
 def test_config_file_flags_win(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"bound": 5, "report": None}))
-    parser = build_parser()
-    args = parser.parse_args(["--config", str(conf), "identities", "--bound", "7"])
-    from dnls_nflab.cli import _apply_config
-
-    args = _apply_config(args, parser)
+    args = parse_args(["--config", str(conf), "identities", "--bound", "7"])
     assert args.bound == 7  # explicit flag beats config
-    args2 = parser.parse_args(["--config", str(conf), "identities"])
-    args2 = _apply_config(args2, parser)
-    assert args2.bound == 5  # config fills defaults
+    args = parse_args(["--config", str(conf), "identities", "--bound", "10"])
+    assert args.bound == 10  # even when it equals the default
+    args = parse_args(["--config", str(conf), "identities"])
+    assert args.bound == 5  # config fills defaults
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "bad --config"),
+        ("{bound: 5", "bad --config"),
+        ("[5]", "expected a JSON object"),
+        ('{"bound": 5, "bogus": 1}', "does not take: bogus"),
+    ],
+    ids=["missing", "malformed", "not-an-object", "unknown-key"],
+)
+def test_bad_config_is_usage_error(tmp_path, capsys, text, message):
+    conf = tmp_path / "conf.json"
+    if text is not None:
+        conf.write_text(text)
+    assert main(["--config", str(conf), "identities", "--bound", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-final"])
+def test_unwritable_simulate_output_fails_before_integrating(tmp_path, monkeypatch, capsys, flag):
+    import dnls_nflab.flows
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking the output paths")
+
+    monkeypatch.setattr(dnls_nflab.flows, "dnls_evolve", never)
+    bad = tmp_path / "no-such-dir" / "file"
+    argv = ["simulate", "--modes", "4", "--init", "planewave:1,0.1", "--t-end", "100",
+            "--out", str(tmp_path / "traj.csv"), flag, str(bad)]
+    assert main(argv) == 2
+    assert f"cannot write report to {bad}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -180,3 +227,33 @@ def test_numerical_failure_exit_code(tmp_path):
          "--seed", "1", "--dt", "0.000000001"]
     )
     assert code == 3
+
+
+def _report_body_digest(path: Path) -> str:
+    """SHA-256 of a report without its manifest, which carries the
+    timestamp, git describe and the full parameter set."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        body = json.dumps(json.loads(text)["data"], indent=1)
+    else:
+        first, body = text.split("\n", 1)
+        assert first.startswith("# manifest: ")
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _cli_report_digests(workdir: Path, capsys) -> dict[str, str]:
+    digests = {}
+    for name, argv in CLI_REPORT_RUNS.items():
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        digests[f"{name}.stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        for arg in argv:
+            if (workdir / arg).is_file():
+                digests[arg] = _report_body_digest(workdir / arg)
+    return digests
+
+
+def test_cli_reports_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    assert _cli_report_digests(tmp_path, capsys) == golden["reports"]

@@ -93,6 +93,17 @@ def test_f4_real_valued_and_solves_homological_equation():
         assert residual.is_zero
 
 
+@pytest.mark.parametrize("M", [3, 4])
+def test_window_builders_are_restricted_extended_builders(M):
+    # the enlarged-window terms all carry one mode outside [1, M]
+    Qx = build_Q(M, 3 * M)
+    Fx = build_F4(M, 3 * M)
+    assert Qx.truncation == Fx.truncation == 3 * M
+    assert build_Q(M) == Qx.with_truncation(M)
+    assert build_F4(M) == Fx.with_truncation(M)
+    assert Qx.num_terms > build_Q(M).num_terms
+
+
 def test_f4_coefficient_bound_exact():
     rep = f4_coefficient_bound_audit(build_F4(8))
     assert rep["violations"] == []

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dnls_nflab.coeffs import ExactCoeff
+from dnls_nflab.identities import tau
 from dnls_nflab.order4 import compute_R6
 from dnls_nflab.order6 import (
     build_F6,
@@ -21,7 +22,6 @@ from dnls_nflab.order6 import (
     sextuple_bound_check,
     sextuple_divisor,
     split_r6,
-    tau,
     tau_bound_check,
     verify_Ktilde_zero,
 )
@@ -35,13 +35,14 @@ def _records_digest(P) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_exact_records_match_golden_digests():
+def test_exact_records_match_golden_digests(r6_at_8):
     golden = json.loads((GOLDEN / "exact_m6_sha256.json").read_text())
     M = golden["M"]
     r6 = compute_R6(M)
     assert _records_digest(r6) == golden["compute_R6"]
     assert _records_digest(build_F6(M, r6)) == golden["build_F6"]
     assert _records_digest(build_K(M)) == golden["build_K"]
+    assert _records_digest(r6_at_8) == golden["compute_R6_M8"]
 
 
 # -- tau -------------------------------------------------------------------------
@@ -140,6 +141,20 @@ def test_resonant_contains_known_member_at_seven():
         pair_matches(TriplePair.of(t[0::2], t[1::2]), (1, 5, 6), (2, 3, 7))
         for t in enumerate_resonant(7)
     )
+
+
+# classes and monomials of the resonant set for M = 1..8
+RESONANT_COUNTS = [(0, 0), (1, 2), (2, 4), (4, 8), (9, 24), (17, 50), (29, 92), (47, 156)]
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_resonant_counts(M):
+    classes, monomials = RESONANT_COUNTS[M - 1]
+    assert len(enumerate_resonant(M)) == classes
+    monos = list(iter_resonant_monomials(M))
+    assert len(monos) == len(set(monos)) == monomials
+    # each class contributes its representative as a monomial
+    assert {Monomial.of(t[0::2], t[1::2]) for t in enumerate_resonant(M)} <= set(monos)
 
 
 def test_resonant_monomials_disjoint_slots():

@@ -196,10 +196,10 @@ def test_mass_is_casimir_on_zero_momentum():
 
 @pytest.mark.parametrize("M", [3, 4])
 def test_bracket_support_bound_equals_restricted_full_bracket(M):
-    from dnls_nflab.order4 import build_F4_extended, build_Q_extended
+    from dnls_nflab.order4 import build_F4
 
-    Qx = build_Q_extended(M, 3 * M)
-    Fx = build_F4_extended(M, 3 * M)
+    Qx = build_Q(M, 3 * M)
+    Fx = build_F4(M, 3 * M)
     windowed = bracket(Qx, Fx, support_bound=M)
     assert windowed.truncation == M
     assert not windowed.is_zero
