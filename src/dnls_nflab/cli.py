@@ -43,10 +43,11 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def make_manifest(subcommand: str, parameters: dict, outcome: str) -> dict:
+def make_manifest(args: argparse.Namespace, outcome: str) -> dict:
+    """Manifest of a subcommand run: every parsed option is a parameter."""
     return {
-        "subcommand": subcommand,
-        "parameters": {k: parameters[k] for k in sorted(parameters)},
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "git_describe": _git_describe(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outcome": outcome,
@@ -119,13 +120,11 @@ def cmd_nf4(args) -> int:
         )
         audit = coefficient_growth_audit(F4, Fraction(1, 2), Fraction(3, 2))
         print(f"  generator growth constant: {audit.constant_raw:.6g}")
-    params = vars(args).copy()
-    params.pop("func", None)
     outcome = "pass" if ok else "fail"
     if args.dump_f4:
         from .poly import poly_to_records
 
-        write_json(args.dump_f4, make_manifest("nf4", params, outcome), poly_to_records(F4))
+        write_json(args.dump_f4, make_manifest(args, outcome), poly_to_records(F4))
     if args.divisor_csv:
         rows = []
         for t in iter_delta(min(M, args.divisor_bound)):
@@ -133,7 +132,7 @@ def cmd_nf4(args) -> int:
             rows.append([*t, rep.divisor, f"{rep.lower_bound:.12g}"])
         write_csv(
             args.divisor_csv,
-            make_manifest("nf4", params, outcome),
+            make_manifest(args, outcome),
             ["j", "k", "l", "m", "divisor", "bound"],
             rows,
         )
@@ -167,16 +166,14 @@ def cmd_nf6(args) -> int:
     if args.audit_f6:
         audit = coefficient_growth_audit_f6(F6)
         print(f"  sextic generator growth constant: {audit.constant_raw:.6g}")
-    params = vars(args).copy()
-    params.pop("func", None)
     outcome = "pass" if ok else "fail"
     if args.dump_k:
-        write_json(args.dump_k, make_manifest("nf6", params, outcome), poly_to_records(K))
+        write_json(args.dump_k, make_manifest(args, outcome), poly_to_records(K))
     if args.resonant_csv:
         rows = [list(t) for t in enumerate_resonant(M)]
         write_csv(
             args.resonant_csv,
-            make_manifest("nf6", params, outcome),
+            make_manifest(args, outcome),
             ["j1", "j2", "j3", "j4", "j5", "j6"],
             rows,
         )
@@ -205,12 +202,10 @@ def cmd_identities(args) -> int:
         for p in random_rational_pairs(n_random, seed=args.seed):
             verify_vanishing_sums(p)
         _status(True, "random rational pairs", f"{n_random} pairs")
-    params = vars(args).copy()
-    params.pop("func", None)
     if args.report:
         write_csv(
             args.report,
-            make_manifest("identities", params, "pass" if ok else "fail"),
+            make_manifest(args, "pass" if ok else "fail"),
             ["x1", "x2", "x3", "y1", "y2", "y3", "I", "II"],
             rows,
         )
@@ -251,9 +246,7 @@ def cmd_simulate(args) -> int:
         record_interval=args.record_interval,
     )
     rec = dnls_evolve(q0, cfg, track_s=track, keep_states=bool(args.dump_final))
-    params = vars(args).copy()
-    params.pop("func", None)
-    manifest = make_manifest("simulate", params, "report-only")
+    manifest = make_manifest(args, "report-only")
     header = ["time", "mass", "momentum", "energy"] + [f"norm_s={s:g}" for s in track]
     rows = []
     for i, t in enumerate(rec.times):
@@ -280,8 +273,6 @@ def cmd_stability(args) -> int:
         dt=args.dt,
     )
     rep = stability_sweep(run)
-    params = vars(args).copy()
-    params.pop("func", None)
     outcome = "pass" if rep.passed else "fail"
     if rep.budget_exhausted:
         print(f"step budget exhausted: {rep.message}")
@@ -295,7 +286,7 @@ def cmd_stability(args) -> int:
         ]
         write_csv(
             args.out,
-            make_manifest("stability", params, outcome),
+            make_manifest(args, outcome),
             ["t", "norm_ratio", "mass_drift", "energy_drift"],
             rows,
         )
@@ -381,7 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p4.add_argument("--dump-f4", type=str, default=None)
     p4.add_argument("--audit", action="store_true")
     p4.add_argument("--divisor-bound", type=int, default=20)
-    p4.add_argument("--divisor-csv", type=str, default=None)
+    p4.add_argument(
+        "--divisor-csv",
+        type=str,
+        default=None,
+        help="CSV of divisors and bounds for the Delta tuples with "
+        "|j| <= min(--modes, --divisor-bound); the audit covers |j| <= --divisor-bound",
+    )
     p4.set_defaults(func=cmd_nf4)
 
     p6 = sub.add_parser("nf6", help="order-6 construction checks and dumps")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -69,15 +69,21 @@ class FlowConfig:
 # -- polynomial generator flows ------------------------------------------------------
 
 
+def _rk4_step(f, v: np.ndarray, h: float) -> np.ndarray:
+    """One classic RK4 step of v' = f(v)."""
+    k1 = f(v)
+    k2 = f(v + (h / 2) * k1)
+    k3 = f(v + (h / 2) * k2)
+    k4 = f(v + h * k3)
+    return v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _rk4_poly(F: PolyHamiltonian, vec: np.ndarray, t_end: float, n_steps: int) -> np.ndarray:
     h = t_end / n_steps
-    v = vec.copy()
+    field = partial(vector_field_vec, F)
+    v = vec
     for _ in range(n_steps):
-        k1 = vector_field_vec(F, v)
-        k2 = vector_field_vec(F, v + (h / 2) * k1)
-        k3 = vector_field_vec(F, v + (h / 2) * k2)
-        k4 = vector_field_vec(F, v + h * k3)
-        v += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v = _rk4_step(field, v, h)
     return v
 
 
@@ -200,8 +206,9 @@ def evolve_vec(
 ):
     """Integrate the Galerkin system from a dense (possibly batched) vector.
 
-    Returns (times, channels, q_final); channel arrays have shape
-    (n_records, *batch).  Raises BlowupError if the l2 norm exceeds 1000x its
+    Returns (times, channels, q_final, snapshots): channel arrays have shape
+    (n_records, *batch) and snapshots holds a copy of the state at each
+    record point.  Raises BlowupError if the l2 norm exceeds 1000x its
     initial value or is not finite, and StepBudgetError if the step count
     exceeds the budget.
     """
@@ -233,14 +240,10 @@ def evolve_vec(
             return E * q
 
     else:
+        rhs = model.rhs if nonlinear else (lambda v: -1j * model.jsq * v)
 
         def step(q):
-            rhs = model.rhs if nonlinear else (lambda v: -1j * model.jsq * v)
-            k1 = rhs(q)
-            k2 = rhs(q + (h / 2) * k1)
-            k3 = rhs(q + (h / 2) * k2)
-            k4 = rhs(q + h * k3)
-            return q + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            return _rk4_step(rhs, q, h)
 
     initial_l2 = np.sqrt(np.max(np.sum(np.abs(q) ** 2, axis=-1)))
     times = [0.0]

@@ -7,8 +7,8 @@ floating error.  The bracket carries the mode weight j:
 
     {H, F} = -i * sum_j j * (dH/dq_j dF/dqbar_j - dH/dqbar_j dF/dq_j)
 
-Polynomials are graded internally by total degree, which keeps the
-order-by-order bookkeeping of the normal-form constructions explicit.
+A polynomial is one flat map Monomial -> nonzero ExactCoeff; terms() lists
+it by (degree, plus, minus), the order of the serialized records.
 
 bracket indexes both operands per call by contracted mode n: one entry per
 derivative by q_n or qbar_n, holding the remaining multisets, their largest
@@ -16,9 +16,10 @@ derivative by q_n or qbar_n, holding the remaining multisets, their largest
 mode, a support bound becomes a bisect prefix of each list, so pairs whose
 product leaves the window are never formed.
 
-The numeric vector field and gradients compile each polynomial once per
-dtype into rows, one per derivative term: an output component, a
-prefactor and a list of factors, the plus slots then the minus slots.  A
+The numeric value, vector field and gradients share one product kernel.
+Each compiles a polynomial once per dtype into rows: one per term for the
+value, one per derivative term for the others, each an output component,
+a prefactor and a list of factors, the plus slots then the minus slots.  A
 factor is an index into ext = concatenate(vec, conj(vec)), so a barred slot
 needs no conjugation mask.  Rows of one width share a prefix plan: level k
 holds the distinct length-k factor prefixes, each as (index of its
@@ -31,7 +32,6 @@ multiplying every row out in full.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -108,38 +108,29 @@ def is_normal_form(m: Monomial) -> bool:
 
 
 class PolyHamiltonian:
-    """Exact polynomial: map degree -> (map Monomial -> ExactCoeff)."""
+    """Exact polynomial: map Monomial -> nonzero ExactCoeff."""
 
-    def __init__(self, truncation: int, blocks: dict[int, dict[Monomial, ExactCoeff]] | None = None):
+    def __init__(self, truncation: int, coeffs: dict[Monomial, ExactCoeff] | None = None):
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
         self.truncation = truncation
-        self._blocks: dict[int, dict[Monomial, ExactCoeff]] = {}
-        if blocks:
-            for d, terms in blocks.items():
-                clean = {m: c for m, c in terms.items() if not c.is_zero}
-                if clean:
-                    self._blocks[d] = clean
+        self._coeffs = {m: c for m, c in (coeffs or {}).items() if not c.is_zero}
         self._cache: dict = {}
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def from_terms(cls, truncation: int, items: Iterable[tuple[Monomial, ExactCoeff]]) -> "PolyHamiltonian":
-        blocks: dict[int, dict[Monomial, ExactCoeff]] = {}
+        """Sum of the items; zero items are skipped before the truncation check."""
+        coeffs: dict[Monomial, ExactCoeff] = {}
         for mono, coeff in items:
             if coeff.is_zero:
                 continue
             if mono.max_abs() > truncation:
                 raise ValueError(f"monomial {mono} exceeds truncation {truncation}")
-            block = blocks.setdefault(mono.degree, {})
-            acc = block.get(mono)
-            block[mono] = coeff if acc is None else acc + coeff
-        for d in list(blocks):
-            blocks[d] = {m: c for m, c in blocks[d].items() if not c.is_zero}
-            if not blocks[d]:
-                del blocks[d]
-        return cls(truncation, blocks)
+            acc = coeffs.get(mono)
+            coeffs[mono] = coeff if acc is None else acc + coeff
+        return cls(truncation, coeffs)
 
     @classmethod
     def zero(cls, truncation: int) -> "PolyHamiltonian":
@@ -148,68 +139,49 @@ class PolyHamiltonian:
     # -- inspection --------------------------------------------------------------
 
     def coefficient(self, mono: Monomial) -> ExactCoeff:
-        return self._blocks.get(mono.degree, {}).get(mono, ZERO)
+        return self._coeffs.get(mono, ZERO)
 
     def terms(self) -> Iterator[tuple[Monomial, ExactCoeff]]:
-        for d in sorted(self._blocks):
-            for mono in sorted(self._blocks[d], key=lambda m: (m.plus, m.minus)):
-                yield mono, self._blocks[d][mono]
+        """Terms in (degree, plus, minus) order."""
+        for mono in sorted(self._coeffs, key=lambda m: (m.degree, m.plus, m.minus)):
+            yield mono, self._coeffs[mono]
 
     def degrees(self) -> list[int]:
-        return sorted(self._blocks)
-
-    def degree_part(self, d: int) -> "PolyHamiltonian":
-        return PolyHamiltonian(self.truncation, {d: dict(self._blocks.get(d, {}))})
+        return sorted({m.degree for m in self._coeffs})
 
     @property
     def num_terms(self) -> int:
-        return sum(len(b) for b in self._blocks.values())
+        return len(self._coeffs)
 
     @property
     def is_zero(self) -> bool:
-        return not self._blocks
-
-    def max_degree(self) -> int:
-        return max(self._blocks) if self._blocks else 0
+        return not self._coeffs
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyHamiltonian) and self._blocks == other._blocks
+        return isinstance(other, PolyHamiltonian) and self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
         return f"PolyHamiltonian(M={self.truncation}, terms={self.num_terms})"
 
     def is_real_valued(self) -> bool:
         """Exact conjugation symmetry: coeff(m) == conj(coeff(conj(m)))."""
-        for d, block in self._blocks.items():
-            for mono, coeff in block.items():
-                if block.get(mono.conjugate(), ZERO) != coeff.conjugate():
-                    return False
-        return True
+        return all(
+            self._coeffs.get(m.conjugate(), ZERO) == c.conjugate() for m, c in self._coeffs.items()
+        )
 
     # -- algebra ------------------------------------------------------------------
 
     def __add__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         if self.truncation != other.truncation:
             raise ValueError("truncation mismatch")
-        blocks: dict[int, dict[Monomial, ExactCoeff]] = {
-            d: dict(b) for d, b in self._blocks.items()
-        }
-        for d, b in other._blocks.items():
-            tgt = blocks.setdefault(d, {})
-            for mono, coeff in b.items():
-                acc = tgt.get(mono)
-                s = coeff if acc is None else acc + coeff
-                if s.is_zero:
-                    tgt.pop(mono, None)
-                else:
-                    tgt[mono] = s
-        return PolyHamiltonian(self.truncation, blocks)
+        coeffs = dict(self._coeffs)
+        for mono, coeff in other._coeffs.items():
+            acc = coeffs.get(mono)
+            coeffs[mono] = coeff if acc is None else acc + coeff
+        return PolyHamiltonian(self.truncation, coeffs)
 
     def __neg__(self) -> "PolyHamiltonian":
-        return PolyHamiltonian(
-            self.truncation,
-            {d: {m: -c for m, c in b.items()} for d, b in self._blocks.items()},
-        )
+        return PolyHamiltonian(self.truncation, {m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         return self + (-other)
@@ -218,27 +190,14 @@ class PolyHamiltonian:
         f = Fraction(factor)
         if f == 0:
             return PolyHamiltonian.zero(self.truncation)
-        return PolyHamiltonian(
-            self.truncation,
-            {d: {m: c.scaled(f) for m, c in b.items()} for d, b in self._blocks.items()},
-        )
+        return PolyHamiltonian(self.truncation, {m: c.scaled(f) for m, c in self._coeffs.items()})
 
     def with_truncation(self, M: int) -> "PolyHamiltonian":
         """Reinterpret at truncation M; restricts or embeds as needed."""
-        blocks: dict[int, dict[Monomial, ExactCoeff]] = {}
-        for d, b in self._blocks.items():
-            kept = {m: c for m, c in b.items() if m.max_abs() <= M}
-            if kept:
-                blocks[d] = kept
-        return PolyHamiltonian(M, blocks)
+        return PolyHamiltonian(M, {m: c for m, c in self._coeffs.items() if m.max_abs() <= M})
 
     def filtered(self, predicate) -> "PolyHamiltonian":
-        blocks: dict[int, dict[Monomial, ExactCoeff]] = {}
-        for d, b in self._blocks.items():
-            kept = {m: c for m, c in b.items() if predicate(m)}
-            if kept:
-                blocks[d] = kept
-        return PolyHamiltonian(self.truncation, blocks)
+        return PolyHamiltonian(self.truncation, {m: c for m, c in self._coeffs.items() if predicate(m)})
 
 
 def split_normal(H: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
@@ -269,14 +228,13 @@ def _contraction_index(P: PolyHamiltonian, slot: str) -> dict[int, list]:
     real (phase 0) or imaginary (phase 1) part, one entry per nonzero part.
     """
     index: dict[int, list] = {}
-    for block in P._blocks.values():
-        for mono, c in block.items():
-            for n, mult, plus, minus in _derivatives(mono, slot):
-                top = max(map(abs, plus + minus), default=0)
-                for phase, part in ((0, c.re), (1, c.im)):
-                    if part:
-                        value = part * mult if mult > 1 else part
-                        index.setdefault(n, []).append((top, plus, minus, value, phase, c.pi_power))
+    for mono, c in P._coeffs.items():
+        for n, mult, plus, minus in _derivatives(mono, slot):
+            top = max(map(abs, plus + minus), default=0)
+            for phase, part in ((0, c.re), (1, c.im)):
+                if part:
+                    value = part * mult if mult > 1 else part
+                    index.setdefault(n, []).append((top, plus, minus, value, phase, c.pi_power))
     for entries in index.values():
         entries.sort(key=lambda e: e[0])
     return index
@@ -322,12 +280,10 @@ def bracket(
                         raise ValueError(f"pi powers {slot[2]} and {hpi + fpi} meet on {key}")
                     ph = hph + fph
                     slot[1 - ph % 2] += weights[ph] * fv
-    out_M = min(H.truncation, bound)
-    blocks: dict[int, dict[Monomial, ExactCoeff]] = {}
-    for (plus, minus), (re, im, pi) in acc.items():
-        if re or im:
-            blocks.setdefault(len(plus) + len(minus), {})[Monomial(plus, minus)] = ExactCoeff(re, im, pi)
-    return PolyHamiltonian(out_M, blocks)
+    return PolyHamiltonian(
+        min(H.truncation, bound),
+        {Monomial(plus, minus): ExactCoeff(re, im, pi) for (plus, minus), (re, im, pi) in acc.items()},
+    )
 
 
 # -- standard Hamiltonians -----------------------------------------------------------
@@ -462,10 +418,6 @@ def poly_to_records(poly: PolyHamiltonian) -> list[dict]:
     return records
 
 
-def poly_to_json(poly: PolyHamiltonian) -> str:
-    return json.dumps(poly_to_records(poly), indent=0)
-
-
 def poly_from_records(records: list[dict], truncation: int) -> PolyHamiltonian:
     items = []
     for row in records:
@@ -475,10 +427,6 @@ def poly_from_records(records: list[dict], truncation: int) -> PolyHamiltonian:
         )
         items.append((mono, coeff))
     return PolyHamiltonian.from_terms(truncation, items)
-
-
-def poly_from_json(text: str, truncation: int) -> PolyHamiltonian:
-    return poly_from_records(json.loads(text), truncation)
 
 
 # -- numeric evaluation -----------------------------------------------------------------
@@ -500,38 +448,14 @@ def _to_dtype_coeff(coeff: ExactCoeff, dtype):
     return coeff.to_complex()
 
 
-def _compile_value(poly: PolyHamiltonian, dtype):
-    key = ("value", dtype)
-    if key in poly._cache:
-        return poly._cache[key]
-    index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
-    groups = []
-    for d in poly.degrees():
-        monos = sorted(poly._blocks[d], key=lambda m: (m.plus, m.minus))
-        coeffs = np.array(
-            [_to_dtype_coeff(poly._blocks[d][m], dtype) for m in monos], dtype=dtype
-        )
-        idx = np.array(
-            [[index[j] for j in m.plus + m.minus] for m in monos], dtype=np.intp
-        )
-        conj = np.array(
-            [[False] * len(m.plus) + [True] * len(m.minus) for m in monos], dtype=bool
-        )
-        groups.append((coeffs, idx, conj))
-    poly._cache[key] = groups
-    return groups
-
-
 def evaluate_poly(poly: PolyHamiltonian, vec: np.ndarray) -> complex:
     """Numeric value at a dense state vector over mode_range(truncation)."""
     vec = np.asarray(vec)
     dtype = _eval_dtype(vec)
     vec = vec.astype(dtype, copy=False)
     total = dtype.type(0)
-    for coeffs, idx, conj in _compile_value(poly, dtype):
-        factors = vec[idx]
-        factors = np.where(conj, np.conj(factors), factors)
-        total += np.sum(coeffs * np.prod(factors, axis=1))
+    for _, _, vals in _row_values(_compile_rows(poly, None, False, dtype), vec):
+        total += np.sum(vals)
     return total
 
 
@@ -561,9 +485,10 @@ def _prefix_plan(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return plan
 
 
-def _compile_rows(poly: PolyHamiltonian, slot: str, weighted: bool, dtype: np.dtype):
-    """Rows for gradient-type sums, grouped by width (factor count).
+def _compile_rows(poly: PolyHamiltonian, slot: str | None, weighted: bool, dtype: np.dtype):
+    """Rows of a polynomial's value or gradient, grouped by width (factor count).
 
+    slot=None:    one row per term, all in component 0 (the value);
     slot='minus': rows for dP/dqbar_n (vector-field direction);
     slot='plus':  rows for dP/dq_n.
     weighted=True folds the Hamiltonian weight (-i n) into the prefactor.
@@ -577,12 +502,13 @@ def _compile_rows(poly: PolyHamiltonian, slot: str, weighted: bool, dtype: np.dt
     n_modes = len(index)
     by_width: dict[int, list] = {}
     for mono, coeff in poly.terms():
-        for n, mult, plus, minus in _derivatives(mono, slot):
+        derivs = _derivatives(mono, slot) if slot else [(None, 1, mono.plus, mono.minus)]
+        for n, mult, plus, minus in derivs:
             pref = _to_dtype_coeff(coeff if mult == 1 else coeff.scaled(mult), dtype)
             if weighted:
                 pref = pref * (-1j * n)
             factors = [index[j] for j in plus] + [n_modes + index[j] for j in minus]
-            by_width.setdefault(len(factors), []).append((index[n], pref, factors))
+            by_width.setdefault(len(factors), []).append((index[n] if slot else 0, pref, factors))
     groups = []
     for width in sorted(by_width):
         rows = by_width[width]
@@ -630,17 +556,24 @@ def _prefix_products(plan, ext, work) -> np.ndarray:
     return tab
 
 
-def _rows_apply(groups, vec: np.ndarray, out: np.ndarray):
-    """out[n] += sum of the rows of component n.  Not reentrant: calls on
-    one compile share its work buffers."""
+def _row_values(groups, vec: np.ndarray):
+    """Yield (seg_comp, starts, values) per width group of a compile, the
+    values being each row's prefactor times its factor product.  A group's
+    values live in its work buffers until the next group is taken, so calls
+    on one compile are not reentrant."""
     ext = np.concatenate((vec, np.conj(vec)))
     if ext.dtype != LONG_COMPLEX:
         ext = (ext.real.copy(), ext.imag.copy())
     for seg_comp, starts, pref, plan, work in groups:
-        vals = pref
         if plan:
-            tab = _prefix_products(plan, ext, work)
-            vals = np.multiply(pref, tab, out=work[2])
+            yield seg_comp, starts, np.multiply(pref, _prefix_products(plan, ext, work), out=work[2])
+        else:
+            yield seg_comp, starts, pref
+
+
+def _rows_apply(groups, vec: np.ndarray, out: np.ndarray):
+    """out[n] += sum of the rows of component n."""
+    for seg_comp, starts, vals in _row_values(groups, vec):
         out[seg_comp] += np.add.reduceat(vals, starts)
 
 

@@ -93,6 +93,20 @@ def test_split_normal_reconstructs():
     assert split_normal(rest)[0].is_zero
 
 
+def test_from_terms_sums_cancels_and_checks_truncation():
+    mono = Monomial.of((1,), (2,))
+    c = ExactCoeff(Fraction(1, 3), Fraction(-2, 5))
+    cancelled = PolyHamiltonian.from_terms(2, [(mono, c), (mono, -c)])
+    assert cancelled.is_zero and cancelled.num_terms == 0 and cancelled.degrees() == []
+    # a zero coefficient outside the truncation is skipped, not rejected
+    outside = Monomial.of((3,), (3,))
+    P = PolyHamiltonian.from_terms(2, [(mono, c), (outside, ExactCoeff.zero())])
+    assert P == PolyHamiltonian.from_terms(2, [(mono, c)])
+    assert P.num_terms == 1 and P.degrees() == [2]
+    with pytest.raises(ValueError):
+        PolyHamiltonian.from_terms(2, [(mono, c), (outside, ExactCoeff.real(1))])
+
+
 # -- bracket -------------------------------------------------------------------
 
 
@@ -320,6 +334,31 @@ def _reference_rows(P, vec, slot, weighted):
     return out
 
 
+def _reference_value(P, vec):
+    """Per-term reference for evaluate_poly.
+
+    Each term multiplies its factors left to right as scalars, q_j for the
+    plus slots and then conj(q_j) for the minus slots; the terms of one
+    factor count multiply their prefactors into the products as arrays and
+    are summed by np.sum, factor counts ascending.
+    """
+    from dnls_nflab.poly import _to_dtype_coeff
+
+    dtype = vec.dtype
+    scalar = dtype.type if dtype == LONG_COMPLEX else complex
+    index = {j: i for i, j in enumerate(mode_range(P.truncation))}
+    rows: dict[int, list] = {}
+    for mono, coeff in P.terms():
+        factors = [scalar(vec[index[j]]) for j in mono.plus]
+        factors += [scalar(vec[index[j]]).conjugate() for j in mono.minus]
+        rows.setdefault(len(factors), []).append((_to_dtype_coeff(coeff, dtype), reduce(mul, factors)))
+    total = dtype.type(0)
+    for _, terms in sorted(rows.items()):
+        pref = np.array([t[0] for t in terms], dtype=dtype)
+        total += np.sum(pref * np.array([t[1] for t in terms], dtype=dtype))
+    return total
+
+
 @lru_cache(maxsize=None)
 def _kernel_poly(name):
     from dnls_nflab.order4 import build_F4, compute_R6
@@ -338,11 +377,14 @@ def _kernel_poly(name):
         return build_lambda(4)
     if name == "F4":
         return build_F4(4)
+    if name == "mixed":
+        # three factor counts in one polynomial
+        return _kernel_poly("degree1") + build_lambda(4) + build_F4(4)
     return build_F6(4, compute_R6(4))
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
-@pytest.mark.parametrize("name", ["degree1", "lambda", "F4", "F6"])
+@pytest.mark.parametrize("name", ["degree1", "lambda", "F4", "F6", "mixed"])
 def test_row_kernel_matches_per_term_reference(name, dtype):
     # the prefix-shared kernel keeps the per-term association, so the
     # result is bit-identical, not merely close
@@ -353,8 +395,10 @@ def test_row_kernel_matches_per_term_reference(name, dtype):
     vec = base.astype(dtype) / np.dtype(dtype).type(3)
     field = vector_field_vec(P, vec)
     gq, gqbar = gradient_vecs(P, vec)
-    for got in (field, gq, gqbar):
+    value = evaluate_poly(P, vec)
+    for got in (field, gq, gqbar, value):
         assert got.dtype == np.dtype(dtype)
+    assert value == _reference_value(P, vec)
     assert np.array_equal(field, _reference_rows(P, vec, "minus", True))
     assert np.array_equal(gq, _reference_rows(P, vec, "plus", False))
     assert np.array_equal(gqbar, _reference_rows(P, vec, "minus", False))
