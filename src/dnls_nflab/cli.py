@@ -261,7 +261,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    from .stability import StabilityRun, stability_sweep
+    from .stability import StabilityRun, stability_ensemble
 
     run = StabilityRun(
         s=args.s,
@@ -272,7 +272,7 @@ def cmd_stability(args) -> int:
         threshold=args.threshold,
         dt=args.dt,
     )
-    rep = stability_sweep(run)
+    rep = stability_ensemble(run, (run.seed,))[0]
     outcome = "pass" if rep.passed else "fail"
     if rep.budget_exhausted:
         print(f"step budget exhausted: {rep.message}")

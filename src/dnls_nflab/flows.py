@@ -114,15 +114,6 @@ def flow_time_one_vec(
     )
 
 
-def flow_time_one(
-    F: PolyHamiltonian, q0: FourierState, cfg: FlowConfig, t_end: float | None = None
-) -> FourierState:
-    if q0.truncation != F.truncation:
-        raise ValueError("truncation mismatch")
-    out = flow_time_one_vec(F, q0.to_vector(), cfg, t_end=t_end)
-    return FourierState.from_vector(np.asarray(out, dtype=complex), F.truncation)
-
-
 # -- spectral model of the PDE ----------------------------------------------------------
 
 
@@ -361,21 +352,20 @@ def transformed_hamiltonian_residual(
     order: int,
     cfg: FlowConfig,
     bundle: NormalFormBundle | None = None,
-    extended_precision: bool = True,
 ) -> float:
     """|H(transformed state) - normal form at q0|.
 
     Order 4 evaluates H after the quartic generator's time-1 map and
     subtracts Lambda + B; order 6 applies the sextic map first, then the
-    quartic one, and subtracts Lambda + B + K.  Extended precision keeps the
-    cancellation floor below the smallest residuals on the scaling ladder.
+    quartic one, and subtracts Lambda + B + K.  The state is integrated in
+    clongdouble, which keeps the cancellation floor below the smallest
+    residuals on the scaling ladder.
     """
     if order not in (4, 6):
         raise ValueError("order must be 4 or 6")
     M = q0.truncation
     nf = bundle or normal_form_bundle(M)
-    dtype = np.clongdouble if extended_precision else np.complex128
-    vec = q0.to_vector().astype(dtype)
+    vec = q0.to_vector().astype(np.clongdouble)
     moved = vec
     if order == 6:
         moved = flow_time_one_vec(nf.F6, moved, cfg)
@@ -415,15 +405,13 @@ def residual_scaling(
     lambdas: tuple[float, ...] = (2**-2, 2**-3, 2**-4, 2**-5, 2**-6),
     cfg: FlowConfig | None = None,
     seed: int = 20200523,
-    base_norm: float = 1.0,
-    data_radius: int | None = None,
 ) -> dict:
     """Residual magnitude along an amplitude ladder, with fitted slopes.
 
     The log-log slope against the scaling factor is the dynamical check that
     the residual after each step vanishes to the advertised order.
 
-    The base data is supported on modes |j| <= M/3 by default.  Degree-6
+    The base data is supported on modes |j| <= max(1, M // 3).  Degree-6
     coefficients of the truncated system agree with the untruncated ones only
     when every contraction mode fits inside the truncation; restricting the
     data support makes that exact, so no spurious sixth-order term leaks into
@@ -431,8 +419,8 @@ def residual_scaling(
     """
     cfg = cfg or FlowConfig(dt=0.01, tolerance=1e-16, max_refinements=10)
     nf = normal_form_bundle(M)
-    radius = data_radius if data_radius is not None else max(1, M // 3)
-    base = scaling_base_state(M, seed=seed, norm=base_norm, support_radius=radius)
+    radius = max(1, M // 3)
+    base = scaling_base_state(M, seed=seed, support_radius=radius)
     base_vec = base.to_vector()
     rows = []
     slopes = {}

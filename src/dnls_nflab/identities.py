@@ -185,22 +185,18 @@ def row_sum_closed_forms(pair: TriplePair) -> bool:
 # -- enumeration of integer pairs ------------------------------------------------
 
 
-def _canonical_pair(x: tuple[int, ...], y: tuple[int, ...]):
-    """Representative up to triple swap and global negation.
-
-    Triples are kept sorted ascending.  When the common sum is nonzero the
-    sign is fixed by making it positive, then the two triples are ordered
-    lexicographically; for sum zero all four images compete.
-    """
+def _images(x: tuple, y: tuple) -> list[tuple[tuple, tuple]]:
+    """The images (x, y), (y, x), (-x, -y), (-y, -x) of a pair of sorted
+    triples under triple swap and global negation, each triple sorted."""
     negx = tuple(sorted(-v for v in x))
     negy = tuple(sorted(-v for v in y))
-    if sum(x) > 0:
-        images = [(x, y), (y, x)]
-    elif sum(x) < 0:
-        images = [(negx, negy), (negy, negx)]
-    else:
-        images = [(x, y), (y, x), (negx, negy), (negy, negx)]
-    return min(images)
+    return [(x, y), (y, x), (negx, negy), (negy, negx)]
+
+
+def _canonical_pair(x: tuple[int, ...], y: tuple[int, ...]):
+    """Representative up to triple swap and global negation: the smallest
+    image whose common sum is nonnegative, triples sorted ascending."""
+    return min(im for im in _images(x, y) if sum(im[0]) >= 0)
 
 
 def enumerate_triple_pairs(
@@ -250,24 +246,19 @@ def pair_matches(pair: TriplePair, x: Iterable, y: Iterable) -> bool:
     """True if pair equals ({x},{y}) modulo the enumeration symmetries."""
     xt = tuple(sorted(_frac(v) for v in x))
     yt = tuple(sorted(_frac(v) for v in y))
-    px, py = tuple(sorted(pair.x)), tuple(sorted(pair.y))
-    negx = tuple(sorted(-v for v in xt))
-    negy = tuple(sorted(-v for v in yt))
-    return (px, py) in {(xt, yt), (yt, xt), (negx, negy), (negy, negx)}
+    return (tuple(sorted(pair.x)), tuple(sorted(pair.y))) in _images(xt, yt)
 
 
 # -- random rational families -----------------------------------------------------
 
 
-def random_rational_pairs(
-    count: int, seed: int, translate: bool = True
-) -> Iterator[TriplePair]:
+def random_rational_pairs(count: int, seed: int) -> Iterator[TriplePair]:
     """Random rational pairs satisfying the hypotheses exactly.
 
     Construction: draw a centered rational triple x, then intersect a random
     rational chord through the point (x1, x2) with the conic
     u^2 + u v + v^2 = N/2 (the centered equal-sum, equal-square-sum locus);
-    the second intersection is rational.  An optional common translation
+    the second intersection is rational.  A random common translation
     exercises the non-centered code paths.
     """
     rng = np.random.default_rng(np.random.Philox(key=seed))
@@ -291,10 +282,8 @@ def random_rational_pairs(
         y = (y1, y2, y3)
         if set(x) & set(y):
             continue
-        pair = TriplePair.of(x, y)
-        if translate:
-            shift = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 5)))
-            pair = pair.translated(shift)
+        shift = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 5)))
+        pair = TriplePair.of(x, y).translated(shift)
         if pair.hypothesis_violations():
             continue
         produced += 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -33,10 +34,11 @@ from .poly import (
     build_B_closed_form,
     build_Q,
 )
-from .states import mode_range, rejection_sample
+from .states import SAMPLE_BLOCK, mode_range, rejection_sample
 
 
-def quad_divisor(j: int, k: int, l: int, m: int) -> int:
+def quad_divisor(j, k, l, m):
+    """j^2 - k^2 + l^2 - m^2, on integers or elementwise on integer arrays."""
     return j * j - k * k + l * l - m * m
 
 
@@ -52,10 +54,20 @@ def _stars(entries) -> list[int]:
     return sorted(map(abs, entries), reverse=True)
 
 
-def quad_bound_holds(d: int, stars) -> bool:
-    """The quadruple small-divisor bound |d| >= sqrt(j1*)^3 / (2 sqrt(j2* j3* j4*)),
-    squared into the integer inequality j1*^3 <= 4 d^2 j2* j3* j4*."""
-    return stars[0] ** 3 <= 4 * d * d * stars[1] * stars[2] * stars[3]
+def quad_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(divisor, bound holds, factorization holds) per row (j, k, l, m) of
+    Delta, for int64 rows or object rows of Python ints.
+
+    The bound |d| >= sqrt(j1*)^3 / (2 sqrt(j2* j3* j4*)) is compared squared,
+    as the integer inequality j1*^3 <= 4 d^2 j2* j3* j4*, so the check carries
+    no floating error; the factorization is d = -2(m-j)(m-l) = -2(m-j)(j-k).
+    """
+    j, k, l, m = rows.T
+    d = quad_divisor(j, k, l, m)
+    stars = np.sort(np.abs(rows), axis=1)
+    holds = stars[:, 3] ** 3 <= 4 * d * d * stars[:, 2] * stars[:, 1] * stars[:, 0]
+    fact_ok = (d == -2 * (m - j) * (m - l)) & (d == -2 * (m - j) * (j - k))
+    return d, holds, fact_ok
 
 
 @dataclass(frozen=True)
@@ -73,17 +85,21 @@ class DivisorReport:
 
 
 def divisor_bound_check(t: tuple[int, int, int, int]) -> DivisorReport:
-    """Exact check of the quadruple small-divisor bound and its factorization.
-
-    The bound is compared squared, in integers, so the check carries no
-    floating error.
-    """
-    j, k, l, m = t
-    if not in_delta(j, k, l, m):
+    """Exact check of the quadruple small-divisor bound and its factorization."""
+    if not in_delta(*t):
         raise ValueError(f"{t} is not in the non-resonant quadruple set")
-    d = quad_divisor(j, k, l, m)
-    fact_ok = d == -2 * (m - j) * (m - l) and d == -2 * (m - j) * (j - k)
-    return DivisorReport(t, d, quad_bound_holds(d, _stars(t)), fact_ok)
+    d, holds, fact_ok = quad_kernel(np.array([t], dtype=object))
+    return DivisorReport(t, d[0], bool(holds[0]), bool(fact_ok[0]))
+
+
+def _divisor_violations(rows: np.ndarray) -> list[DivisorReport]:
+    """Reports for the rows of an object array of Delta quadruples that fail
+    the bound or the factorization."""
+    d, holds, fact_ok = quad_kernel(rows)
+    return [
+        DivisorReport(tuple(rows[i]), d[i], bool(holds[i]), bool(fact_ok[i]))
+        for i in np.flatnonzero(~(holds & fact_ok))
+    ]
 
 
 def iter_delta(max_abs: int):
@@ -101,14 +117,14 @@ def iter_delta(max_abs: int):
 
 
 def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
-    """Bound and factorization over all of Delta within max_abs."""
+    """Bound and factorization over all of Delta within max_abs, checked in
+    blocks of SAMPLE_BLOCK quadruples of Python ints."""
     checked = 0
     violations = []
-    for t in iter_delta(max_abs):
-        rep = divisor_bound_check(t)
-        checked += 1
-        if not (rep.holds and rep.factorization_ok):
-            violations.append(rep)
+    tuples = iter_delta(max_abs)
+    while block := list(islice(tuples, SAMPLE_BLOCK)):
+        checked += len(block)
+        violations += _divisor_violations(np.array(block, dtype=object))
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 
@@ -118,20 +134,17 @@ def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
         raise ValueError("Delta has no quadruple with entries bounded by max_abs < 2")
     rng = np.random.default_rng(np.random.Philox(key=seed))
 
-    def draw():
-        j, k, l = (int(v) for v in rng.integers(-max_abs, max_abs + 1, size=3))
-        m = j - k + l
-        if 0 in (j, k, l) or m == 0 or abs(m) > max_abs or j in (k, m):
-            return None
-        return (j, k, l, m)
+    def draw(n):
+        jkl = rng.integers(-max_abs, max_abs + 1, size=(n, 3)).astype(object)
+        rows = np.column_stack([jkl, jkl[:, 0] - jkl[:, 1] + jkl[:, 2]])  # m from zero momentum
+        j, k, _, m = rows.T
+        return rows[(rows != 0).all(axis=1) & (np.abs(m) <= max_abs) & (j != k) & (j != m)]
 
     checked = 0
     violations = []
-    for t in rejection_sample(n_samples, draw):
-        rep = divisor_bound_check(t)
-        checked += 1
-        if not (rep.holds and rep.factorization_ok):
-            violations.append(rep)
+    for rows in rejection_sample(n_samples, draw):
+        checked += len(rows)
+        violations += _divisor_violations(rows)
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 
@@ -288,19 +301,20 @@ def f4_coefficient_bound_audit(F: PolyHamiltonian) -> dict:
 
         |F_ordered| <= (1/2pi) (j1*)^(-3/2) (j2* j3* j4*)^(1/2)
 
-    Squaring turns this into the integer inequality j1*^3 <= 4 d^2 j2* j3* j4*,
-    checked exactly; also confirms |F_ordered| == (1/4pi)/|d| exactly.
+    This is the quadruple divisor bound of quad_kernel, checked on the
+    ordering (plus[0], minus[0], plus[1], minus[1]) of each term; also
+    confirms |F_ordered| == (1/4pi)/|d| exactly.
     """
-    checked = 0
+    terms = list(F.terms())
+    rows = np.array(
+        [(m.plus[0], m.minus[0], m.plus[1], m.minus[1]) for m, _ in terms], dtype=object
+    ).reshape(-1, 4)
+    d, holds, _ = quad_kernel(rows)
     violations = []
-    for mono, coeff in F.terms():
-        d = mono.square_divisor()
+    for (mono, coeff), di, bound_ok in zip(terms, d, holds):
         arr = mono.arrangements()
         ordered_abs_sq = coeff.abs_squared_rational() / (arr * arr)
-        expected = Fraction(1, 16) / (d * d)
-        value_ok = ordered_abs_sq == expected and coeff.pi_power == 1
-        bound_ok = quad_bound_holds(d, _stars(mono.plus + mono.minus))
-        checked += 1
+        value_ok = ordered_abs_sq == Fraction(1, 16) / (di * di) and coeff.pi_power == 1
         if not (value_ok and bound_ok):
             violations.append((mono, coeff))
-    return {"checked": checked, "violations": violations}
+    return {"checked": len(terms), "violations": violations}

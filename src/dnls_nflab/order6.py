@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import ExactCoeff
-from .identities import TriplePair, enumerate_triple_pairs, nine_term_sums, tau
-from .order4 import compute_R6, in_delta
+from .identities import TriplePair, _images, enumerate_triple_pairs, nine_term_sums, tau
+from .order4 import compute_R6, in_delta, iter_delta
 from .poly import Monomial, PolyHamiltonian, split_normal
 from .states import mode_range, rejection_sample, zero_momentum_sextuples
 
@@ -51,9 +51,7 @@ def _resonant_classes(M: int):
     for pair in enumerate_triple_pairs(M, nonzero_entries=True):
         x = tuple(int(v) for v in pair.x)
         y = tuple(int(v) for v in pair.y)
-        negx = tuple(sorted(-v for v in x))
-        negy = tuple(sorted(-v for v in y))
-        yield sorted({(x, y), (y, x), (negx, negy), (negy, negx)})
+        yield sorted(set(_images(x, y)))
 
 
 def iter_resonant_monomials(M: int):
@@ -162,7 +160,9 @@ def build_F6(M: int, r6: PolyHamiltonian | None = None) -> PolyHamiltonian:
 # -- sextuple small-divisor bound ------------------------------------------------------
 
 
-def sextuple_divisor(t) -> int:
+def sextuple_divisor(t):
+    """Alternating sum of squares of (j1, ..., j6); on a tuple of integers,
+    or on its transpose rows.T elementwise over a sextuple array."""
     return sum((1 if i % 2 == 0 else -1) * v * v for i, v in enumerate(t))
 
 
@@ -179,6 +179,34 @@ def in_delta_tilde(t) -> bool:
     )
 
 
+def sextuple_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(divisor, stars, excluded, holds) per row (j1, ..., j6) of a
+    zero-momentum sextuple array, int64 or object of Python ints.
+
+    stars holds each row's absolute values sorted decreasing.  A row is
+    excluded when its leading star is a mode shared, with sign, by the
+    unbarred and the barred slots and exceeds 100 j3*^2: those tuples are
+    the reducible family handled by the explicit closed form, not by this
+    bound.  For every row the bound
+
+        |divisor| >= j1*^3 / (100 (j2* j3* j4* j5* j6*)^2)
+
+    is evaluated exactly in integers; it is asserted only where the row is
+    non-resonant (divisor != 0) and not excluded.
+    """
+    d = sextuple_divisor(rows.T)
+    stars = np.sort(np.abs(rows), axis=1)[:, ::-1]
+    top = stars[:, 0]
+    plus, minus = rows[:, 0::2], rows[:, 1::2]
+    shared = np.zeros(len(rows), dtype=bool)
+    for v in (top, -top):
+        shared |= (plus == v[:, None]).any(axis=1) & (minus == v[:, None]).any(axis=1)
+    excluded = shared & (top > 100 * stars[:, 2] ** 2)
+    tail = stars[:, 1] * stars[:, 2] * stars[:, 3] * stars[:, 4] * stars[:, 5]
+    holds = 100 * np.abs(d) * tail * tail >= top**3
+    return d, stars, excluded, holds
+
+
 @dataclass(frozen=True)
 class SextupleReport:
     tuple: tuple[int, ...]
@@ -188,45 +216,29 @@ class SextupleReport:
     holds: bool | None  # None for the excluded case
 
 
+def _sextuple_report(rows, i, d, stars, excluded, holds) -> SextupleReport:
+    """Report on row i of an object array, from its sextuple_kernel output."""
+    verdict = None if excluded[i] else bool(holds[i])
+    return SextupleReport(tuple(rows[i]), d[i], tuple(stars[i]), bool(excluded[i]), verdict)
+
+
 def sextuple_bound_check(t) -> SextupleReport:
-    """Classify a non-resonant sextuple and check the small-divisor bound.
-
-    Normalization sorts each parity class by decreasing absolute value and
-    puts the overall largest in the leading unbarred slot.  The excluded case
-    is a shared leading mode (equal with sign) that dominates the third star
-    squared by a factor above 100; those tuples are the reducible family
-    handled by the explicit closed form, not by this bound.  For everything
-    else the bound
-
-        |divisor| >= j1*^3 / (100 (j2* j3* j4* j5* j6*)^2)
-
-    is asserted exactly in integers.
-    """
+    """Classify a non-resonant sextuple and check the small-divisor bound of
+    sextuple_kernel exactly."""
     t = tuple(int(v) for v in t)
     if not in_delta_tilde(t):
         raise ValueError(f"{t} is not in the non-resonant sextuple set")
-    d = sextuple_divisor(t)
-    plus = sorted(t[0::2], key=abs, reverse=True)
-    minus = sorted(t[1::2], key=abs, reverse=True)
-    stars = tuple(sorted((abs(v) for v in t), reverse=True))
-    top = stars[0]
-    shared_top = any(
-        abs(v) == top and v in plus and v in minus for v in (top, -top)
-    )
-    excluded = shared_top and top > 100 * stars[2] ** 2
-    if excluded:
-        return SextupleReport(t, d, stars, True, None)
-    tail = stars[1] * stars[2] * stars[3] * stars[4] * stars[5]
-    holds = 100 * abs(d) * tail * tail >= top**3
-    return SextupleReport(t, d, stars, False, bool(holds))
+    rows = np.array([t], dtype=object)
+    return _sextuple_report(rows, 0, *sextuple_kernel(rows))
 
 
 def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
     """Vectorized bound check over all non-resonant sextuples within max_abs.
 
-    Runs over zero_momentum_sextuples one j1 chunk at a time.  At desk scale
-    the excluded case cannot occur (it needs a leading star above
-    100 j3*^2 >= 100), but the classification is still applied for fidelity.
+    Runs sextuple_kernel in int64 over zero_momentum_sextuples, one j1 chunk
+    at a time.  At desk scale the excluded case cannot occur (it needs a
+    leading star above 100 j3*^2 >= 100), but the classification is still
+    applied for fidelity.
     """
     # |d| <= 3 max_abs^2 and tail <= max_abs^5 bound 100 |d| tail^2
     if 300 * max_abs**12 > np.iinfo(np.int64).max:
@@ -235,25 +247,11 @@ def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
     excluded_count = 0
     violations = []
     for arr in zero_momentum_sextuples(max_abs):
-        sq = arr * arr
-        d = sq[:, 0] - sq[:, 1] + sq[:, 2] - sq[:, 3] + sq[:, 4] - sq[:, 5]
+        d, _, excluded, holds = sextuple_kernel(arr)
         nz = d != 0
-        arr = arr[nz]
-        d = d[nz]
-        stars = np.sort(np.abs(arr), axis=1)[:, ::-1]
-        top = stars[:, 0]
-        plus = arr[:, 0::2]
-        minus = arr[:, 1::2]
-        shared = np.zeros(len(d), dtype=bool)
-        for sign in (1, -1):
-            v = sign * top
-            shared |= (plus == v[:, None]).any(axis=1) & (minus == v[:, None]).any(axis=1)
-        excluded = shared & (top > 100 * stars[:, 2] ** 2)
-        tail = stars[:, 1] * stars[:, 2] * stars[:, 3] * stars[:, 4] * stars[:, 5]
-        holds = 100 * np.abs(d) * tail * tail >= top**3
-        bad = ~holds & ~excluded
-        checked += len(d)
-        excluded_count += int(excluded.sum())
+        checked += int(nz.sum())
+        excluded_count += int((excluded & nz).sum())
+        bad = nz & ~holds & ~excluded
         violations += [tuple(int(v) for v in arr[i]) for i in np.flatnonzero(bad)[: 20 - len(violations)]]
     return {
         "checked": checked,
@@ -269,26 +267,21 @@ def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
         raise ValueError("every sextuple with entries bounded by max_abs < 2 is resonant")
     rng = np.random.default_rng(np.random.Philox(key=seed))
 
-    def draw():
-        vals = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=5)]
-        if any(v == 0 for v in vals):
-            return None
-        j6 = vals[0] - vals[1] + vals[2] - vals[3] + vals[4]
-        if j6 == 0 or abs(j6) > max_abs:
-            return None
-        t = (*vals, j6)
-        return t if sextuple_divisor(t) != 0 else None
+    def draw(n):
+        head = rng.integers(-max_abs, max_abs + 1, size=(n, 5)).astype(object)
+        rows = np.column_stack([head, sextuple_momentum(head.T)])  # j6 from zero momentum
+        rows = rows[(rows != 0).all(axis=1) & (np.abs(rows[:, 5]) <= max_abs)]
+        return rows[sextuple_divisor(rows.T) != 0]
 
     checked = 0
     excluded = 0
     violations = []
-    for t in rejection_sample(n_samples, draw):
-        rep = sextuple_bound_check(t)
-        checked += 1
-        if rep.excluded:
-            excluded += 1
-        elif not rep.holds:
-            violations.append(rep)
+    for rows in rejection_sample(n_samples, draw):
+        kernel = sextuple_kernel(rows)
+        _, _, excl, holds = kernel
+        checked += len(rows)
+        excluded += int(excl.sum())
+        violations += [_sextuple_report(rows, i, *kernel) for i in np.flatnonzero(~holds & ~excl)]
     return {
         "checked": checked,
         "excluded": excluded,
@@ -312,21 +305,13 @@ def build_Qtilde0(M: int, n: int) -> PolyHamiltonian:
     """
     if n == 0 or abs(n) > M:
         raise ValueError("designated mode must lie in the window")
-    window = mode_range(M)
     acc: dict[Monomial, Fraction] = {}
-    for j in window:
-        for k in window:
-            if k == j:
-                continue
-            for l in window:
-                m = j - k + l
-                if m == 0 or abs(m) > M or m == j:
-                    continue
-                if n in (j, k, l, m):
-                    continue
-                kernel = 4 * tau(j, n, k) - tau(j, n, l) - tau(k, n, m)
-                mono = Monomial.of((j, l, n), (k, m, n))
-                acc[mono] = acc.get(mono, Fraction(0)) + kernel
+    for j, k, l, m in iter_delta(M):
+        if n in (j, k, l, m):
+            continue
+        kernel = 4 * tau(j, n, k) - tau(j, n, l) - tau(k, n, m)
+        mono = Monomial.of((j, l, n), (k, m, n))
+        acc[mono] = acc.get(mono, Fraction(0)) + kernel
     items = [
         (mono, ExactCoeff.real(f / 16, pi_power=2)) for mono, f in acc.items()
     ]

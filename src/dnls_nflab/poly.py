@@ -80,7 +80,7 @@ class Monomial:
         return Monomial(self.minus, self.plus)
 
     def max_abs(self) -> int:
-        return max(abs(j) for j in self.plus + self.minus)
+        return max((abs(j) for j in self.plus + self.minus), default=0)
 
     def arrangements(self) -> int:
         """Number of ordered tuples mapping to this canonical monomial."""
@@ -459,12 +459,6 @@ def evaluate_poly(poly: PolyHamiltonian, vec: np.ndarray) -> complex:
     return total
 
 
-def evaluate_at_state(poly: PolyHamiltonian, state: FourierState) -> complex:
-    if state.truncation != poly.truncation:
-        raise ValueError("truncation mismatch")
-    return complex(evaluate_poly(poly, state.to_vector()))
-
-
 def _prefix_plan(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Prefix-product plan for the rows of a (rows, width) factor table.
 
@@ -585,17 +579,6 @@ def vector_field_vec(F: PolyHamiltonian, vec: np.ndarray) -> np.ndarray:
     out = np.zeros(vec.shape, dtype=dtype)
     _rows_apply(_compile_rows(F, "minus", True, dtype), vec, out)
     return out
-
-
-def vector_field(F: PolyHamiltonian, state: FourierState) -> FourierState:
-    """Hamiltonian vector field of F evaluated at a state."""
-    if state.truncation != F.truncation:
-        raise ValueError("truncation mismatch")
-    tangent = vector_field_vec(F, state.to_vector())
-    modes = mode_range(F.truncation)
-    return FourierState(
-        {j: complex(v) for j, v in zip(modes, tangent) if v != 0}, F.truncation
-    )
 
 
 def gradient_vecs(P: PolyHamiltonian, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

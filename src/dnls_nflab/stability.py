@@ -38,11 +38,27 @@ def _has_zero_momentum(entries) -> bool:
     return sum((1 if i % 2 == 0 else -1) * v for i, v in enumerate(entries)) == 0
 
 
-def omega_s(entries, s: float):
-    """Alternating sum of j|j|^(2s) over an even-length zero-momentum tuple.
+def omega_kernel(rows: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Omega_s, bound, holds) per row of a (rows, 2r) array of zero-momentum
+    tuples, int64 or object of Python ints.
 
-    Exact integer arithmetic whenever 2s is an even integer; float otherwise.
+    The bound is |Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, with j3* = 0
+    for 2r = 2.  Powers are integer whenever 2s is an even integer, so object
+    rows give exact Python ints; otherwise they are float.
     """
+    two_s = 2 * s
+    p = int(two_s) if float(two_s).is_integer() and int(two_s) % 2 == 0 else two_s
+    width = rows.shape[1]
+    signs = np.resize(np.array([1, -1], dtype=rows.dtype), width)
+    value = np.sum(signs * rows * np.abs(rows) ** p, axis=1)
+    stars = np.sort(np.abs(rows), axis=1)[:, ::-1]
+    j3 = stars[:, 2] if width > 2 else 0
+    bound = (2 * s + 1) * width ** (s + 2) * stars[:, 0] ** s * stars[:, 1] ** s * j3
+    return value, bound, np.abs(value) <= bound
+
+
+def _omega_row(entries) -> np.ndarray:
+    """One-row object array of a validated even-length zero-momentum tuple."""
     entries = tuple(int(v) for v in entries)
     if len(entries) % 2 or not entries:
         raise ValueError("need an even-length tuple")
@@ -50,19 +66,15 @@ def omega_s(entries, s: float):
         raise ValueError("indices must be nonzero")
     if not _has_zero_momentum(entries):
         raise ValueError("tuple must have zero momentum")
-    two_s = 2 * s
-    if float(two_s).is_integer() and int(two_s) % 2 == 0:
-        p = int(two_s)
-        return sum(
-            (1 if i % 2 == 0 else -1) * v * abs(v) ** p
-            for i, v in enumerate(entries)
-        )
-    return float(
-        sum(
-            (1 if i % 2 == 0 else -1) * v * abs(v) ** two_s
-            for i, v in enumerate(entries)
-        )
-    )
+    return np.array([entries], dtype=object)
+
+
+def omega_s(entries, s: float):
+    """Alternating sum of j|j|^(2s) over an even-length zero-momentum tuple.
+
+    Exact integer arithmetic whenever 2s is an even integer; float otherwise.
+    """
+    return omega_kernel(_omega_row(entries), s)[0][0]
 
 
 @dataclass(frozen=True)
@@ -78,48 +90,29 @@ def omega_bound_check(entries, s: float) -> OmegaReport:
     """|Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, zero-momentum tuples, s >= 1."""
     if s < 1:
         raise ValueError("bound requires s >= 1")
-    val = omega_s(entries, s)
-    two_r = len(entries)
-    stars = sorted((abs(v) for v in entries), reverse=True)
-    bound = (2 * s + 1) * two_r ** (s + 2) * stars[0] ** s * stars[1] ** s * stars[2]
-    return OmegaReport(
-        entries=tuple(entries),
-        s=s,
-        value=val,
-        bound=bound,
-        holds=bool(abs(val) <= bound),
-    )
+    value, bound, holds = omega_kernel(_omega_row(entries), s)
+    return OmegaReport(tuple(entries), s, value[0], bound[0], bool(holds[0]))
 
 
 def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
-    """All zero-momentum 6-tuples within max_abs, vectorized, integer exact.
+    """All zero-momentum 6-tuples within max_abs, through omega_kernel in
+    int64, one zero_momentum_sextuples chunk at a time.
 
-    Runs over zero_momentum_sextuples one j1 chunk at a time; raises
-    OverflowError where the value or the bound could leave int64.
+    Raises OverflowError where the value or the bound could leave int64.
     """
     for s in s_values:
         # both |Omega_s| <= 6 max_abs^(2s+1) and the bound stay below this
         if (2 * s + 1) * 6 ** (s + 2) * max_abs ** (2 * s + 1) > np.iinfo(np.int64).max:
             raise OverflowError(f"max_abs={max_abs}, s={s} overflows the int64 audit")
-    signs = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
     checked = 0
     violations: dict = {s: [] for s in s_values}
     for arr in zero_momentum_sextuples(max_abs):
-        stars = np.sort(np.abs(arr), axis=1)[:, ::-1]
         for s in s_values:
-            p = int(2 * s)
-            val = np.sum(signs * arr * np.abs(arr) ** p, axis=1)
-            bound = (
-                (2 * s + 1)
-                * 6 ** (s + 2)
-                * stars[:, 0] ** s
-                * stars[:, 1] ** s
-                * stars[:, 2]
-            )
-            bad = np.abs(val) > bound
-            checked += len(val)
+            holds = omega_kernel(arr, s)[2]
+            checked += len(arr)
             found = violations[s]
-            found += [(tuple(int(v) for v in arr[i]), s) for i in np.flatnonzero(bad)[: 20 - len(found)]]
+            bad = np.flatnonzero(~holds)[: 20 - len(found)]
+            found += [(tuple(int(v) for v in arr[i]), s) for i in bad]
     return {
         "checked": checked,
         "violations": [v for s in s_values for v in violations[s]],
@@ -134,30 +127,44 @@ def random_omega_audit(
     s_values=(1, 2, 3),
     seed: int = 0,
 ) -> dict:
-    """Random zero-momentum tuples at larger radii; Python ints, exact."""
+    """Random zero-momentum tuples at larger radii; Python ints, exact.
+
+    Each accepted block is checked one tuple width at a time; violations are
+    listed by sample, then by s.
+    """
     if max_abs < 1:
         raise ValueError("max_abs must be at least 1")
     rng = np.random.default_rng(np.random.Philox(key=seed))
 
-    def draw():
-        r = int(rng.choice(r_values))
-        head = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=2 * r - 1)]
-        if any(v == 0 for v in head):
-            return None
-        # zero momentum fixes the last (barred) entry
-        last = sum((1 if i % 2 == 0 else -1) * v for i, v in enumerate(head))
-        if last == 0 or abs(last) > max_abs:
-            return None
-        return tuple(head + [last])
+    def draw(n):
+        out = []
+        for _ in range(n):
+            r = int(rng.choice(r_values))
+            head = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=2 * r - 1)]
+            if any(v == 0 for v in head):
+                continue
+            # zero momentum fixes the last (barred) entry
+            last = sum((1 if i % 2 == 0 else -1) * v for i, v in enumerate(head))
+            if last == 0 or abs(last) > max_abs:
+                continue
+            out.append(tuple(head + [last]))
+        return out
 
     checked = 0
     violations = []
-    for entries in rejection_sample(n_samples, draw):
-        for s in s_values:
-            rep = omega_bound_check(entries, s)
-            if not rep.holds:
-                violations.append(rep)
-        checked += 1
+    for block in rejection_sample(n_samples, draw):
+        checked += len(block)
+        bad = []
+        for width in {len(e) for e in block}:
+            index = [i for i, e in enumerate(block) if len(e) == width]
+            rows = np.array([block[i] for i in index], dtype=object)
+            for si, s in enumerate(s_values):
+                value, bound, holds = omega_kernel(rows, s)
+                bad += [
+                    (index[i], si, OmegaReport(block[index[i]], s, value[i], bound[i], False))
+                    for i in np.flatnonzero(~holds)
+                ]
+        violations += [rep for *_, rep in sorted(bad, key=lambda b: b[:2])]
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 
@@ -216,8 +223,10 @@ def stability_ensemble(
     nonlinear: bool = True,
     max_steps: int = 20_000_000,
 ) -> list[StabilityReport]:
-    """Evolve one run configuration for several seeds in a single batched
-    integration; one report per seed, deterministic in seed order."""
+    """Evolve random eps-sized data to t = eps^(-horizon_exponent) for
+    several seeds in a single batched integration, and report the worst
+    Sobolev norm ratio plus conservation drift channels: one report per
+    seed, deterministic in seed order."""
     horizon = run.epsilon ** (-run.horizon_exponent)
     cfg = FlowConfig(
         dt=run.dt,
@@ -269,13 +278,6 @@ def stability_ensemble(
             )
         )
     return reports
-
-
-def stability_sweep(run: StabilityRun, nonlinear: bool = True,
-                    max_steps: int = 20_000_000) -> StabilityReport:
-    """Evolve random eps-sized data to t = eps^(-horizon_exponent) and report
-    the worst Sobolev norm ratio plus conservation drift channels."""
-    return stability_ensemble(run, (run.seed,), nonlinear, max_steps)[0]
 
 
 # -- norm-derivative audit ------------------------------------------------------------------

@@ -40,24 +40,29 @@ def zero_momentum_sextuples(max_abs: int):
         yield np.stack([np.full(int(ok.sum()), j1), j2[ok], j3[ok], j4[ok], j5[ok], j6[ok]], axis=1)
 
 
-def rejection_sample(n_samples: int, draw):
-    """Yield n_samples accepted draws; draw() returns a sample or None.
+SAMPLE_BLOCK = 4096
 
-    Raises RuntimeError after 1000 draws per requested sample, so a sampler
+
+def rejection_sample(n_samples: int, draw):
+    """Yield n_samples accepted samples in blocks of at most SAMPLE_BLOCK.
+
+    draw(k) returns the accepted samples among k fresh candidates, in draw
+    order.  Each call asks for no more candidates than samples still needed,
+    so no candidate is drawn past the last accepted one.  Raises
+    RuntimeError after 1000 candidates per requested sample, so a sampler
     whose acceptance set is (nearly) empty fails instead of looping forever.
     """
-    accepted = 0
-    for _ in range(1000 * n_samples):
-        if accepted == n_samples:
-            return
-        sample = draw()
-        if sample is not None:
-            accepted += 1
-            yield sample
-    if accepted < n_samples:
-        raise RuntimeError(
-            f"only {accepted} of {n_samples} samples accepted in {1000 * n_samples} draws"
-        )
+    cap = 1000 * n_samples
+    accepted = drawn = 0
+    while accepted < n_samples:
+        if drawn == cap:
+            raise RuntimeError(f"only {accepted} of {n_samples} samples accepted in {cap} draws")
+        k = min(SAMPLE_BLOCK, n_samples - accepted, cap - drawn)
+        block = draw(k)
+        drawn += k
+        accepted += len(block)
+        if len(block):
+            yield block
 
 
 class FourierState:

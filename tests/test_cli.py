@@ -17,6 +17,8 @@ CLI_REPORT_RUNS = {
     "nf6": ["nf6", "--modes", "6", "--verify-ktilde", "--resonant-csv",
             "nf6_resonant.csv", "--dump-k", "nf6_k.json"],
     "identities": ["identities", "--bound", "6", "--report", "identities.csv"],
+    "stability": ["stability", "--s", "3", "--eps", "0.5", "--modes", "8", "--r", "2",
+                  "--dt", "1e-2", "--seed", "7", "--out", "stability.csv"],
 }
 
 

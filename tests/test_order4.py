@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from dnls_nflab import order4
 
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.order4 import (
@@ -16,6 +19,7 @@ from dnls_nflab.order4 import (
     in_delta,
     iter_delta,
     quad_divisor,
+    quad_kernel,
     r6_parts,
     random_divisor_audit,
 )
@@ -74,6 +78,59 @@ def test_random_divisor_audit_radius():
         random_divisor_audit(3, max_abs=1, seed=0)
     rep = random_divisor_audit(50, max_abs=2, seed=0)
     assert rep["checked"] == 50 and rep["violations"] == []
+
+
+def _quad_reference(t):
+    """Divisor, bound and factorization of one quadruple, in scalar form."""
+    j, k, l, m = t
+    d = j * j - k * k + l * l - m * m
+    stars = sorted(map(abs, t), reverse=True)
+    holds = stars[0] ** 3 <= 4 * d * d * stars[1] * stars[2] * stars[3]
+    fact_ok = d == -2 * (m - j) * (m - l) and d == -2 * (m - j) * (j - k)
+    return d, holds, fact_ok
+
+
+def test_quad_kernel_matches_scalar_reference():
+    tuples = list(iter_delta(10))
+    expected = [_quad_reference(t) for t in tuples]
+    for dtype in (np.int64, object):
+        d, holds, fact_ok = quad_kernel(np.array(tuples, dtype=dtype))
+        assert [(int(a), bool(b), bool(c)) for a, b, c in zip(d, holds, fact_ok)] == expected
+    # object rows stay exact far beyond int64
+    big = [(3 * 10**12, 10**12, 2 * 10**12, 4 * 10**12), (10**20, 1, -(10**20) + 2, 1)]
+    d, holds, fact_ok = quad_kernel(np.array(big, dtype=object))
+    assert [(a, bool(b), bool(c)) for a, b, c in zip(d, holds, fact_ok)] == [
+        _quad_reference(t) for t in big
+    ]
+
+
+def _per_candidate_quadruples(n_samples, max_abs, seed):
+    """The accepted draws of a loop that draws one candidate per rng call."""
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    out = []
+    while len(out) < n_samples:
+        j, k, l = (int(v) for v in rng.integers(-max_abs, max_abs + 1, size=3))
+        m = j - k + l
+        if 0 in (j, k, l) or m == 0 or abs(m) > max_abs or j in (k, m):
+            continue
+        out.append((j, k, l, m))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_samples,max_abs,seed", [(50, 2, 0), (9000, 2, 4), (3000, 10_000, 5), (10_000, 37, 11)]
+)
+def test_random_divisor_audit_checks_the_per_candidate_draws(monkeypatch, n_samples, max_abs, seed):
+    checked = []
+
+    def recording(rows):
+        checked.extend(tuple(row) for row in rows)
+        return quad_kernel(rows)
+
+    monkeypatch.setattr(order4, "quad_kernel", recording)
+    rep = random_divisor_audit(n_samples, max_abs, seed=seed)
+    assert rep["checked"] == n_samples
+    assert checked == _per_candidate_quadruples(n_samples, max_abs, seed)
 
 
 # -- generator -------------------------------------------------------------------

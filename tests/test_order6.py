@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dnls_nflab import order6
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.identities import tau
 from dnls_nflab.order4 import compute_R6
@@ -21,11 +23,13 @@ from dnls_nflab.order6 import (
     random_sextuple_audit,
     sextuple_bound_check,
     sextuple_divisor,
+    sextuple_kernel,
     split_r6,
     tau_bound_check,
     verify_Ktilde_zero,
 )
 from dnls_nflab.poly import Monomial, PolyHamiltonian, bracket, build_lambda, poly_to_records
+from dnls_nflab.states import zero_momentum_sextuples
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -257,6 +261,76 @@ def test_random_sextuple_audit_radius():
     with pytest.raises(ValueError):
         random_sextuple_audit(3, max_abs=1, seed=0)
     assert random_sextuple_audit(50, max_abs=2, seed=0)["checked"] == 50
+
+
+def _sextuple_reference(t):
+    """Divisor, stars, exclusion and bound of one sextuple, in scalar form."""
+    d = sum((1 if i % 2 == 0 else -1) * v * v for i, v in enumerate(t))
+    plus, minus = t[0::2], t[1::2]
+    stars = tuple(sorted((abs(v) for v in t), reverse=True))
+    top = stars[0]
+    shared = any(v in plus and v in minus for v in (top, -top))
+    excluded = shared and top > 100 * stars[2] ** 2
+    tail = stars[1] * stars[2] * stars[3] * stars[4] * stars[5]
+    holds = 100 * abs(d) * tail * tail >= top**3
+    return d, stars, excluded, holds
+
+
+def _kernel_rows(kernel):
+    d, stars, excluded, holds = kernel
+    return [
+        (int(d[i]), tuple(int(v) for v in stars[i]), bool(excluded[i]), bool(holds[i]))
+        for i in range(len(d))
+    ]
+
+
+def test_sextuple_kernel_matches_scalar_reference():
+    rows = np.concatenate(list(zero_momentum_sextuples(5)))
+    expected = [_sextuple_reference(tuple(int(v) for v in row)) for row in rows]
+    assert _kernel_rows(sextuple_kernel(rows)) == expected
+    assert _kernel_rows(sextuple_kernel(rows.astype(object))) == expected
+    # the reducible family and its neighbours, at sizes past int64
+    big = [(n, n, 1, 2, 3, 2) for n in (10**6, 10**20, -(10**20))]
+    big += [(n, n, 2, 1, 1, 2) for n in (401, 400)]
+    big += [(n, 1, 2, n, 3, 4) for n in (10**6, 10**20)]
+    got = _kernel_rows(sextuple_kernel(np.array(big, dtype=object)))
+    assert got == [_sextuple_reference(t) for t in big]
+    assert [row[2] for row in got] == [True, True, True, True, False, True, True]
+
+
+def _per_candidate_sextuples(n_samples, max_abs, seed):
+    """The accepted draws of a loop that draws one candidate per rng call."""
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    out = []
+    while len(out) < n_samples:
+        vals = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=5)]
+        if any(v == 0 for v in vals):
+            continue
+        j6 = vals[0] - vals[1] + vals[2] - vals[3] + vals[4]
+        if j6 == 0 or abs(j6) > max_abs:
+            continue
+        t = (*vals, j6)
+        if sextuple_divisor(t) != 0:
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_samples,max_abs,seed", [(50, 2, 0), (6000, 2, 4), (2000, 500, 3), (10_000, 1000, 11)]
+)
+def test_random_sextuple_audit_checks_the_per_candidate_draws(
+    monkeypatch, n_samples, max_abs, seed
+):
+    checked = []
+
+    def recording(rows):
+        checked.extend(tuple(row) for row in rows)
+        return sextuple_kernel(rows)
+
+    monkeypatch.setattr(order6, "sextuple_kernel", recording)
+    rep = random_sextuple_audit(n_samples, max_abs, seed=seed)
+    assert rep["checked"] == n_samples
+    assert checked == _per_candidate_sextuples(n_samples, max_abs, seed)
 
 
 # -- reducible closed form ------------------------------------------------------------

@@ -17,7 +17,6 @@ from dnls_nflab.poly import (
     build_G,
     build_lambda,
     build_Q,
-    evaluate_at_state,
     evaluate_poly,
     gradient_vecs,
     is_normal_form,
@@ -26,7 +25,6 @@ from dnls_nflab.poly import (
     poly_from_records,
     poly_to_records,
     split_normal,
-    vector_field,
     vector_field_vec,
 )
 from dnls_nflab.states import FourierState, mode_range
@@ -257,19 +255,19 @@ def test_evaluate_matches_manual():
         2, [(Monomial.of((1,), (2,)), ExactCoeff.real(Fraction(3, 2)))]
     )
     st = FourierState({1: 2j, 2: 1 + 1j}, 2)
-    assert evaluate_at_state(P, st) == pytest.approx(1.5 * 2j * (1 - 1j))
+    assert evaluate_poly(P, st.to_vector()) == pytest.approx(1.5 * 2j * (1 - 1j))
 
 
 def test_vector_field_linear_rotation():
     lam = build_lambda(3)
     st = FourierState({2: 0.5 + 0.1j}, 3)
-    out = vector_field(lam, st)
+    out = FourierState.from_vector(vector_field_vec(lam, st.to_vector()), 3)
     assert out.amplitude(2) == pytest.approx(-1j * 4 * (0.5 + 0.1j))
 
 
 def test_vector_field_zero_state_quartic():
     G = build_G(3)
-    out = vector_field(G, FourierState.zero(3))
+    out = FourierState.from_vector(vector_field_vec(G, FourierState.zero(3).to_vector()), 3)
     assert len(out) == 0
 
 
@@ -427,7 +425,7 @@ def test_poisson_bracket_numeric_antisymmetry_and_match():
         ba = poisson_bracket_numeric(F, G, st)
         assert ab == pytest.approx(-ba, rel=1e-12, abs=1e-12)
         # symbolic oracle
-        sym = evaluate_at_state(bracket(G, F), st).real
+        sym = evaluate_poly(bracket(G, F), st.to_vector()).real
         assert ab == pytest.approx(sym, rel=1e-10, abs=1e-12)
         # action-only polynomials commute with Lambda
         assert poisson_bracket_numeric(
@@ -453,6 +451,16 @@ def test_records_roundtrip():
     F = build_F4(4)
     back = poly_from_records(poly_to_records(F), 4)
     assert back == F
+
+
+def test_constant_monomial_truncates_and_roundtrips():
+    q1 = PolyHamiltonian.from_terms(1, [(Monomial.of((1,), ()), ExactCoeff.real(1))])
+    qbar1 = PolyHamiltonian.from_terms(1, [(Monomial.of((), (1,)), ExactCoeff.real(1))])
+    one = Monomial.of((), ())
+    assert one.max_abs() == 0
+    const = bracket(q1, qbar1).with_truncation(1)
+    assert const == PolyHamiltonian.from_terms(1, [(one, ExactCoeff.imag(-1))])
+    assert poly_from_records(poly_to_records(const), 1) == const
 
 
 def test_golden_quartic_records():

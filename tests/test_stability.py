@@ -8,12 +8,12 @@ from dnls_nflab.stability import (
     hs_random_state,
     norm_derivative_audit,
     omega_bound_check,
+    omega_kernel,
     omega_s,
     random_omega_audit,
     stability_ensemble,
-    stability_sweep,
 )
-from dnls_nflab.states import FourierState, sobolev_norm
+from dnls_nflab.states import FourierState, sobolev_norm, zero_momentum_sextuples
 
 
 # -- weighted frequency sums ----------------------------------------------------
@@ -79,6 +79,30 @@ def test_random_omega_audit_radius():
     assert random_omega_audit(50, max_abs=1, seed=0)["checked"] == 50
 
 
+def _omega_reference(t, s):
+    """Omega_s, its bound and the verdict for one tuple, in scalar form."""
+    value = sum((1 if i % 2 == 0 else -1) * v * abs(v) ** (2 * s) for i, v in enumerate(t))
+    stars = sorted((abs(v) for v in t), reverse=True)
+    bound = (2 * s + 1) * len(t) ** (s + 2) * stars[0] ** s * stars[1] ** s * stars[2]
+    return value, bound, abs(value) <= bound
+
+
+def test_omega_kernel_matches_scalar_reference():
+    rows = np.concatenate(list(zero_momentum_sextuples(5)))
+    tuples = [tuple(int(v) for v in row) for row in rows]
+    # wider tuples and entries past int64, object dtype only
+    wide = [(10**9, 1, 2, 3, 4, 5, 6, 10**9 + 3), (3, 1, 2, 4, 7, 7, 5, 5, 9, 9)]
+    for s in (1, 2, 3):
+        expected = [_omega_reference(t, s) for t in tuples]
+        for dtype in (np.int64, object):
+            value, bound, holds = omega_kernel(rows.astype(dtype), s)
+            got = [(int(a), int(b), bool(c)) for a, b, c in zip(value, bound, holds)]
+            assert got == expected
+        for t in wide:
+            value, bound, holds = omega_kernel(np.array([t], dtype=object), s)
+            assert (value[0], bound[0], bool(holds[0])) == _omega_reference(t, s)
+
+
 def test_exhaustive_omega_audit_overflow_guard():
     with pytest.raises(OverflowError):
         exhaustive_omega_audit(1000, (3,))
@@ -105,13 +129,13 @@ def test_epsilon_validation():
 
 def test_linear_flow_calibration():
     run = StabilityRun(s=3.0, epsilon=0.3, M=16, horizon_exponent=2.0, seed=1, dt=2e-3)
-    rep = stability_sweep(run, nonlinear=False)
+    rep = stability_ensemble(run, (run.seed,), nonlinear=False)[0]
     assert abs(rep.max_ratio - 1.0) < 1e-9
 
 
 def test_short_nonlinear_sweep_passes():
     run = StabilityRun(s=3.0, epsilon=0.35, M=16, horizon_exponent=2.0, seed=1, dt=2e-3)
-    rep = stability_sweep(run)
+    rep = stability_ensemble(run, (run.seed,))[0]
     assert rep.passed
     assert rep.max_ratio < 1.5
     assert np.max(rep.mass_drift) < 1e-10
@@ -119,7 +143,7 @@ def test_short_nonlinear_sweep_passes():
 
 def test_ensemble_matches_single():
     run = StabilityRun(s=3.0, epsilon=0.35, M=8, horizon_exponent=1.0, seed=1, dt=2e-3)
-    single = stability_sweep(run)
+    single = stability_ensemble(run, (run.seed,))[0]
     batch = stability_ensemble(run, (1, 2))
     assert batch[0].max_ratio == pytest.approx(single.max_ratio, rel=1e-14)
     assert batch[0].run.seed == 1 and batch[1].run.seed == 2
@@ -127,7 +151,7 @@ def test_ensemble_matches_single():
 
 def test_step_budget_reported():
     run = StabilityRun(s=3.0, epsilon=0.3, M=8, horizon_exponent=4.0, seed=1, dt=1e-4)
-    rep = stability_sweep(run, max_steps=100)
+    rep = stability_ensemble(run, (run.seed,), max_steps=100)[0]
     assert rep.budget_exhausted
     assert not rep.passed
     assert "budget" in rep.message
@@ -139,7 +163,7 @@ def test_ratio_trend_with_epsilon():
     ratios = []
     for eps in (0.4, 0.3, 0.2):
         run = StabilityRun(s=3.0, epsilon=eps, M=12, horizon_exponent=1.5, seed=2, dt=2e-3)
-        ratios.append(stability_sweep(run).max_ratio)
+        ratios.append(stability_ensemble(run, (run.seed,))[0].max_ratio)
     assert all(b <= a * 1.05 for a, b in zip(ratios, ratios[1:]))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dnls_nflab.states import (
+    SAMPLE_BLOCK,
     FourierState,
     eval_physical,
     hamiltonian_coefficients,
@@ -160,12 +161,39 @@ def test_zero_momentum_sextuples_match_brute_force():
 def test_rejection_sample_is_bounded():
     draws = iter(range(100))
 
-    def even():
-        v = next(draws)
-        return v if v % 2 == 0 else None
+    def even(k):
+        return [v for v in itertools.islice(draws, k) if v % 2 == 0]
 
-    assert list(rejection_sample(3, even)) == [0, 2, 4]
+    assert [v for block in rejection_sample(3, even) for v in block] == [0, 2, 4]
     # the sampler draws no further once it has enough
     assert next(draws) == 5
     with pytest.raises(RuntimeError):
-        list(rejection_sample(2, lambda: None))
+        list(rejection_sample(2, lambda k: []))
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 7])
+def test_rejection_sample_raises_after_1000_candidates_per_sample(n_samples):
+    asked = []
+
+    def none_accepted(k):
+        asked.append(k)
+        return []
+
+    with pytest.raises(RuntimeError):
+        list(rejection_sample(n_samples, none_accepted))
+    assert sum(asked) == 1000 * n_samples
+
+
+def test_rejection_sample_accepts_in_the_last_candidate():
+    asked = []
+
+    def last_accepted(k):
+        asked.append(k)
+        return ["x"] if sum(asked) == 1000 else []
+
+    assert list(rejection_sample(1, last_accepted)) == [["x"]]
+
+
+def test_rejection_sample_blocks_are_bounded():
+    blocks = list(rejection_sample(3 * SAMPLE_BLOCK + 5, lambda k: list(range(k))))
+    assert [len(b) for b in blocks] == [SAMPLE_BLOCK] * 3 + [5]
