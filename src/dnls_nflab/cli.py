@@ -245,7 +245,7 @@ def cmd_simulate(args) -> int:
         scheme=args.scheme,
         record_interval=args.record_interval,
     )
-    rec = dnls_evolve(q0, cfg, track_s=track, keep_states=bool(args.dump_final))
+    rec = dnls_evolve(q0, cfg, track_s=track)
     manifest = make_manifest(args, "report-only")
     header = ["time", "mass", "momentum", "energy"] + [f"norm_s={s:g}" for s in track]
     rows = []
@@ -255,7 +255,7 @@ def cmd_simulate(args) -> int:
         rows.append(row)
     write_csv(args.out, manifest, header, rows)
     if args.dump_final:
-        write_text(args.dump_final, state_to_json(rec.states[-1]))
+        write_text(args.dump_final, state_to_json(rec.final))
     print(f"trajectory written to {args.out} ({len(rows)} records)")
     return 0
 

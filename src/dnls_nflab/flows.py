@@ -167,10 +167,7 @@ def spectral_model(M: int) -> SpectralModel:
 class TrajectoryRecord:
     times: np.ndarray
     channels: dict[str, np.ndarray]
-    states: list[FourierState] | None
-    truncation: int
-    dt: float
-    scheme: str
+    final: FourierState
 
     def channel(self, name: str) -> np.ndarray:
         return self.channels[name]
@@ -264,25 +261,14 @@ def dnls_evolve(
     cfg: FlowConfig,
     track_s: tuple[float, ...] = (),
     nonlinear: bool = True,
-    keep_states: bool = False,
 ) -> TrajectoryRecord:
     """Evolve a state under the truncated equation, tracking conserved and
     norm channels at the configured record cadence."""
     M = q0.truncation
-    times, channels, _, snaps = evolve_vec(
+    times, channels, q_final, _ = evolve_vec(
         q0.to_vector(), M, cfg, track_s=track_s, nonlinear=nonlinear
     )
-    states = None
-    if keep_states:
-        states = [FourierState.from_vector(s, M) for s in snaps]
-    return TrajectoryRecord(
-        times=times,
-        channels=channels,
-        states=states,
-        truncation=M,
-        dt=cfg.dt,
-        scheme=cfg.scheme,
-    )
+    return TrajectoryRecord(times, channels, FourierState.from_vector(q_final, M))
 
 
 # -- normal-form machinery bundle ----------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -34,19 +34,20 @@ from .poly import (
     build_B_closed_form,
     build_Q,
 )
-from .states import SAMPLE_BLOCK, mode_range, rejection_sample
-
-
-def quad_divisor(j, k, l, m):
-    """j^2 - k^2 + l^2 - m^2, on integers or elementwise on integer arrays."""
-    return j * j - k * k + l * l - m * m
+from .states import (
+    SAMPLE_BLOCK,
+    alternating_sum,
+    mode_range,
+    random_zero_momentum_rows,
+    rejection_sample,
+)
 
 
 def in_delta(j: int, k: int, l: int, m: int) -> bool:
     """Membership in the non-resonant quadruple set."""
     if 0 in (j, k, l, m):
         return False
-    return j - k + l - m == 0 and j != k and j != m
+    return alternating_sum((j, k, l, m)) == 0 and j != k and j != m
 
 
 def _stars(entries) -> list[int]:
@@ -63,7 +64,7 @@ def quad_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     no floating error; the factorization is d = -2(m-j)(m-l) = -2(m-j)(j-k).
     """
     j, k, l, m = rows.T
-    d = quad_divisor(j, k, l, m)
+    d = alternating_sum(rows.T, 2)
     stars = np.sort(np.abs(rows), axis=1)
     holds = stars[:, 3] ** 3 <= 4 * d * d * stars[:, 2] * stars[:, 1] * stars[:, 0]
     fact_ok = (d == -2 * (m - j) * (m - l)) & (d == -2 * (m - j) * (j - k))
@@ -103,17 +104,15 @@ def _divisor_violations(rows: np.ndarray) -> list[DivisorReport]:
 
 
 def iter_delta(max_abs: int):
-    """All quadruples in Delta with entries bounded by max_abs."""
-    values = [v for v in range(-max_abs, max_abs + 1) if v != 0]
+    """All quadruples in Delta with entries bounded by max_abs, as tuples of
+    ints in lexicographic order of (j, k, l), m being solved from zero
+    momentum."""
+    values = np.array(mode_range(max_abs), dtype=np.int64)
+    k, l = (g.ravel() for g in np.meshgrid(values, values, indexing="ij"))
     for j in values:
-        for k in values:
-            if k == j:
-                continue
-            for l in values:
-                m = j - k + l
-                if m == 0 or m == j or abs(m) > max_abs:
-                    continue
-                yield (j, k, l, m)
+        m = alternating_sum((j, k, l))
+        ok = (k != j) & (m != 0) & (m != j) & (np.abs(m) <= max_abs)
+        yield from zip(repeat(int(j)), k[ok].tolist(), l[ok].tolist(), m[ok].tolist())
 
 
 def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
@@ -135,10 +134,9 @@ def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
     rng = np.random.default_rng(np.random.Philox(key=seed))
 
     def draw(n):
-        jkl = rng.integers(-max_abs, max_abs + 1, size=(n, 3)).astype(object)
-        rows = np.column_stack([jkl, jkl[:, 0] - jkl[:, 1] + jkl[:, 2]])  # m from zero momentum
+        rows = random_zero_momentum_rows(rng, n, 4, max_abs)
         j, k, _, m = rows.T
-        return rows[(rows != 0).all(axis=1) & (np.abs(m) <= max_abs) & (j != k) & (j != m)]
+        return rows[(j != k) & (j != m)]
 
     checked = 0
     violations = []
@@ -200,7 +198,7 @@ def closed_form_bf(M: int) -> PolyHamiltonian:
     """{B, F} as -(1/4pi^2) sum over Delta of (m/divisor) q_j qbar_k q_l qbar_m |q_m|^2 + c.c."""
     acc: dict[Monomial, Fraction] = {}
     for j, k, l, m in iter_delta(M):
-        kernel = Fraction(-m, 4 * quad_divisor(j, k, l, m))
+        kernel = Fraction(-m, 4 * alternating_sum((j, k, l, m), 2))
         mono = Monomial.of((j, l, m), (k, m, m))
         acc[mono] = acc.get(mono, Fraction(0)) + kernel
         conj = mono.conjugate()
@@ -234,7 +232,7 @@ def closed_form_qf_half(M: int) -> PolyHamiltonian:
                     for m2 in window:
                         if m1 == m2:
                             continue
-                        m3 = j - k + l - m1 + m2
+                        m3 = alternating_sum((j, k, l, m1, m2))
                         if m3 == 0 or abs(m3) > M or m3 == m2:
                             continue
                         kernel = -t / 16

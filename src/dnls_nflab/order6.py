@@ -19,7 +19,13 @@ from .coeffs import ExactCoeff
 from .identities import TriplePair, _images, enumerate_triple_pairs, nine_term_sums, tau
 from .order4 import compute_R6, in_delta, iter_delta
 from .poly import Monomial, PolyHamiltonian, split_normal
-from .states import mode_range, rejection_sample, zero_momentum_sextuples
+from .states import (
+    alternating_sum,
+    mode_range,
+    random_zero_momentum_rows,
+    rejection_sample,
+    zero_momentum_sextuples,
+)
 
 
 def build_K(M: int) -> PolyHamiltonian:
@@ -160,22 +166,12 @@ def build_F6(M: int, r6: PolyHamiltonian | None = None) -> PolyHamiltonian:
 # -- sextuple small-divisor bound ------------------------------------------------------
 
 
-def sextuple_divisor(t):
-    """Alternating sum of squares of (j1, ..., j6); on a tuple of integers,
-    or on its transpose rows.T elementwise over a sextuple array."""
-    return sum((1 if i % 2 == 0 else -1) * v * v for i, v in enumerate(t))
-
-
-def sextuple_momentum(t) -> int:
-    return sum((1 if i % 2 == 0 else -1) * v for i, v in enumerate(t))
-
-
 def in_delta_tilde(t) -> bool:
     return (
         len(t) == 6
         and all(v != 0 for v in t)
-        and sextuple_momentum(t) == 0
-        and sextuple_divisor(t) != 0
+        and alternating_sum(t) == 0
+        and alternating_sum(t, 2) != 0
     )
 
 
@@ -194,7 +190,7 @@ def sextuple_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     is evaluated exactly in integers; it is asserted only where the row is
     non-resonant (divisor != 0) and not excluded.
     """
-    d = sextuple_divisor(rows.T)
+    d = alternating_sum(rows.T, 2)
     stars = np.sort(np.abs(rows), axis=1)[:, ::-1]
     top = stars[:, 0]
     plus, minus = rows[:, 0::2], rows[:, 1::2]
@@ -268,10 +264,8 @@ def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
     rng = np.random.default_rng(np.random.Philox(key=seed))
 
     def draw(n):
-        head = rng.integers(-max_abs, max_abs + 1, size=(n, 5)).astype(object)
-        rows = np.column_stack([head, sextuple_momentum(head.T)])  # j6 from zero momentum
-        rows = rows[(rows != 0).all(axis=1) & (np.abs(rows[:, 5]) <= max_abs)]
-        return rows[sextuple_divisor(rows.T) != 0]
+        rows = random_zero_momentum_rows(rng, n, 6, max_abs)
+        return rows[alternating_sum(rows.T, 2) != 0]
 
     checked = 0
     excluded = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,34 +28,45 @@ from .flows import (
 from .states import (
     TWO_PI,
     FourierState,
+    alternating_sum,
     mode_range,
+    random_zero_momentum_rows,
     rejection_sample,
     sobolev_norm,
     zero_momentum_sextuples,
 )
 
 
-def _has_zero_momentum(entries) -> bool:
-    return sum((1 if i % 2 == 0 else -1) * v for i, v in enumerate(entries)) == 0
-
-
-def omega_kernel(rows: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def omega_kernel(rows: np.ndarray, s_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(Omega_s, bound, holds) per row of a (rows, 2r) array of zero-momentum
-    tuples, int64 or object of Python ints.
+    tuples, int64 or object of Python ints, one triple for each s in s_values.
 
     The bound is |Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, with j3* = 0
     for 2r = 2.  Powers are integer whenever 2s is an even integer, so object
-    rows give exact Python ints; otherwise they are float.
+    rows give exact Python ints; otherwise they are float.  The rows are
+    sorted once for all s, and each Omega_s is summed from one in-place
+    (rows, 2r) temporary.
     """
-    two_s = 2 * s
-    p = int(two_s) if float(two_s).is_integer() and int(two_s) % 2 == 0 else two_s
     width = rows.shape[1]
     signs = np.resize(np.array([1, -1], dtype=rows.dtype), width)
-    value = np.sum(signs * rows * np.abs(rows) ** p, axis=1)
-    stars = np.sort(np.abs(rows), axis=1)[:, ::-1]
+    stars = np.abs(rows)
+    stars.sort(axis=1)
+    stars = stars[:, :-4:-1].copy()  # j1* >= j2* >= j3*, the leading stars only
     j3 = stars[:, 2] if width > 2 else 0
-    bound = (2 * s + 1) * width ** (s + 2) * stars[:, 0] ** s * stars[:, 1] ** s * j3
-    return value, bound, np.abs(value) <= bound
+    out = []
+    for s in s_values:
+        v = np.abs(rows)
+        if float(s).is_integer():  # 2s even: integer powers, in place
+            v **= int(2 * s)
+        else:
+            v = v ** (2 * s)
+        v *= rows
+        v *= signs
+        value = v.sum(axis=1)
+        del v  # freed before the next s allocates its own
+        bound = (2 * s + 1) * width ** (s + 2) * stars[:, 0] ** s * stars[:, 1] ** s * j3
+        out.append((value, bound, np.abs(value) <= bound))
+    return out
 
 
 def _omega_row(entries) -> np.ndarray:
@@ -64,7 +76,7 @@ def _omega_row(entries) -> np.ndarray:
         raise ValueError("need an even-length tuple")
     if any(v == 0 for v in entries):
         raise ValueError("indices must be nonzero")
-    if not _has_zero_momentum(entries):
+    if alternating_sum(entries) != 0:
         raise ValueError("tuple must have zero momentum")
     return np.array([entries], dtype=object)
 
@@ -74,7 +86,7 @@ def omega_s(entries, s: float):
 
     Exact integer arithmetic whenever 2s is an even integer; float otherwise.
     """
-    return omega_kernel(_omega_row(entries), s)[0][0]
+    return omega_kernel(_omega_row(entries), (s,))[0][0][0]
 
 
 @dataclass(frozen=True)
@@ -90,13 +102,13 @@ def omega_bound_check(entries, s: float) -> OmegaReport:
     """|Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, zero-momentum tuples, s >= 1."""
     if s < 1:
         raise ValueError("bound requires s >= 1")
-    value, bound, holds = omega_kernel(_omega_row(entries), s)
+    [(value, bound, holds)] = omega_kernel(_omega_row(entries), (s,))
     return OmegaReport(tuple(entries), s, value[0], bound[0], bool(holds[0]))
 
 
 def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
     """All zero-momentum 6-tuples within max_abs, through omega_kernel in
-    int64, one zero_momentum_sextuples chunk at a time.
+    int64, one call per zero_momentum_sextuples chunk for all s.
 
     Raises OverflowError where the value or the bound could leave int64.
     """
@@ -107,8 +119,7 @@ def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
     checked = 0
     violations: dict = {s: [] for s in s_values}
     for arr in zero_momentum_sextuples(max_abs):
-        for s in s_values:
-            holds = omega_kernel(arr, s)[2]
+        for s, (_, _, holds) in zip(s_values, omega_kernel(arr, s_values)):
             checked += len(arr)
             found = violations[s]
             bad = np.flatnonzero(~holds)[: 20 - len(found)]
@@ -129,42 +140,27 @@ def random_omega_audit(
 ) -> dict:
     """Random zero-momentum tuples at larger radii; Python ints, exact.
 
-    Each accepted block is checked one tuple width at a time; violations are
-    listed by sample, then by s.
+    n_samples is split as evenly as possible over r_values, in order (the
+    first n_samples % len(r_values) widths take one sample more), and each
+    width is drawn through rejection_sample in blocks of one (rows, 2r)
+    array.  Violations are listed by width, then by sample, then by s.
     """
     if max_abs < 1:
         raise ValueError("max_abs must be at least 1")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-
-    def draw(n):
-        out = []
-        for _ in range(n):
-            r = int(rng.choice(r_values))
-            head = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=2 * r - 1)]
-            if any(v == 0 for v in head):
-                continue
-            # zero momentum fixes the last (barred) entry
-            last = sum((1 if i % 2 == 0 else -1) * v for i, v in enumerate(head))
-            if last == 0 or abs(last) > max_abs:
-                continue
-            out.append(tuple(head + [last]))
-        return out
-
+    share, extra = divmod(n_samples, len(r_values))
     checked = 0
     violations = []
-    for block in rejection_sample(n_samples, draw):
-        checked += len(block)
-        bad = []
-        for width in {len(e) for e in block}:
-            index = [i for i, e in enumerate(block) if len(e) == width]
-            rows = np.array([block[i] for i in index], dtype=object)
-            for si, s in enumerate(s_values):
-                value, bound, holds = omega_kernel(rows, s)
-                bad += [
-                    (index[i], si, OmegaReport(block[index[i]], s, value[i], bound[i], False))
-                    for i in np.flatnonzero(~holds)
-                ]
-        violations += [rep for *_, rep in sorted(bad, key=lambda b: b[:2])]
+    for w, r in enumerate(r_values):
+        draw = partial(random_zero_momentum_rows, rng, width=2 * r, max_abs=max_abs)
+        for rows in rejection_sample(share + (w < extra), draw):
+            checked += len(rows)
+            bad = [
+                (i, OmegaReport(tuple(rows[i]), s, value[i], bound[i], False))
+                for s, (value, bound, holds) in zip(s_values, omega_kernel(rows, s_values))
+                for i in np.flatnonzero(~holds)
+            ]
+            violations += [rep for _, rep in sorted(bad, key=lambda b: b[0])]
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 

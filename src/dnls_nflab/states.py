@@ -23,6 +23,20 @@ def mode_range(M: int) -> list[int]:
     return list(range(-M, 0)) + list(range(1, M + 1))
 
 
+def alternating_sum(entries, power: int = 1):
+    """Sum of (-1)^i v_i^power over entries v_0, v_1, ...: the momentum for
+    power 1, the square divisor for power 2.
+
+    On a tuple of ints this is an exact int; on rows.T of a (rows, width)
+    array it runs elementwise, one value per row.
+    """
+    total = 0
+    for i, v in enumerate(entries):
+        term = v if power == 1 else v**power
+        total = total - term if i % 2 else total + term
+    return total
+
+
 def zero_momentum_sextuples(max_abs: int):
     """All zero-momentum 6-tuples j1 - j2 + j3 - j4 + j5 - j6 = 0 of modes
     with 1 <= |j| <= max_abs, in chunks of one j1 each.
@@ -33,11 +47,21 @@ def zero_momentum_sextuples(max_abs: int):
     """
     values = np.array(mode_range(max_abs), dtype=np.int64)
     j2, j3, j4, j5 = (g.ravel() for g in np.meshgrid(values, values, values, values, indexing="ij"))
-    rest = -j2 + j3 - j4 + j5
+    rest = alternating_sum((j2, j3, j4, j5))
     for j1 in values:
-        j6 = j1 + rest
+        j6 = j1 - rest
         ok = (j6 != 0) & (np.abs(j6) <= max_abs)
         yield np.stack([np.full(int(ok.sum()), j1), j2[ok], j3[ok], j4[ok], j5[ok], j6[ok]], axis=1)
+
+
+def random_zero_momentum_rows(rng, k: int, width: int, max_abs: int) -> np.ndarray:
+    """The rows, in draw order and as Python ints, among k random candidates
+    of an even width: one rng.integers call draws the heads in [-max_abs,
+    max_abs], zero momentum solves each last entry, and rows with a zero
+    entry or a last entry above max_abs are dropped."""
+    head = rng.integers(-max_abs, max_abs + 1, size=(k, width - 1)).astype(object)
+    rows = np.column_stack([head, alternating_sum(head.T)])
+    return rows[(rows != 0).all(axis=1) & (np.abs(rows[:, -1]) <= max_abs)]
 
 
 SAMPLE_BLOCK = 4096
@@ -143,10 +167,6 @@ def sobolev_norm(state: FourierState, s: float) -> float:
         raise ValueError("Sobolev index must be nonnegative")
     total = sum(abs(v) ** 2 * abs(j) ** (2.0 * s) for j, v in state.items())
     return math.sqrt(total)
-
-
-def mass(state: FourierState) -> float:
-    return sum(abs(v) ** 2 for _, v in state.items())
 
 
 def lambda_energy(state: FourierState) -> float:

@@ -19,6 +19,9 @@ CLI_REPORT_RUNS = {
     "identities": ["identities", "--bound", "6", "--report", "identities.csv"],
     "stability": ["stability", "--s", "3", "--eps", "0.5", "--modes", "8", "--r", "2",
                   "--dt", "1e-2", "--seed", "7", "--out", "stability.csv"],
+    "simulate": ["simulate", "--modes", "6", "--init", "planewave:2,0.3", "--t-end", "0.5",
+                 "--dt", "1e-3", "--track-s", "2", "--record-interval", "0.1",
+                 "--out", "simulate.csv", "--dump-final", "simulate_final.json"],
 }
 
 
@@ -236,7 +239,9 @@ def _report_body_digest(path: Path) -> str:
     timestamp, git describe and the full parameter set."""
     text = path.read_text()
     if path.suffix == ".json":
-        body = json.dumps(json.loads(text)["data"], indent=1)
+        payload = json.loads(text)
+        # a --dump-final state file is a bare list of modes with no manifest
+        body = text if isinstance(payload, list) else json.dumps(payload["data"], indent=1)
     else:
         first, body = text.split("\n", 1)
         assert first.startswith("# manifest: ")

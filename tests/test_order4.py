@@ -18,7 +18,6 @@ from dnls_nflab.order4 import (
     f4_coefficient_bound_audit,
     in_delta,
     iter_delta,
-    quad_divisor,
     quad_kernel,
     r6_parts,
     random_divisor_audit,
@@ -31,6 +30,7 @@ from dnls_nflab.poly import (
     build_Q,
     ordered_coefficient,
 )
+from dnls_nflab.states import alternating_sum
 
 
 def test_delta_membership():
@@ -55,9 +55,24 @@ def test_divisor_bound_rejects_non_delta():
 def test_divisor_factorization_both_forms():
     for t in iter_delta(6):
         j, k, l, m = t
-        d = quad_divisor(*t)
+        d = alternating_sum(t, 2)
         assert d == -2 * (m - j) * (m - l) == -2 * (m - j) * (j - k)
         assert d != 0
+
+
+def test_iter_delta_matches_brute_force():
+    for max_abs in (1, 2, 5):
+        values = [v for v in range(-max_abs, max_abs + 1) if v != 0]
+        expected = [
+            (j, k, l, j - k + l)
+            for j in values
+            for k in values
+            for l in values
+            if abs(j - k + l) <= max_abs and in_delta(j, k, l, j - k + l)
+        ]
+        got = list(iter_delta(max_abs))
+        assert got == expected
+        assert all(type(v) is int for t in got for v in t)
 
 
 def test_exhaustive_divisor_audit_small():
@@ -209,7 +224,7 @@ def test_bf_reducible_coefficient_generic_tuple():
     bf, _ = r6_parts(4)
     j, k, l, m = 3, 1, 2, 4
     mono = Monomial.of((j, l, m), (k, m, m))
-    d = quad_divisor(j, k, l, m)
+    d = alternating_sum((j, k, l, m), 2)
     expected = ExactCoeff.real(Fraction(-2 * m, 4 * d), pi_power=2)
     assert bf.coefficient(mono) == expected
 

@@ -22,14 +22,13 @@ from dnls_nflab.order6 import (
     qtilde0_crosscheck,
     random_sextuple_audit,
     sextuple_bound_check,
-    sextuple_divisor,
     sextuple_kernel,
     split_r6,
     tau_bound_check,
     verify_Ktilde_zero,
 )
 from dnls_nflab.poly import Monomial, PolyHamiltonian, bracket, build_lambda, poly_to_records
-from dnls_nflab.states import zero_momentum_sextuples
+from dnls_nflab.states import alternating_sum, zero_momentum_sextuples
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,7 +132,7 @@ def test_resonant_smallest_members():
         for t in five
     )
     for t in five:
-        assert sextuple_divisor(t) == 0
+        assert alternating_sum(t, 2) == 0
         with pytest.raises(ValueError):
             sextuple_bound_check(t)  # resonants are outside the bound's domain
 
@@ -310,7 +309,7 @@ def _per_candidate_sextuples(n_samples, max_abs, seed):
         if j6 == 0 or abs(j6) > max_abs:
             continue
         t = (*vals, j6)
-        if sextuple_divisor(t) != 0:
+        if alternating_sum(t, 2) != 0:
             out.append(t)
     return out
 

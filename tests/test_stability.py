@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dnls_nflab import stability
 from dnls_nflab.flows import FlowConfig, evolve_vec, normal_form_bundle
 from dnls_nflab.stability import (
     StabilityRun,
@@ -95,17 +96,86 @@ def test_omega_kernel_matches_scalar_reference():
     for s in (1, 2, 3):
         expected = [_omega_reference(t, s) for t in tuples]
         for dtype in (np.int64, object):
-            value, bound, holds = omega_kernel(rows.astype(dtype), s)
+            [(value, bound, holds)] = omega_kernel(rows.astype(dtype), (s,))
             got = [(int(a), int(b), bool(c)) for a, b, c in zip(value, bound, holds)]
             assert got == expected
         for t in wide:
-            value, bound, holds = omega_kernel(np.array([t], dtype=object), s)
+            [(value, bound, holds)] = omega_kernel(np.array([t], dtype=object), (s,))
             assert (value[0], bound[0], bool(holds[0])) == _omega_reference(t, s)
 
 
 def test_exhaustive_omega_audit_overflow_guard():
     with pytest.raises(OverflowError):
         exhaustive_omega_audit(1000, (3,))
+
+
+def test_exhaustive_omega_audit_calls_the_kernel_once_per_chunk(monkeypatch):
+    calls = []
+
+    def recording(rows, s_values):
+        calls.append((len(rows), tuple(s_values)))
+        return omega_kernel(rows, s_values)
+
+    monkeypatch.setattr(stability, "omega_kernel", recording)
+    rep = exhaustive_omega_audit(4, (1, 2, 3))
+    chunks = [len(chunk) for chunk in zero_momentum_sextuples(4)]
+    assert calls == [(n, (1, 2, 3)) for n in chunks]
+    assert rep["checked"] == 3 * sum(chunks)
+
+
+def _per_candidate_omega_rows(n_samples, max_abs, seed, r_values):
+    """The accepted draws of a loop that takes the widths in order, each its
+    share of n_samples, and draws one candidate per rng call."""
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    share, extra = divmod(n_samples, len(r_values))
+    out = []
+    for w, r in enumerate(r_values):
+        wanted = len(out) + share + (1 if w < extra else 0)
+        while len(out) < wanted:
+            head = [int(v) for v in rng.integers(-max_abs, max_abs + 1, size=2 * r - 1)]
+            last = sum(head[0::2]) - sum(head[1::2])
+            if 0 in head or last == 0 or abs(last) > max_abs:
+                continue
+            out.append((*head, last))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_samples,max_abs,seed,r_values",
+    [
+        (50, 1, 0, (3, 4, 5)),
+        (3001, 100, 3, (3, 4, 5)),
+        (14_000, 7, 11, (3, 4, 5)),
+        (301, 2, 5, (5, 1, 2)),
+    ],
+)
+def test_random_omega_audit_checks_the_per_candidate_draws(
+    monkeypatch, n_samples, max_abs, seed, r_values
+):
+    checked = []
+
+    def recording(rows, s_values):
+        checked.extend(tuple(row) for row in rows)
+        return omega_kernel(rows, s_values)
+
+    monkeypatch.setattr(stability, "omega_kernel", recording)
+    rep = random_omega_audit(n_samples, max_abs=max_abs, r_values=r_values, seed=seed)
+    assert rep["checked"] == n_samples and rep["violations"] == []
+    assert checked == _per_candidate_omega_rows(n_samples, max_abs, seed, r_values)
+
+
+def test_random_omega_audit_lists_violations_by_width_then_sample_then_s(monkeypatch):
+    drawn = []
+
+    def failing(rows, s_values):
+        drawn.extend(tuple(row) for row in rows)
+        return [(value, bound, holds & False) for value, bound, holds in omega_kernel(rows, s_values)]
+
+    monkeypatch.setattr(stability, "omega_kernel", failing)
+    rep = random_omega_audit(5, max_abs=9, r_values=(3, 2), s_values=(2, 1), seed=4)
+    assert [len(t) for t in drawn] == [6, 6, 6, 4, 4]
+    assert [(v.entries, v.s) for v in rep["violations"]] == [(t, s) for t in drawn for s in (2, 1)]
+    assert all(v.value == omega_s(v.entries, v.s) and not v.holds for v in rep["violations"])
 
 
 # -- experiment harness ----------------------------------------------------------

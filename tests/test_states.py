@@ -7,11 +7,13 @@ import pytest
 from dnls_nflab.states import (
     SAMPLE_BLOCK,
     FourierState,
+    alternating_sum,
     eval_physical,
     hamiltonian_coefficients,
     hamiltonian_physical,
     lambda_energy,
     mode_range,
+    random_zero_momentum_rows,
     rejection_sample,
     sobolev_norm,
     state_from_json,
@@ -197,3 +199,48 @@ def test_rejection_sample_accepts_in_the_last_candidate():
 def test_rejection_sample_blocks_are_bounded():
     blocks = list(rejection_sample(3 * SAMPLE_BLOCK + 5, lambda k: list(range(k))))
     assert [len(b) for b in blocks] == [SAMPLE_BLOCK] * 3 + [5]
+
+
+@pytest.mark.parametrize("width", [4, 6, 8, 10])
+def test_alternating_sum_matches_scalar_formulas(width):
+    def momentum(t):
+        return sum(t[0::2]) - sum(t[1::2])
+
+    def divisor(t):
+        return sum(v * v for v in t[0::2]) - sum(v * v for v in t[1::2])
+
+    rng = np.random.default_rng(np.random.Philox(key=width))
+    rows = rng.integers(-50, 51, size=(300, width))
+    tuples = [tuple(int(v) for v in row) for row in rows]
+    big = [
+        tuple((-1) ** i * (10**20 + 7 * i) for i in range(width)),
+        tuple(2**63 + i for i in range(width)),
+    ]
+    for t in tuples + big:
+        assert alternating_sum(t) == momentum(t)
+        assert alternating_sum(t, 2) == divisor(t)
+    for dtype in (np.int64, object):
+        arr = rows.astype(dtype)
+        assert [int(v) for v in alternating_sum(arr.T)] == [momentum(t) for t in tuples]
+        assert [int(v) for v in alternating_sum(arr.T, 2)] == [divisor(t) for t in tuples]
+    # object rows stay exact past int64
+    arr = np.array(big, dtype=object)
+    assert list(alternating_sum(arr.T)) == [momentum(t) for t in big]
+    assert list(alternating_sum(arr.T, 2)) == [divisor(t) for t in big]
+
+
+@pytest.mark.parametrize("width,max_abs", [(2, 3), (4, 1), (6, 4), (10, 1000)])
+def test_random_zero_momentum_rows_keeps_the_valid_rows_of_one_draw(width, max_abs):
+    rows = random_zero_momentum_rows(np.random.default_rng(np.random.Philox(key=3)), 500, width, max_abs)
+    heads = np.random.default_rng(np.random.Philox(key=3)).integers(
+        -max_abs, max_abs + 1, size=(500, width - 1)
+    )
+    expected = []
+    for head in heads:
+        head = [int(v) for v in head]
+        last = sum(head[0::2]) - sum(head[1::2])
+        if 0 not in head and last != 0 and abs(last) <= max_abs:
+            expected.append((*head, last))
+    assert rows.dtype == object and rows.shape == (len(expected), width)
+    assert [tuple(row) for row in rows] == expected
+    assert all(type(v) is int for v in rows.ravel())
