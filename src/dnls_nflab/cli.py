@@ -22,9 +22,10 @@ from pathlib import Path
 
 
 class UsageError(Exception):
-    """Bad user input: an init spec that does not parse or fit the
-    truncation, a --config file that cannot be read or names an unknown
-    option, or a report path that cannot be written.  Exit code 2."""
+    """Bad user input: an integer option out of range, an init spec that
+    does not parse or fit the truncation, a --config file that cannot be
+    read or names an unknown option, or a report path that cannot be
+    written.  Exit code 2."""
 
 
 def _git_describe() -> str:
@@ -439,13 +440,42 @@ def _load_config(path: str) -> dict:
     return conf
 
 
+def _int_ranges() -> dict[str, dict[str, tuple[int, int | None]]]:
+    """Inclusive (low, high) range of each integer option, per subcommand;
+    high None is unbounded.  The lows are the smallest values the library
+    calls accept; a divisor bound above QUAD_INT64_MAX_ABS would overflow
+    the int64 audit, and a seed is a Philox key, below 2**128."""
+    from .order4 import QUAD_INT64_MAX_ABS
+
+    seed = (0, 2**128 - 1)
+    return {
+        "nf4": {"modes": (1, None), "divisor_bound": (1, QUAD_INT64_MAX_ABS)},
+        "nf6": {"modes": (2, None)},
+        "identities": {"bound": (1, None), "random": (0, None), "seed": seed},
+        "simulate": {"modes": (1, None)},
+        "stability": {"modes": (1, None), "seed": seed},
+        "verify-all": {"modes": (2, None), "seed": seed},
+    }
+
+
+def _check_ranges(args: argparse.Namespace) -> argparse.Namespace:
+    """Raise UsageError for an integer option outside its range."""
+    for name, (low, high) in _int_ranges()[args.subcommand].items():
+        value = getattr(args, name)
+        if value < low or (high is not None and value > high):
+            span = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise UsageError(f"--{name.replace('_', '-')} must be {span}, got {value}")
+    return args
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  A --config file supplies defaults for the
-    subcommand's options, so every flag given on the command line wins."""
+    subcommand's options, so every flag given on the command line wins.
+    An integer option outside its range is a UsageError."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
-        return args
+        return _check_ranges(args)
     conf = _load_config(args.config)
     options = set(vars(args)) - {"config", "subcommand", "func"}
     unknown = sorted(set(conf) - options)
@@ -456,7 +486,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         )
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     subparsers.choices[args.subcommand].set_defaults(**conf)
-    return parser.parse_args(argv)
+    return _check_ranges(parser.parse_args(argv))
 
 
 def main(argv=None) -> int:

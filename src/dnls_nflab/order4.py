@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .poly import (
     build_Q,
 )
 from .states import (
-    SAMPLE_BLOCK,
     alternating_sum,
     mode_range,
     random_zero_momentum_rows,
@@ -94,36 +92,49 @@ def divisor_bound_check(t: tuple[int, int, int, int]) -> DivisorReport:
 
 
 def _divisor_violations(rows: np.ndarray) -> list[DivisorReport]:
-    """Reports for the rows of an object array of Delta quadruples that fail
-    the bound or the factorization."""
+    """Reports, in Python ints, for the rows of an array of Delta quadruples
+    that fail the bound or the factorization."""
     d, holds, fact_ok = quad_kernel(rows)
     return [
-        DivisorReport(tuple(rows[i]), d[i], bool(holds[i]), bool(fact_ok[i]))
+        DivisorReport(tuple(rows[i].tolist()), int(d[i]), bool(holds[i]), bool(fact_ok[i]))
         for i in np.flatnonzero(~(holds & fact_ok))
     ]
 
 
-def iter_delta(max_abs: int):
-    """All quadruples in Delta with entries bounded by max_abs, as tuples of
-    ints in lexicographic order of (j, k, l), m being solved from zero
-    momentum."""
+def delta_rows(max_abs: int):
+    """All quadruples in Delta with entries bounded by max_abs: one int64
+    array of rows (j, k, l, m) per j ascending, each in lexicographic order
+    of (k, l), m being solved from zero momentum."""
     values = np.array(mode_range(max_abs), dtype=np.int64)
     k, l = (g.ravel() for g in np.meshgrid(values, values, indexing="ij"))
     for j in values:
         m = alternating_sum((j, k, l))
         ok = (k != j) & (m != 0) & (m != j) & (np.abs(m) <= max_abs)
-        yield from zip(repeat(int(j)), k[ok].tolist(), l[ok].tolist(), m[ok].tolist())
+        yield np.column_stack((np.full(np.count_nonzero(ok), j), k[ok], l[ok], m[ok]))
+
+
+def iter_delta(max_abs: int):
+    """The quadruples of delta_rows as tuples of ints, in lexicographic order."""
+    for rows in delta_rows(max_abs):
+        yield from map(tuple, rows.tolist())
+
+
+# Largest max_abs whose int64 bound check cannot overflow: |d| <= 2 max_abs^2,
+# so 4 d^2 j2* j3* j4* <= 16 max_abs^7 <= int64 max.
+QUAD_INT64_MAX_ABS = 344
 
 
 def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
     """Bound and factorization over all of Delta within max_abs, checked in
-    blocks of SAMPLE_BLOCK quadruples of Python ints."""
+    int64, one chunk of delta_rows per j.  Raises OverflowError beyond
+    QUAD_INT64_MAX_ABS."""
+    if max_abs > QUAD_INT64_MAX_ABS:
+        raise OverflowError(f"max_abs={max_abs} overflows the int64 bound check")
     checked = 0
     violations = []
-    tuples = iter_delta(max_abs)
-    while block := list(islice(tuples, SAMPLE_BLOCK)):
-        checked += len(block)
-        violations += _divisor_violations(np.array(block, dtype=object))
+    for rows in delta_rows(max_abs):
+        checked += len(rows)
+        violations += _divisor_violations(rows)
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 
@@ -173,8 +184,9 @@ def r6_parts(M: int) -> tuple[PolyHamiltonian, PolyHamiltonian]:
     B = build_B_closed_form(M)
     F = build_F4(M)
     bf = bracket(B, F)
-    qf = bracket(build_Q(M, 3 * M), build_F4(M, 3 * M), support_bound=M)
-    return bf, qf.scaled(Fraction(1, 2))
+    # the 1/2 scales Q's terms, far fewer than the bracket's
+    half_q = build_Q(M, 3 * M).scaled(Fraction(1, 2))
+    return bf, bracket(half_q, build_F4(M, 3 * M), support_bound=M)
 
 
 def compute_R6(M: int) -> PolyHamiltonian:

@@ -12,9 +12,15 @@ it by (degree, plus, minus), the order of the serialized records.
 
 bracket indexes both operands per call by contracted mode n: one entry per
 derivative by q_n or qbar_n, holding the remaining multisets, their largest
-|mode| and one Fraction per real or imaginary part.  Sorted by that largest
-mode, a support bound becomes a bisect prefix of each list, so pairs whose
-product leaves the window are never formed.
+|mode| and one int per nonzero real or imaginary part, its numerator over
+the operand's one common denominator (the LCM of all its coefficient
+denominators).  A kept pair costs one int product and one int add, and each
+output part becomes one Fraction over the product of the two denominators.
+Sorted by that largest mode, a support bound becomes a bisect prefix of each
+list, so pairs whose product leaves the window are never formed.  For real
+valued operands the dH/dqbar dF/dq pass is the conjugate of the dH/dq
+dF/dqbar pass, so only the latter runs and is folded onto the conjugate
+monomials once.
 
 The numeric value, vector field and gradients share one product kernel.
 Each compiles a polynomial once per dtype into rows: one per term for the
@@ -165,9 +171,11 @@ class PolyHamiltonian:
 
     def is_real_valued(self) -> bool:
         """Exact conjugation symmetry: coeff(m) == conj(coeff(conj(m)))."""
-        return all(
-            self._coeffs.get(m.conjugate(), ZERO) == c.conjugate() for m, c in self._coeffs.items()
-        )
+        for m, c in self._coeffs.items():
+            d = self._coeffs.get(m.conjugate())
+            if d is None or d.re != c.re or d.im != -c.im or d.pi_power != c.pi_power:
+                return False
+        return True
 
     # -- algebra ------------------------------------------------------------------
 
@@ -221,20 +229,25 @@ def _derivatives(mono: Monomial, slot: str):
         yield (n, mult, rest, mono.minus) if slot == "plus" else (n, mult, mono.plus, rest)
 
 
-def _contraction_index(P: PolyHamiltonian, slot: str) -> dict[int, list]:
+def _common_denominator(P: PolyHamiltonian) -> int:
+    """LCM of the denominators of all real and imaginary parts of P."""
+    return math.lcm(*(part.denominator for c in P._coeffs.values() for part in (c.re, c.im)))
+
+
+def _contraction_index(P: PolyHamiltonian, slot: str, scale: int) -> dict[int, list]:
     """n -> entries (top, plus, minus, value, phase, pi_power) of the
     derivatives of P by the slot's mode n, sorted by top: the largest |mode|
-    of the remainder (plus, minus).  value is the multiplicity times the
-    real (phase 0) or imaginary (phase 1) part, one entry per nonzero part.
+    of the remainder (plus, minus).  value is the int multiplicity times the
+    real (phase 0) or imaginary (phase 1) part times scale, a common
+    denominator of P's parts; one entry per nonzero part.
     """
     index: dict[int, list] = {}
     for mono, c in P._coeffs.items():
+        parts = [(ph, x.numerator * (scale // x.denominator)) for ph, x in ((0, c.re), (1, c.im)) if x]
         for n, mult, plus, minus in _derivatives(mono, slot):
             top = max(map(abs, plus + minus), default=0)
-            for phase, part in ((0, c.re), (1, c.im)):
-                if part:
-                    value = part * mult if mult > 1 else part
-                    index.setdefault(n, []).append((top, plus, minus, value, phase, c.pi_power))
+            for phase, value in parts:
+                index.setdefault(n, []).append((top, plus, minus, value * mult, phase, c.pi_power))
     for entries in index.values():
         entries.sort(key=lambda e: e[0])
     return index
@@ -247,25 +260,35 @@ def bracket(
 ) -> PolyHamiltonian:
     """Exact weighted Poisson bracket {H, F}.
 
-    Every product term pairs an entry of _contraction_index(H) with one of
-    F for the same n: one Fraction product times -i n (dH/dq_n dF/dqbar_n)
-    or +i n (dH/dqbar_n dF/dq_n), whose phase picks the output's real or
-    imaginary part.  If support_bound is given, output terms with any mode
-    exceeding it are dropped; an output's modes are the two remainders', so
-    only the bisected prefixes with top <= support_bound are ever paired.
-    Terms of different pi powers meeting on one monomial raise ValueError.
+    Each operand's parts are ints over its common denominator D.  Every
+    product term pairs an entry of _contraction_index(H) with one of F for
+    the same n, at the cost of one int product and one int add: -i n
+    (dH/dq_n dF/dqbar_n) or +i n (dH/dqbar_n dF/dq_n), whose phase picks the
+    output's real or imaginary part.  Each output part is one Fraction over
+    D_H D_F.  If both operands are real valued the second pass is the
+    conjugate of the first, so only the first runs and its sums A are
+    folded once over their monomials: {H, F}(m) = A(m) + conj(A(conj m)).
+    If support_bound is given, output terms with any mode exceeding it are
+    dropped; an output's modes are the two remainders', so only the
+    bisected prefixes with top <= support_bound are ever paired.  Terms of
+    different pi powers meeting on one monomial raise ValueError.
     """
     if H.truncation != F.truncation:
         raise ValueError("truncation mismatch")
     bound = math.inf if support_bound is None else support_bound
+    real = H.is_real_valued() and F.is_real_valued()
+    h_scale, f_scale = _common_denominator(H), _common_denominator(F)
 
     def window(entries):
         return entries[: bisect_right(entries, bound, key=lambda e: e[0])]
 
+    def clash(key, pi, other):
+        return ValueError(f"pi powers {pi} and {other} meet on {key}")
+
     acc: dict[tuple, list] = {}
-    for h_slot, f_slot, sign in (("plus", "minus", -1), ("minus", "plus", 1)):
-        h_index = _contraction_index(H, h_slot)
-        f_index = _contraction_index(F, f_slot)
+    for h_slot, f_slot, sign in (("plus", "minus", -1), ("minus", "plus", 1))[: 1 if real else 2]:
+        h_index = _contraction_index(H, h_slot, h_scale)
+        f_index = _contraction_index(F, f_slot, f_scale)
         for n in h_index.keys() & f_index.keys():
             f_entries = window(f_index[n])
             for _, hp, hm, hv, hph, hpi in window(h_index[n]):
@@ -277,12 +300,32 @@ def bracket(
                     if slot is None:
                         acc[key] = slot = [0, 0, hpi + fpi]
                     elif slot[2] != hpi + fpi:
-                        raise ValueError(f"pi powers {slot[2]} and {hpi + fpi} meet on {key}")
+                        raise clash(key, slot[2], hpi + fpi)
                     ph = hph + fph
                     slot[1 - ph % 2] += weights[ph] * fv
+    if real:
+        folded = {}
+        for (plus, minus), (re, im, pi) in acc.items():
+            conj = acc.get((minus, plus))
+            if conj is None:
+                folded[minus, plus] = (re, -im, pi)
+            elif conj[2] != pi:
+                raise clash((plus, minus), pi, conj[2])
+            else:
+                re, im = re + conj[0], im - conj[1]
+            folded[plus, minus] = (re, im, pi)
+        acc = folded
+    scale = h_scale * f_scale
+
+    def part(x):
+        return Fraction(x, scale) if x else ZERO.re
+
     return PolyHamiltonian(
         min(H.truncation, bound),
-        {Monomial(plus, minus): ExactCoeff(re, im, pi) for (plus, minus), (re, im, pi) in acc.items()},
+        {
+            Monomial(plus, minus): ExactCoeff(part(re), part(im), pi)
+            for (plus, minus), (re, im, pi) in acc.items()
+        },
     )
 
 

@@ -194,6 +194,45 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-all", "--modes", "1"], "--modes must be at least 2, got 1"),
+        (["nf4", "--modes", "0"], "--modes must be at least 1, got 0"),
+        (["nf6", "--modes", "1"], "--modes must be at least 2, got 1"),
+        (["stability", "--s", "3", "--eps", "0.3", "--modes", "0"], "--modes must be at least 1, got 0"),
+        (["simulate", "--modes", "0", "--init", "planewave:1,0.1"], "--modes must be at least 1, got 0"),
+        (["nf4", "--audit", "--divisor-bound", "-3"], "--divisor-bound must be between 1 and 344, got -3"),
+        (["nf4", "--audit", "--divisor-bound", "345"], "--divisor-bound must be between 1 and 344, got 345"),
+        (["identities", "--bound", "-1"], "--bound must be at least 1, got -1"),
+        (["identities", "--random", "-1"], "--random must be at least 0, got -1"),
+        (["identities", "--random", "3", "--seed", "-1"],
+         f"--seed must be between 0 and {2**128 - 1}, got -1"),
+        (["verify-all", "--seed", str(2**128)], f"--seed must be between 0 and {2**128 - 1}"),
+    ],
+    ids=["verify-all-modes", "nf4-modes", "nf6-modes", "stability-modes", "simulate-modes",
+         "divisor-bound-low", "divisor-bound-int64", "identities-bound", "identities-random",
+         "identities-seed", "verify-all-seed"],
+)
+def test_out_of_range_integer_option_is_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert message in captured.err
+
+
+def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
+    from dnls_nflab.order4 import QUAD_INT64_MAX_ABS
+
+    assert parse_args(["nf4", "--divisor-bound", str(QUAD_INT64_MAX_ABS)]).divisor_bound == 344
+    assert parse_args(["verify-all", "--modes", "2"]).modes == 2
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"modes": 1}))
+    assert main(["--config", str(conf), "verify-all"]) == 2
+    assert "--modes must be at least 2, got 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump-final"])
 def test_unwritable_simulate_output_fails_before_integrating(tmp_path, monkeypatch, capsys, flag):
     import dnls_nflab.flows

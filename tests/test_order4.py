@@ -14,6 +14,8 @@ from dnls_nflab.order4 import (
     coefficient_growth_audit,
     compute_R6,
     divisor_bound_check,
+    QUAD_INT64_MAX_ABS,
+    delta_rows,
     exhaustive_divisor_audit,
     f4_coefficient_bound_audit,
     in_delta,
@@ -79,6 +81,50 @@ def test_exhaustive_divisor_audit_small():
     rep = exhaustive_divisor_audit(12)
     assert rep["violations"] == []
     assert rep["checked"] > 4000
+
+
+def test_exhaustive_divisor_audit_runs_int64_chunks_per_j(monkeypatch):
+    chunks = []
+
+    def recording(rows):
+        chunks.append(rows)
+        return quad_kernel(rows)
+
+    monkeypatch.setattr(order4, "quad_kernel", recording)
+    rep = exhaustive_divisor_audit(20)
+    assert rep["checked"] == 38000 and rep["violations"] == []
+    assert len(chunks) == 40 and all(c.dtype == np.int64 for c in chunks)
+    assert [c[0, 0] for c in chunks] == [j for j in range(-20, 21) if j]
+    assert [tuple(r) for c in chunks for r in c.tolist()] == list(iter_delta(20))
+
+
+def test_exhaustive_divisor_violations_hold_python_ints(monkeypatch):
+    # flag every third row as failing to reach the report path
+    def failing(rows):
+        d, holds, fact_ok = quad_kernel(rows)
+        holds = holds.copy()
+        holds[::3] = False
+        return d, holds, fact_ok
+
+    monkeypatch.setattr(order4, "quad_kernel", failing)
+    rep = exhaustive_divisor_audit(4)
+    assert rep["violations"]
+    for v in rep["violations"]:
+        assert all(type(x) is int for x in v.tuple) and type(v.divisor) is int
+        assert v.divisor == alternating_sum(v.tuple, 2)
+        assert not v.holds and v.factorization_ok
+
+
+def test_exhaustive_divisor_audit_int64_guard():
+    int64_max = np.iinfo(np.int64).max
+    assert 16 * QUAD_INT64_MAX_ABS**7 <= int64_max < 16 * (QUAD_INT64_MAX_ABS + 1) ** 7
+    with pytest.raises(OverflowError):
+        exhaustive_divisor_audit(QUAD_INT64_MAX_ABS + 1)
+    # rows at the guard radius compute in int64 what Python ints give
+    rows = next(delta_rows(QUAD_INT64_MAX_ABS))[-50:]
+    got = quad_kernel(rows)
+    want = quad_kernel(rows.astype(object))
+    assert all(np.array_equal(a.astype(object), b) for a, b in zip(got, want))
 
 
 def test_random_divisor_audit():

@@ -196,6 +196,25 @@ def test_f6_supported_off_resonance(r6_at_8):
         assert not mono.is_normal()
 
 
+@pytest.mark.slow
+def test_criteria_1_to_3_at_m12():
+    # the homological equations, the resonant cancellation and the closed
+    # action part at a truncation beyond the acceptance suite's M = 10
+    from dnls_nflab.order4 import build_F4
+    from dnls_nflab.poly import build_Q
+
+    M = 12
+    r6 = compute_R6(M)
+    assert r6.num_terms == 136_872
+    lam = build_lambda(M)
+    assert (bracket(lam, build_F4(M)) + build_Q(M)).is_zero
+    normal, qtilde = split_r6(r6)
+    assert (bracket(lam, build_F6(M, r6)) + qtilde).is_zero
+    rep = verify_Ktilde_zero(M, r6)
+    assert rep.passed and rep.checked == 712
+    assert normal == build_K(M)
+
+
 def test_split_r6_refuses_resonant_survivor():
     bad = PolyHamiltonian.from_terms(
         8,

@@ -237,6 +237,121 @@ def test_bracket_rejects_colliding_pi_powers():
     ) == ExactCoeff.imag(1)
 
 
+def _reference_bracket(H, F, support_bound=None):
+    """{H, F} as a double loop over term pairs in ExactCoeff arithmetic:
+    -i n (dH/dq_n dF/dqbar_n - dH/dqbar_n dF/dq_n) for every shared n."""
+
+    def derivative(mono, slot, n):
+        entries = list(getattr(mono, slot))
+        mult = entries.count(n)
+        entries.remove(n)
+        return mult, (entries, mono.minus) if slot == "plus" else (mono.plus, entries)
+
+    bound = H.truncation if support_bound is None else min(H.truncation, support_bound)
+    items = []
+    for hm, hc in H.terms():
+        for fm, fc in F.terms():
+            for h_slot, f_slot, sign in (("plus", "minus", -1), ("minus", "plus", 1)):
+                for n in set(getattr(hm, h_slot)) & set(getattr(fm, f_slot)):
+                    h_mult, (hp, hmi) = derivative(hm, h_slot, n)
+                    f_mult, (fp, fmi) = derivative(fm, f_slot, n)
+                    mono = Monomial.of(list(hp) + list(fp), list(hmi) + list(fmi))
+                    if mono.max_abs() <= bound:
+                        items.append((mono, (hc * fc).scaled(h_mult * f_mult).mul_imag_int(sign * n)))
+    return PolyHamiltonian.from_terms(bound, items)
+
+
+def _times_i(P):
+    return PolyHamiltonian(P.truncation, {m: c.mul_imag_int(1) for m, c in P.terms()})
+
+
+def _real_part(P):
+    """P + conj(P): the real-valued polynomial 2 Re P."""
+    conj = PolyHamiltonian(P.truncation, {m.conjugate(): c.conjugate() for m, c in P.terms()})
+    return P + conj
+
+
+@lru_cache(maxsize=None)
+def _bracket_operands(name):
+    from dnls_nflab.order4 import build_F4
+
+    if name == "Qx":
+        return build_Q(3, 9)
+    if name == "F4x":
+        return build_F4(3, 9)
+    if name == "iF4x":
+        return _times_i(build_F4(3, 9))
+    if name == "B":
+        return build_B_closed_form(3)
+    if name == "F4":
+        return build_F4(3)
+    # mixed denominators, both parts nonzero; real valued or not
+    rng = np.random.default_rng(31)
+    P = _random_poly(rng, M=3, max_terms=6, degrees=(2, 4, 6))
+    P = P + PolyHamiltonian(3, {m: ExactCoeff(Fraction(1, 29 - i), Fraction(i, 7), 0)
+                                for i, (m, _) in enumerate(P.terms())})
+    return _real_part(P) if name == "random_real" else P
+
+
+@pytest.mark.parametrize(
+    "h, f, support_bound",
+    [
+        ("Qx", "F4x", 3),
+        ("Qx", "F4x", None),
+        ("Qx", "iF4x", 3),
+        ("iF4x", "Qx", None),
+        ("B", "F4", None),
+        ("random_real", "F4", None),
+        ("random_real", "B", 2),
+        ("random", "random_real", None),
+        ("random", "F4", 2),
+    ],
+)
+def test_bracket_matches_naive_reference(h, f, support_bound):
+    H, F = _bracket_operands(h), _bracket_operands(f)
+    got = bracket(H, F, support_bound=support_bound)
+    want = _reference_bracket(H, F, support_bound)
+    assert got == want and got.truncation == want.truncation
+    assert not got.is_zero
+    if H.is_real_valued() and F.is_real_valued():
+        assert got.is_real_valued()
+
+
+def test_bracket_of_real_degree_one_pair_is_a_real_constant():
+    # {q1 + qbar1, i q1 - i qbar1} = -i (1 (-i) - 1 i) = -2, on the
+    # self-conjugate constant monomial
+    H = PolyHamiltonian.from_terms(
+        1, [(Monomial.of((1,), ()), ExactCoeff.real(1)), (Monomial.of((), (1,)), ExactCoeff.real(1))]
+    )
+    F = PolyHamiltonian.from_terms(
+        1, [(Monomial.of((1,), ()), ExactCoeff.imag(1)), (Monomial.of((), (1,)), ExactCoeff.imag(-1))]
+    )
+    assert H.is_real_valued() and F.is_real_valued()
+    out = bracket(H, F)
+    assert out == PolyHamiltonian.from_terms(1, [(Monomial.of((), ()), ExactCoeff.real(-2))])
+    assert out == _reference_bracket(H, F)
+
+
+def test_bracket_rejects_colliding_pi_powers_of_real_operands():
+    # {|q1|^2 + |q2|^2/pi, q1 qbar2 + q2 qbar1}: q1 qbar2 collects i/pi from
+    # the q2 contraction and -i from the q1 contraction
+    H = PolyHamiltonian.from_terms(
+        2,
+        [
+            (Monomial.of((1,), (1,)), ExactCoeff.real(1)),
+            (Monomial.of((2,), (2,)), ExactCoeff.real(1, pi_power=1)),
+        ],
+    )
+    F = PolyHamiltonian.from_terms(
+        2, [(Monomial.of((1,), (2,)), ExactCoeff.real(1)), (Monomial.of((2,), (1,)), ExactCoeff.real(1))]
+    )
+    assert H.is_real_valued() and F.is_real_valued()
+    with pytest.raises(ValueError, match="pi powers"):
+        bracket(H, F)
+    with pytest.raises(ValueError):
+        _reference_bracket(H, F)
+
+
 # -- numeric evaluation -----------------------------------------------------------
 
 
