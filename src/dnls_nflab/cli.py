@@ -440,30 +440,40 @@ def _load_config(path: str) -> dict:
     return conf
 
 
-def _int_ranges() -> dict[str, dict[str, tuple[int, int | None]]]:
-    """Inclusive (low, high) range of each integer option, per subcommand;
-    high None is unbounded.  The lows are the smallest values the library
-    calls accept; a divisor bound above QUAD_INT64_MAX_ABS would overflow
-    the int64 audit, and a seed is a Philox key, below 2**128."""
+def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
+    """(low, high, closed) range of each bounded numeric option, per
+    subcommand; high None is unbounded.  The integer ranges are closed: the
+    lows are the smallest values the library calls accept, a divisor bound
+    above QUAD_INT64_MAX_ABS would overflow the int64 audit, and a seed is a
+    Philox key, below 2**128.  The float ranges are open: a time step must
+    be positive and an amplitude lies strictly between 0 and 1."""
     from .order4 import QUAD_INT64_MAX_ABS
 
-    seed = (0, 2**128 - 1)
+    seed = (0, 2**128 - 1, True)
+    modes = (1, None, True)
+    dt = (0.0, None, False)
     return {
-        "nf4": {"modes": (1, None), "divisor_bound": (1, QUAD_INT64_MAX_ABS)},
-        "nf6": {"modes": (2, None)},
-        "identities": {"bound": (1, None), "random": (0, None), "seed": seed},
-        "simulate": {"modes": (1, None)},
-        "stability": {"modes": (1, None), "seed": seed},
-        "verify-all": {"modes": (2, None), "seed": seed},
+        "nf4": {"modes": modes, "divisor_bound": (1, QUAD_INT64_MAX_ABS, True)},
+        "nf6": {"modes": (2, None, True)},
+        "identities": {"bound": (1, None, True), "random": (0, None, True), "seed": seed},
+        "simulate": {"modes": modes, "dt": dt},
+        "stability": {"modes": modes, "seed": seed, "dt": dt, "eps": (0.0, 1.0, False)},
+        "verify-all": {"modes": (2, None, True), "seed": seed},
     }
 
 
 def _check_ranges(args: argparse.Namespace) -> argparse.Namespace:
-    """Raise UsageError for an integer option outside its range."""
-    for name, (low, high) in _int_ranges()[args.subcommand].items():
+    """Raise UsageError for a numeric option outside its range (NaN is
+    outside every open range)."""
+    for name, (low, high, closed) in _option_ranges()[args.subcommand].items():
         value = getattr(args, name)
-        if value < low or (high is not None and value > high):
+        if closed:
+            inside = low <= value and (high is None or value <= high)
             span = f"at least {low}" if high is None else f"between {low} and {high}"
+        else:
+            inside = low < value and (high is None or value < high)
+            span = f"greater than {low:g}" if high is None else f"strictly between {low:g} and {high:g}"
+        if not inside:
             raise UsageError(f"--{name.replace('_', '-')} must be {span}, got {value}")
     return args
 
@@ -471,7 +481,7 @@ def _check_ranges(args: argparse.Namespace) -> argparse.Namespace:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  A --config file supplies defaults for the
     subcommand's options, so every flag given on the command line wins.
-    An integer option outside its range is a UsageError."""
+    A numeric option outside its range is a UsageError."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is None:

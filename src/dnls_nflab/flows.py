@@ -123,6 +123,7 @@ class SpectralModel:
     def __init__(self, M: int):
         self.M = M
         self.modes = np.array(mode_range(M), dtype=np.int64)
+        self.minus_i_modes = -1j * self.modes
         need = 4 * M + 2
         n = 1
         while n < need:
@@ -130,18 +131,22 @@ class SpectralModel:
         self.n_grid = n
         self.bins = np.mod(self.modes, self.n_grid)
         self.jsq = (self.modes**2).astype(float)
+        self._scatter = np.zeros(0, dtype=complex)
 
     def to_grid(self, q: np.ndarray) -> np.ndarray:
-        buf = np.zeros(q.shape[:-1] + (self.n_grid,), dtype=complex)
-        buf[..., self.bins] = q
-        return np.fft.ifft(buf, axis=-1) * (self.n_grid / math.sqrt(TWO_PI))
+        # one zero buffer per batch shape: only the window bins are ever written
+        shape = q.shape[:-1] + (self.n_grid,)
+        if self._scatter.shape != shape:
+            self._scatter = np.zeros(shape, dtype=complex)
+        self._scatter[..., self.bins] = q
+        return np.fft.ifft(self._scatter, axis=-1) * (self.n_grid / math.sqrt(TWO_PI))
 
     def nonlinear(self, q: np.ndarray) -> np.ndarray:
         """Derivative nonlinearity in mode coordinates: -i j (|u|^2 u)^_j."""
         u = self.to_grid(q)
         w = (np.abs(u) ** 2) * u
         w_hat = np.fft.fft(w, axis=-1)[..., self.bins] * (math.sqrt(TWO_PI) / self.n_grid)
-        return -1j * self.modes * w_hat
+        return self.minus_i_modes * w_hat
 
     def rhs(self, q: np.ndarray) -> np.ndarray:
         return -1j * self.jsq * q + self.nonlinear(q)
@@ -217,15 +222,34 @@ def evolve_vec(
     if cfg.scheme == "rk4-integrating-factor":
         E = np.exp(-1j * model.jsq * h)
         Eh = np.exp(-1j * model.jsq * (h / 2))
+        h_Eh, two_Eh = h * Eh, 2 * Eh
 
         def step(q):
-            if nonlinear:
-                k1 = model.nonlinear(q)
-                k2 = model.nonlinear(Eh * (q + (h / 2) * k1))
-                k3 = model.nonlinear(Eh * q + (h / 2) * k2)
-                k4 = model.nonlinear(E * q + h * Eh * k3)
-                return E * q + (h / 6) * (E * k1 + 2 * Eh * (k2 + k3) + k4)
-            return E * q
+            # E q + (h/6)(E k1 + 2 Eh (k2 + k3) + k4) with the stages
+            #   k2 = N(Eh (q + (h/2) k1)), k3 = N(Eh q + (h/2) k2),
+            #   k4 = N(E q + h Eh k3),
+            # reusing temporaries.  Only additions are swapped: the complex
+            # products keep their operand order, which can set the last bit.
+            Eq = E * q
+            if not nonlinear:
+                return Eq
+            k1 = model.nonlinear(q)
+            x = (h / 2) * k1
+            x += q
+            k2 = model.nonlinear(np.multiply(Eh, x, out=x))
+            x = Eh * q
+            x += (h / 2) * k2
+            k3 = model.nonlinear(x)
+            x = h_Eh * k3
+            x += Eq
+            k4 = model.nonlinear(x)
+            k2 += k3
+            x = E * k1
+            x += np.multiply(two_Eh, k2, out=k2)
+            x += k4
+            np.multiply(h / 6, x, out=x)
+            x += Eq
+            return x
 
     else:
         rhs = model.rhs if nonlinear else (lambda v: -1j * model.jsq * v)

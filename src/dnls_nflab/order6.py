@@ -140,27 +140,39 @@ def split_r6(r6: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
     """(action part, non-resonant non-normal part) of R6.
 
     Raises if any stored non-normal term has zero divisor; such a term would
-    be a resonant survivor and signals a classification bug.
+    be a resonant survivor and signals a classification bug.  The checked
+    pair is kept in r6's cache (a polynomial's terms never change after
+    construction), so the split is computed once per R6 however many of
+    build_F6, qtilde0_crosscheck and the callers ask for it.
     """
-    normal, rest = split_normal(r6)
-    for mono, coeff in rest.terms():
-        if mono.square_divisor() == 0:
-            raise ArithmeticError(
-                f"resonant term {mono} with coefficient {coeff} survived in R6"
-            )
-    return normal, rest
+    split = r6._cache.get("split_r6")
+    if split is None:
+        normal, rest = split_normal(r6)
+        for mono, coeff in rest._coeffs.items():
+            if mono.square_divisor() == 0:
+                raise ArithmeticError(
+                    f"resonant term {mono} with coefficient {coeff} survived in R6"
+                )
+        split = r6._cache["split_r6"] = (normal, rest)
+    return split
 
 
 def build_F6(M: int, r6: PolyHamiltonian | None = None) -> PolyHamiltonian:
-    """Sextic generator: i/(square divisor) times the non-resonant part."""
+    """Sextic generator: i/(square divisor) times the non-resonant part.
+
+    One coefficient per term of the split of R6 (split_r6, computed once per
+    R6), so F6 solves {Lambda, F6} = -Qtilde term by term.
+    """
     if r6 is None:
         r6 = compute_R6(M)
+    if r6.truncation > M:
+        raise ValueError(f"R6 of truncation {r6.truncation} exceeds M = {M}")
     _, qtilde = split_r6(r6)
-    items = []
-    for mono, coeff in qtilde.terms():
+    coeffs = {}
+    for mono, c in qtilde._coeffs.items():
         d = mono.square_divisor()
-        items.append((mono, coeff.mul_imag_int(1).scaled(Fraction(1, d))))
-    return PolyHamiltonian.from_terms(M, items)
+        coeffs[mono] = ExactCoeff(-c.im / d if c.im else c.im, c.re / d if c.re else c.re, c.pi_power)
+    return PolyHamiltonian(M, coeffs)
 
 
 # -- sextuple small-divisor bound ------------------------------------------------------

@@ -22,6 +22,13 @@ valued operands the dH/dqbar dF/dq pass is the conjugate of the dH/dq
 dF/dqbar pass, so only the latter runs and is folded onto the conjugate
 monomials once.
 
+A diagonal operand, sum_n h_n q_n qbar_n as Lambda, needs no pairs: its
+bracket with F multiplies each term c m of F by i w(m), with
+w(m) = sum_n n h_n (alpha_n(m) - beta_n(m)) over the multiplicities of n in
+the plus and minus slots of m, so it costs one step per term of F, again
+in int numerators over the two common denominators.  For Lambda, w(m) is the
+square divisor of m, which is how {Lambda, F6} = -Qtilde is checked.
+
 The numeric value, vector field and gradients share one product kernel.
 Each compiles a polynomial once per dtype into rows: one per term for the
 value, one per derivative term for the others, each an output component,
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -253,6 +261,72 @@ def _contraction_index(P: PolyHamiltonian, slot: str, scale: int) -> dict[int, l
     return index
 
 
+def _diagonal_weights(P: PolyHamiltonian) -> dict[int, ExactCoeff] | None:
+    """n -> h_n if P = sum_n h_n q_n qbar_n (every monomial diagonal), else None."""
+    weights = {}
+    for mono, c in P._coeffs.items():
+        if len(mono.plus) != 1 or mono.plus != mono.minus:
+            return None
+        weights[mono.plus[0]] = c
+    return weights
+
+
+def _diagonal_bracket(
+    weights: dict[int, ExactCoeff], F: PolyHamiltonian, bound: float, sign: int
+) -> PolyHamiltonian:
+    """sign * {D, F} for the diagonal D = sum_n h_n q_n qbar_n.
+
+    {D, F} multiplies each term c m of F by i w(m), where
+    w(m) = sum_n n h_n (alpha_n(m) - beta_n(m)) and alpha_n, beta_n count n
+    among the plus and minus slots of m.  As in the pair loop, the parts of
+    n h_n are ints over D's common denominator and those of c over F's, so a
+    term costs a few int sums and products, and each output part is one
+    Fraction over the product of the two denominators.  The output monomial
+    is m itself, so the support bound keeps the terms with max_abs(m) within
+    it.  Every n of m held by D contracts with m, so their pi powers must
+    agree, as the pair loop checks, even where w(m) is zero.
+    """
+    d_scale = math.lcm(*(x.denominator for c in weights.values() for x in (c.re, c.im)))
+    w_re, w_im = defaultdict(int), defaultdict(int)
+    for n, c in weights.items():
+        w_re[n] = n * c.re.numerator * (d_scale // c.re.denominator)
+        w_im[n] = n * c.im.numerator * (d_scale // c.im.denominator)
+    complex_weights = any(w_im.values())
+    pis = {n: c.pi_power for n, c in weights.items()}
+    pi_values = set(pis.values())
+    one_pi = len(pi_values) < 2
+    f_scale = _common_denominator(F)
+    scale = d_scale * f_scale
+
+    def part(x):
+        return Fraction(x, scale) if x else ZERO.re
+
+    def weight(w, mono):
+        return sum(map(w.__getitem__, mono.plus)) - sum(map(w.__getitem__, mono.minus))
+
+    out = {}
+    for mono, c in F._coeffs.items():
+        if bound < math.inf and mono.max_abs() > bound:
+            continue
+        held = pi_values if one_pi else {pis[n] for n in mono.plus + mono.minus if n in pis}
+        if len(held) > 1:
+            lo, hi = min(held) + c.pi_power, max(held) + c.pi_power
+            raise ValueError(f"pi powers {lo} and {hi} meet on {(mono.plus, mono.minus)}")
+        wr = weight(w_re, mono)
+        wi = weight(w_im, mono) if complex_weights else 0
+        if not (wr or wi):
+            continue
+        x = c.re.numerator * (f_scale // c.re.denominator)
+        y = c.im.numerator * (f_scale // c.im.denominator)
+        # i (wr + i wi)(x + i y) = -(wr y + wi x) + i (wr x - wi y)
+        out[mono] = ExactCoeff(
+            part(-sign * (wr * y + wi * x)),
+            part(sign * (wr * x - wi * y)),
+            next(iter(held)) + c.pi_power,
+        )
+    return PolyHamiltonian(min(F.truncation, bound), out)
+
+
 def bracket(
     H: PolyHamiltonian,
     F: PolyHamiltonian,
@@ -260,9 +334,15 @@ def bracket(
 ) -> PolyHamiltonian:
     """Exact weighted Poisson bracket {H, F}.
 
-    Each operand's parts are ints over its common denominator D.  Every
-    product term pairs an entry of _contraction_index(H) with one of F for
-    the same n, at the cost of one int product and one int add: -i n
+    If either operand is diagonal, sum_n h_n q_n qbar_n as Lambda is, the
+    bracket is a per-term product and no pairs are formed: {D, F} is
+    i w(m) c m for each term c m of F, w(m) = sum_n n h_n (alpha_n(m) -
+    beta_n(m)), and {F, D} = -{D, F} (see _diagonal_bracket).  For Lambda,
+    w(m) is the square divisor of m.
+
+    Otherwise each operand's parts are ints over its common denominator D.
+    Every product term pairs an entry of _contraction_index(H) with one of F
+    for the same n, at the cost of one int product and one int add: -i n
     (dH/dq_n dF/dqbar_n) or +i n (dH/dqbar_n dF/dq_n), whose phase picks the
     output's real or imaginary part.  Each output part is one Fraction over
     D_H D_F.  If both operands are real valued the second pass is the
@@ -276,6 +356,10 @@ def bracket(
     if H.truncation != F.truncation:
         raise ValueError("truncation mismatch")
     bound = math.inf if support_bound is None else support_bound
+    for D, G, sign in ((H, F, 1), (F, H, -1)):
+        weights = _diagonal_weights(D)
+        if weights is not None:
+            return _diagonal_bracket(weights, G, bound, sign)
     real = H.is_real_valued() and F.is_real_valued()
     h_scale, f_scale = _common_denominator(H), _common_denominator(F)
 

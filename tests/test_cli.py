@@ -222,11 +222,43 @@ def test_out_of_range_integer_option_is_usage_error(capsys, argv, message):
     assert message in captured.err
 
 
+STABILITY = ["stability", "--s", "3", "--eps", "0.3", "--modes", "4"]
+SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, conf, message",
+    [
+        (SIMULATE + ["--dt", "0"], None, "--dt must be greater than 0, got 0.0"),
+        (STABILITY + ["--dt", "0"], None, "--dt must be greater than 0, got 0.0"),
+        (STABILITY + ["--eps", "-0.3"], None, "--eps must be strictly between 0 and 1, got -0.3"),
+        (STABILITY + ["--eps", "1"], None, "--eps must be strictly between 0 and 1, got 1.0"),
+        (STABILITY + ["--dt", "nan"], None, "--dt must be greater than 0, got nan"),
+        (["simulate", "--modes", "4", "--init", "planewave:1,0.1"], {"dt": -1e-3},
+         "--dt must be greater than 0, got -0.001"),
+        (["stability", "--s", "3", "--eps", "0.3"], {"dt": 0}, "--dt must be greater than 0, got 0"),
+    ],
+    ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
+         "simulate-dt-config", "stability-dt-config"],
+)
+def test_out_of_range_float_option_is_usage_error(tmp_path, capsys, argv, conf, message):
+    if conf is not None:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        argv = ["--config", str(path)] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert message in captured.err
+
+
 def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
     from dnls_nflab.order4 import QUAD_INT64_MAX_ABS
 
     assert parse_args(["nf4", "--divisor-bound", str(QUAD_INT64_MAX_ABS)]).divisor_bound == 344
     assert parse_args(["verify-all", "--modes", "2"]).modes == 2
+    assert parse_args(STABILITY + ["--eps", "0.999", "--dt", "1e-9"]).eps == 0.999
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"modes": 1}))
     assert main(["--config", str(conf), "verify-all"]) == 2

@@ -27,7 +27,14 @@ from dnls_nflab.order6 import (
     tau_bound_check,
     verify_Ktilde_zero,
 )
-from dnls_nflab.poly import Monomial, PolyHamiltonian, bracket, build_lambda, poly_to_records
+from dnls_nflab.poly import (
+    Monomial,
+    PolyHamiltonian,
+    bracket,
+    build_lambda,
+    poly_to_records,
+    split_normal,
+)
 from dnls_nflab.states import alternating_sum, zero_momentum_sextuples
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,6 +53,7 @@ def test_exact_records_match_golden_digests(r6_at_8):
     assert _records_digest(build_F6(M, r6)) == golden["build_F6"]
     assert _records_digest(build_K(M)) == golden["build_K"]
     assert _records_digest(r6_at_8) == golden["compute_R6_M8"]
+    assert _records_digest(build_F6(8, r6_at_8)) == golden["build_F6_M8"]
 
 
 # -- tau -------------------------------------------------------------------------
@@ -224,6 +232,20 @@ def test_split_r6_refuses_resonant_survivor():
     )
     with pytest.raises(ArithmeticError):
         split_r6(bad)
+    # a refused split is not cached
+    with pytest.raises(ArithmeticError):
+        split_r6(bad)
+
+
+def test_build_F6_rejects_r6_beyond_its_truncation():
+    with pytest.raises(ValueError):
+        build_F6(3, compute_R6(4))
+
+
+def test_split_r6_is_computed_once_and_equals_split_normal(r6_at_8):
+    split = split_r6(r6_at_8)
+    assert split_r6(r6_at_8) is split
+    assert split == split_normal(r6_at_8)
 
 
 def test_f6_growth_audit_regression(r6_at_8):

@@ -285,6 +285,18 @@ def _bracket_operands(name):
         return build_B_closed_form(3)
     if name == "F4":
         return build_F4(3)
+    if name in ("lam3", "lam9"):
+        return build_lambda(int(name[3:]))
+    if name == "diag":
+        # diagonal, mixed denominators, both parts nonzero, pi power 1
+        return PolyHamiltonian.from_terms(
+            3,
+            [
+                (Monomial.of((j,), (j,)), ExactCoeff(Fraction(j, 5 - j), Fraction(-1, j + 4), 1))
+                for j in mode_range(3)
+                if j != 1
+            ],
+        )
     # mixed denominators, both parts nonzero; real valued or not
     rng = np.random.default_rng(31)
     P = _random_poly(rng, M=3, max_terms=6, degrees=(2, 4, 6))
@@ -305,6 +317,23 @@ def _bracket_operands(name):
         ("random_real", "B", 2),
         ("random", "random_real", None),
         ("random", "F4", 2),
+        # a diagonal operand takes the per-term path, on either side
+        ("lam9", "F4x", None),
+        ("lam9", "F4x", 3),
+        ("F4x", "lam9", None),
+        ("F4x", "lam9", 3),
+        ("lam3", "random", None),
+        ("lam3", "random", 2),
+        ("random", "lam3", None),
+        ("random", "lam3", 2),
+        ("lam3", "random_real", None),
+        ("lam3", "random_real", 2),
+        ("random_real", "lam3", None),
+        ("random_real", "lam3", 2),
+        ("diag", "random", None),
+        ("random_real", "diag", 2),
+        ("diag", "F4", None),
+        ("lam3", "lam3", None),
     ],
 )
 def test_bracket_matches_naive_reference(h, f, support_bound):
@@ -312,7 +341,8 @@ def test_bracket_matches_naive_reference(h, f, support_bound):
     got = bracket(H, F, support_bound=support_bound)
     want = _reference_bracket(H, F, support_bound)
     assert got == want and got.truncation == want.truncation
-    assert not got.is_zero
+    # {P, P} = 0; every other case here has a nonzero bracket
+    assert got.is_zero == (h == f)
     if H.is_real_valued() and F.is_real_valued():
         assert got.is_real_valued()
 
@@ -350,6 +380,35 @@ def test_bracket_rejects_colliding_pi_powers_of_real_operands():
         bracket(H, F)
     with pytest.raises(ValueError):
         _reference_bracket(H, F)
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [
+        ((1, 2), (3, 3)),  # weights 1 and 2/pi add up
+        ((1, 2), (1, 2)),  # weights cancel, but both contractions still meet
+        ((1, 3), (2, 2)),  # 1 and -4/pi
+    ],
+)
+def test_diagonal_bracket_rejects_colliding_pi_powers_like_the_pair_loop(plus, minus):
+    # H = |q1|^2 + |q2|^2/pi is diagonal; H + |q4|^4 is not, and its extra
+    # term contracts with nothing in F, so it runs the pair loop on the
+    # same contractions
+    H = PolyHamiltonian.from_terms(
+        4,
+        [
+            (Monomial.of((1,), (1,)), ExactCoeff.real(1)),
+            (Monomial.of((2,), (2,)), ExactCoeff.real(1, pi_power=1)),
+        ],
+    )
+    paired = H + PolyHamiltonian.from_terms(4, [(Monomial.of((4, 4), (4, 4)), ExactCoeff.real(1))])
+    F = PolyHamiltonian.from_terms(4, [(Monomial.of(plus, minus), ExactCoeff(Fraction(1, 3), Fraction(2)))])
+    for left, right in ((H, F), (F, H), (paired, F), (F, paired)):
+        with pytest.raises(ValueError, match="pi powers"):
+            bracket(left, right)
+    if max(plus + minus) > 2:
+        # outside the support bound no contraction is formed, so nothing meets
+        assert bracket(H, F, support_bound=2).is_zero
 
 
 # -- numeric evaluation -----------------------------------------------------------
