@@ -22,7 +22,7 @@ from pathlib import Path
 
 
 class UsageError(Exception):
-    """Bad user input: an integer option out of range, an init spec that
+    """Bad user input: a numeric option out of range, an init spec that
     does not parse or fit the truncation, a --config file that cannot be
     read or names an unknown option, or a report path that cannot be
     written.  Exit code 2."""
@@ -231,8 +231,8 @@ def _parse_init(spec: str, M: int):
 
 
 def cmd_simulate(args) -> int:
-    from .flows import FlowConfig, dnls_evolve
-    from .states import state_to_json
+    from .flows import FlowConfig, evolve_vec
+    from .states import FourierState, state_to_json
 
     M = args.modes
     track = tuple(float(s) for s in args.track_s.split(",")) if args.track_s else ()
@@ -240,23 +240,18 @@ def cmd_simulate(args) -> int:
     for path in (args.out, args.dump_final):
         if path:
             _check_writable(path)
-    cfg = FlowConfig(
-        dt=args.dt,
-        t_end=args.t_end,
-        scheme=args.scheme,
-        record_interval=args.record_interval,
-    )
-    rec = dnls_evolve(q0, cfg, track_s=track)
+    cfg = FlowConfig(dt=args.dt, t_end=args.t_end, record_interval=args.record_interval)
+    times, channels, q_final, _ = evolve_vec(q0.to_vector(), M, cfg, track_s=track)
     manifest = make_manifest(args, "report-only")
     header = ["time", "mass", "momentum", "energy"] + [f"norm_s={s:g}" for s in track]
     rows = []
-    for i, t in enumerate(rec.times):
-        row = [f"{t:.12g}", *(f"{rec.channels[c][i]:.16e}" for c in ("mass", "momentum", "energy"))]
-        row += [f"{rec.channels[f'norm_s{s:g}'][i]:.16e}" for s in track]
+    for i, t in enumerate(times):
+        row = [f"{t:.12g}", *(f"{channels[c][i]:.16e}" for c in ("mass", "momentum", "energy"))]
+        row += [f"{channels[f'norm_s{s:g}'][i]:.16e}" for s in track]
         rows.append(row)
     write_csv(args.out, manifest, header, rows)
     if args.dump_final:
-        write_text(args.dump_final, state_to_json(rec.final))
+        write_text(args.dump_final, state_to_json(FourierState.from_vector(q_final, M)))
     print(f"trajectory written to {args.out} ({len(rows)} records)")
     return 0
 
@@ -403,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t-end", type=float, default=10.0)
     ps.add_argument("--init", type=str, required=True, help="state JSON file or planewave:k,A")
     ps.add_argument("--track-s", type=str, default="")
-    ps.add_argument("--scheme", type=str, default="rk4-integrating-factor")
     ps.add_argument("--record-interval", type=float, default=None)
     ps.add_argument("--out", type=str, default="trajectory.csv")
     ps.add_argument("--dump-final", type=str, default=None)
@@ -480,13 +474,23 @@ def _check_ranges(args: argparse.Namespace) -> argparse.Namespace:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  A --config file supplies defaults for the
-    subcommand's options, so every flag given on the command line wins.
-    A numeric option outside its range is a UsageError."""
+    subcommand's options, so every flag given on the command line wins and
+    a required option may come from the file instead.  A numeric option
+    outside its range is a UsageError."""
     parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # the first parse only finds the subcommand and --config, so it must not
+    # demand an option that the config file may still supply
+    required = [
+        action
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if action.required
+    ]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
-    if args.config is None:
-        return _check_ranges(args)
-    conf = _load_config(args.config)
+    conf = {} if args.config is None else _load_config(args.config)
     options = set(vars(args)) - {"config", "subcommand", "func"}
     unknown = sorted(set(conf) - options)
     if unknown:
@@ -494,7 +498,8 @@ def parse_args(argv=None) -> argparse.Namespace:
             f"--config {args.config!r} has keys that {args.subcommand} does not take: "
             + ", ".join(unknown)
         )
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in required:
+        action.required = conf.get(action.dest) is None
     subparsers.choices[args.subcommand].set_defaults(**conf)
     return _check_ranges(parser.parse_args(argv))
 

@@ -47,14 +47,16 @@ class StepBudgetError(FlowError):
     pass
 
 
+# the most Lawson steps one PDE integration may take
+MAX_STEPS = 20_000_000
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float = 0.02
     t_end: float = 1.0
-    scheme: str = "rk4-integrating-factor"
     tolerance: float = 1e-12
     max_refinements: int = 14
-    max_steps: int = 20_000_000
     record_interval: float | None = None
 
     def __post_init__(self):
@@ -62,8 +64,6 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.scheme not in ("rk4-integrating-factor", "rk4-plain"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 # -- polynomial generator flows ------------------------------------------------------
@@ -148,9 +148,6 @@ class SpectralModel:
         w_hat = np.fft.fft(w, axis=-1)[..., self.bins] * (math.sqrt(TWO_PI) / self.n_grid)
         return self.minus_i_modes * w_hat
 
-    def rhs(self, q: np.ndarray) -> np.ndarray:
-        return -1j * self.jsq * q + self.nonlinear(q)
-
     def quartic_energy(self, q: np.ndarray) -> np.ndarray:
         u = self.to_grid(q)
         return 0.5 * (TWO_PI / self.n_grid) * np.sum(np.abs(u) ** 4, axis=-1)
@@ -168,22 +165,11 @@ def spectral_model(M: int) -> SpectralModel:
     return _models[M]
 
 
-@dataclass
-class TrajectoryRecord:
-    times: np.ndarray
-    channels: dict[str, np.ndarray]
-    final: FourierState
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.channels[name]
-
-
-def _channel_values(model, q, track_s, nonlinear):
+def _channel_values(model, q, track_s):
     out = {
         "mass": np.sum(np.abs(q) ** 2, axis=-1),
         "momentum": np.sum(model.modes * np.abs(q) ** 2, axis=-1),
-        "energy": np.sum(model.modes * np.abs(q) ** 2, axis=-1)
-        + (model.quartic_energy(q) if nonlinear else 0.0),
+        "energy": np.sum(model.modes * np.abs(q) ** 2, axis=-1) + model.quartic_energy(q),
     }
     for s in track_s:
         out[f"norm_s{s:g}"] = np.sqrt(model.sobolev_sq(q, s))
@@ -195,23 +181,23 @@ def evolve_vec(
     M: int,
     cfg: FlowConfig,
     track_s: tuple[float, ...] = (),
-    nonlinear: bool = True,
 ):
-    """Integrate the Galerkin system from a dense (possibly batched) vector.
+    """Integrate the Galerkin system from a dense (possibly batched) vector
+    with the Lawson RK4 step.
 
     Returns (times, channels, q_final, snapshots): channel arrays have shape
     (n_records, *batch) and snapshots holds a copy of the state at each
     record point.  Raises BlowupError if the l2 norm exceeds 1000x its
     initial value or is not finite, and StepBudgetError if the step count
-    exceeds the budget.
+    exceeds MAX_STEPS.
     """
     model = spectral_model(M)
     q = np.array(q0, dtype=complex)
     t_end = cfg.t_end
     n_steps = max(1, round(abs(t_end) / cfg.dt))
-    if n_steps > cfg.max_steps:
+    if n_steps > MAX_STEPS:
         raise StepBudgetError(
-            f"{n_steps} steps needed, budget is {cfg.max_steps}"
+            f"{n_steps} steps needed, budget is {MAX_STEPS}"
         )
     h = t_end / n_steps
     interval = cfg.record_interval
@@ -219,47 +205,38 @@ def evolve_vec(
         interval = max(abs(h), abs(t_end) / 1024)
     stride = max(1, round(interval / abs(h)))
 
-    if cfg.scheme == "rk4-integrating-factor":
-        E = np.exp(-1j * model.jsq * h)
-        Eh = np.exp(-1j * model.jsq * (h / 2))
-        h_Eh, two_Eh = h * Eh, 2 * Eh
+    E = np.exp(-1j * model.jsq * h)
+    Eh = np.exp(-1j * model.jsq * (h / 2))
+    h_Eh, two_Eh = h * Eh, 2 * Eh
 
-        def step(q):
-            # E q + (h/6)(E k1 + 2 Eh (k2 + k3) + k4) with the stages
-            #   k2 = N(Eh (q + (h/2) k1)), k3 = N(Eh q + (h/2) k2),
-            #   k4 = N(E q + h Eh k3),
-            # reusing temporaries.  Only additions are swapped: the complex
-            # products keep their operand order, which can set the last bit.
-            Eq = E * q
-            if not nonlinear:
-                return Eq
-            k1 = model.nonlinear(q)
-            x = (h / 2) * k1
-            x += q
-            k2 = model.nonlinear(np.multiply(Eh, x, out=x))
-            x = Eh * q
-            x += (h / 2) * k2
-            k3 = model.nonlinear(x)
-            x = h_Eh * k3
-            x += Eq
-            k4 = model.nonlinear(x)
-            k2 += k3
-            x = E * k1
-            x += np.multiply(two_Eh, k2, out=k2)
-            x += k4
-            np.multiply(h / 6, x, out=x)
-            x += Eq
-            return x
-
-    else:
-        rhs = model.rhs if nonlinear else (lambda v: -1j * model.jsq * v)
-
-        def step(q):
-            return _rk4_step(rhs, q, h)
+    def step(q):
+        # E q + (h/6)(E k1 + 2 Eh (k2 + k3) + k4) with the stages
+        #   k2 = N(Eh (q + (h/2) k1)), k3 = N(Eh q + (h/2) k2),
+        #   k4 = N(E q + h Eh k3),
+        # reusing temporaries.  Only additions are swapped: the complex
+        # products keep their operand order, which can set the last bit.
+        Eq = E * q
+        k1 = model.nonlinear(q)
+        x = (h / 2) * k1
+        x += q
+        k2 = model.nonlinear(np.multiply(Eh, x, out=x))
+        x = Eh * q
+        x += (h / 2) * k2
+        k3 = model.nonlinear(x)
+        x = h_Eh * k3
+        x += Eq
+        k4 = model.nonlinear(x)
+        k2 += k3
+        x = E * k1
+        x += np.multiply(two_Eh, k2, out=k2)
+        x += k4
+        np.multiply(h / 6, x, out=x)
+        x += Eq
+        return x
 
     initial_l2 = np.sqrt(np.max(np.sum(np.abs(q) ** 2, axis=-1)))
     times = [0.0]
-    recs = [_channel_values(model, q, track_s, nonlinear)]
+    recs = [_channel_values(model, q, track_s)]
     snapshots = [q.copy()]
     for i in range(1, n_steps + 1):
         q = step(q)
@@ -272,27 +249,12 @@ def evolve_vec(
                     f"(initial {initial_l2:.3e}); aborting"
                 )
             times.append(t)
-            recs.append(_channel_values(model, q, track_s, nonlinear))
+            recs.append(_channel_values(model, q, track_s))
             snapshots.append(q.copy())
     channels = {
         name: np.array([r[name] for r in recs]) for name in recs[0]
     }
     return np.array(times), channels, q, snapshots
-
-
-def dnls_evolve(
-    q0: FourierState,
-    cfg: FlowConfig,
-    track_s: tuple[float, ...] = (),
-    nonlinear: bool = True,
-) -> TrajectoryRecord:
-    """Evolve a state under the truncated equation, tracking conserved and
-    norm channels at the configured record cadence."""
-    M = q0.truncation
-    times, channels, q_final, _ = evolve_vec(
-        q0.to_vector(), M, cfg, track_s=track_s, nonlinear=nonlinear
-    )
-    return TrajectoryRecord(times, channels, FourierState.from_vector(q_final, M))
 
 
 # -- normal-form machinery bundle ----------------------------------------------------------
@@ -389,11 +351,10 @@ def transformed_hamiltonian_residual(
 def scaling_base_state(
     M: int,
     seed: int,
-    decay: float = 2.0,
     norm: float = 1.0,
     support_radius: int | None = None,
 ) -> FourierState:
-    """Reproducible smooth profile: |j|^-decay with random phases, l2-normalized.
+    """Reproducible smooth profile: |j|^-2 with random phases, l2-normalized.
 
     support_radius restricts the populated modes to |j| <= radius inside the
     larger truncation M.
@@ -403,7 +364,7 @@ def scaling_base_state(
     modes = mode_range(radius)
     phases = rng.uniform(0.0, TWO_PI, size=len(modes))
     amp = {
-        j: abs(j) ** (-decay) * np.exp(1j * p) for j, p in zip(modes, phases)
+        j: abs(j) ** (-2.0) * np.exp(1j * p) for j, p in zip(modes, phases)
     }
     scale = norm / math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
     return FourierState({j: v * scale for j, v in amp.items()}, M)

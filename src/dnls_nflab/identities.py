@@ -199,11 +199,7 @@ def _canonical_pair(x: tuple[int, ...], y: tuple[int, ...]):
     return min(im for im in _images(x, y) if sum(im[0]) >= 0)
 
 
-def enumerate_triple_pairs(
-    bound: int,
-    nonzero_entries: bool = False,
-    positive_only: bool = False,
-) -> list[TriplePair]:
+def enumerate_triple_pairs(bound: int) -> list[TriplePair]:
     """All integer pairs with entries in [-bound, bound] satisfying the
     hypotheses, up to permutations, triple swap and global negation.
 
@@ -212,13 +208,7 @@ def enumerate_triple_pairs(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    if positive_only:
-        values = range(1, bound + 1)
-    elif nonzero_entries:
-        values = [v for v in range(-bound, bound + 1) if v != 0]
-    else:
-        values = range(-bound, bound + 1)
-    values = list(values)
+    values = list(range(-bound, bound + 1))
 
     buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for triple in itertools.combinations_with_replacement(values, 3):

@@ -54,7 +54,9 @@ def build_K(M: int) -> PolyHamiltonian:
 def _resonant_classes(M: int):
     """Each resonant class once, as the sorted distinct images (x, y), (y, x),
     (-x, -y), (-y, -x) of one pair of sorted nonzero triples with |entries| <= M."""
-    for pair in enumerate_triple_pairs(M, nonzero_entries=True):
+    for pair in enumerate_triple_pairs(M):
+        if 0 in pair.x or 0 in pair.y:
+            continue
         x = tuple(int(v) for v in pair.x)
         y = tuple(int(v) for v in pair.y)
         yield sorted(set(_images(x, y)))

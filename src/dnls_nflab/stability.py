@@ -216,8 +216,6 @@ class StabilityReport:
 def stability_ensemble(
     run: StabilityRun,
     seeds: tuple[int, ...],
-    nonlinear: bool = True,
-    max_steps: int = 20_000_000,
 ) -> list[StabilityReport]:
     """Evolve random eps-sized data to t = eps^(-horizon_exponent) for
     several seeds in a single batched integration, and report the worst
@@ -228,7 +226,6 @@ def stability_ensemble(
         dt=run.dt,
         t_end=horizon,
         record_interval=max(run.dt, horizon / 2048),
-        max_steps=max_steps,
     )
     batch = np.stack(
         [
@@ -237,9 +234,7 @@ def stability_ensemble(
         ]
     )
     try:
-        times, channels, _, _ = evolve_vec(
-            batch, run.M, cfg, track_s=(run.s,), nonlinear=nonlinear
-        )
+        times, channels, _, _ = evolve_vec(batch, run.M, cfg, track_s=(run.s,))
     except StepBudgetError as exc:
         return [
             StabilityReport(

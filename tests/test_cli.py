@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dnls_nflab.cli import main, parse_args
+from dnls_nflab.cli import _option_ranges, build_parser, main, parse_args
 
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "cli_reports_sha256.json"
 
@@ -265,6 +266,56 @@ def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
     assert "--modes must be at least 2, got 1" in capsys.readouterr().err
 
 
+def test_required_options_can_come_from_config(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"eps": 0.3}))
+    args = parse_args(["--config", str(conf), "stability", "--s", "3"])
+    assert (args.s, args.eps) == (3.0, 0.3)
+    conf.write_text(json.dumps({"s": 2, "eps": 0.2}))
+    args = parse_args(["--config", str(conf), "stability", "--eps", "0.4"])
+    assert (args.s, args.eps) == (2, 0.4)  # the flag still wins
+    conf.write_text(json.dumps({"modes": 4, "init": "planewave:1,0.1"}))
+    args = parse_args(["--config", str(conf), "simulate"])
+    assert (args.modes, args.init) == (4, "planewave:1,0.1")
+
+
+@pytest.mark.parametrize(
+    "conf, argv",
+    [
+        ({"eps": 0.3}, ["stability"]),
+        ({"s": 3}, ["stability"]),
+        ({"eps": None}, ["stability", "--s", "3"]),
+        ({"modes": 4}, ["simulate"]),
+        ({"dt": 1e-2}, ["simulate", "--init", "planewave:1,0.1"]),
+    ],
+    ids=["stability-s", "stability-eps", "stability-eps-null", "simulate-init", "simulate-modes"],
+)
+def test_required_option_missing_from_flags_and_config_exits_2(tmp_path, capsys, conf, argv):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(path)] + argv)
+    assert err.value.code == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+
+
+def test_required_option_from_config_is_range_checked(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"eps": 1.5}))
+    assert main(["--config", str(conf), "stability", "--s", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--eps must be strictly between 0 and 1, got 1.5" in captured.err
+
+
+def test_every_ranged_option_exists_on_its_subcommand():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for subcommand, ranges in _option_ranges().items():
+        dests = {a.dest for a in subparsers.choices[subcommand]._actions}
+        assert set(ranges) <= dests, (subcommand, sorted(set(ranges) - dests))
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump-final"])
 def test_unwritable_simulate_output_fails_before_integrating(tmp_path, monkeypatch, capsys, flag):
     import dnls_nflab.flows
@@ -272,7 +323,7 @@ def test_unwritable_simulate_output_fails_before_integrating(tmp_path, monkeypat
     def never(*args, **kwargs):
         raise AssertionError("integrated before checking the output paths")
 
-    monkeypatch.setattr(dnls_nflab.flows, "dnls_evolve", never)
+    monkeypatch.setattr(dnls_nflab.flows, "evolve_vec", never)
     bad = tmp_path / "no-such-dir" / "file"
     argv = ["simulate", "--modes", "4", "--init", "planewave:1,0.1", "--t-end", "100",
             "--out", str(tmp_path / "traj.csv"), flag, str(bad)]
@@ -284,12 +335,12 @@ def test_unwritable_simulate_output_fails_before_integrating(tmp_path, monkeypat
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_nonfinite_blowup_exit_code(tmp_path):
-    # plain RK4 at dt = 0.3 overflows to nan within one record interval;
+    # Lawson RK4 at dt = 0.3 overflows to nan within one record interval;
     # a non-finite norm is a blow-up, not a trajectory
     out = tmp_path / "traj.csv"
     code = main(
         ["simulate", "--modes", "16", "--init", "planewave:1,0.8", "--dt", "0.3",
-         "--t-end", "60", "--scheme", "rk4-plain", "--record-interval", "60",
+         "--t-end", "60", "--record-interval", "60",
          "--out", str(out)]
     )
     assert code == 3

@@ -8,7 +8,6 @@ from dnls_nflab.flows import (
     FlowConfig,
     FlowConvergenceError,
     StepBudgetError,
-    dnls_evolve,
     evolve_vec,
     flow_time_one_vec,
     residual_scaling,
@@ -25,8 +24,6 @@ CFG = FlowConfig(dt=0.05, tolerance=1e-12)
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(dt=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(scheme="leapfrog")
 
 
 def test_zero_generator_is_identity():
@@ -125,26 +122,11 @@ def test_conservation_drift_small():
     amp = {j: 0.3 * complex(rng.normal(), rng.normal()) / abs(j) for j in mode_range(M)}
     q0 = FourierState(amp, M)
     cfg = FlowConfig(dt=1e-3, t_end=5.0, record_interval=0.5)
-    rec = dnls_evolve(q0, cfg, track_s=(2.0,))
-    mass = rec.channel("mass")
-    energy = rec.channel("energy")
+    _, channels, _, _ = evolve_vec(q0.to_vector(), M, cfg, track_s=(2.0,))
+    mass = channels["mass"]
+    energy = channels["energy"]
     assert np.max(np.abs(mass - mass[0])) < 1e-9
     assert np.max(np.abs(energy - energy[0])) / abs(energy[0]) < 1e-8
-
-
-def test_drift_shrinks_with_dt():
-    # plain RK4 drift scales like dt^4; halving dt cuts it ~16x
-    M = 6
-    rng = np.random.default_rng(4)
-    amp = {j: 0.6 * complex(rng.normal(), rng.normal()) / abs(j) for j in mode_range(M)}
-    q0 = FourierState(amp, M).to_vector()
-    drifts = []
-    for dt in (0.02, 0.01):
-        cfg = FlowConfig(dt=dt, t_end=4.0, scheme="rk4-plain", record_interval=4.0)
-        _, ch, _, _ = evolve_vec(q0, M, cfg)
-        drifts.append(abs(ch["mass"][-1] - ch["mass"][0]))
-    factor = drifts[0] / drifts[1]
-    assert 8 < factor < 32
 
 
 def test_momentum_conserved_for_plane_wave():
@@ -152,8 +134,8 @@ def test_momentum_conserved_for_plane_wave():
     M = 4
     q0 = FourierState({k: A * math.sqrt(TWO_PI)}, M)
     cfg = FlowConfig(dt=1e-3, t_end=2.0, record_interval=0.25)
-    rec = dnls_evolve(q0, cfg)
-    mom = rec.channel("momentum")
+    _, channels, _, _ = evolve_vec(q0.to_vector(), M, cfg)
+    mom = channels["momentum"]
     assert np.max(np.abs(mom - mom[0])) < 1e-11
 
 
@@ -166,27 +148,16 @@ def test_zero_mean_structural():
 def test_blowup_guard():
     M = 16
     q0 = FourierState({1: 2.0}, M)
-    cfg = FlowConfig(dt=0.3, t_end=60.0, scheme="rk4-plain", record_interval=0.3)
+    cfg = FlowConfig(dt=0.3, t_end=60.0, record_interval=0.3)
     with pytest.raises(BlowupError):
         evolve_vec(q0.to_vector(), M, cfg)
 
 
 def test_step_budget():
     q0 = FourierState({1: 0.1}, 2)
-    cfg = FlowConfig(dt=1e-6, t_end=10.0, max_steps=1000)
+    cfg = FlowConfig(dt=1e-6, t_end=100.0)
     with pytest.raises(StepBudgetError):
         evolve_vec(q0.to_vector(), 2, cfg)
-
-
-def test_linear_scheme_is_isometry():
-    M = 8
-    rng = np.random.default_rng(5)
-    amp = {j: complex(rng.normal(), rng.normal()) for j in mode_range(M)}
-    q0 = FourierState(amp, M)
-    cfg = FlowConfig(dt=1e-2, t_end=7.0, record_interval=1.0)
-    rec = dnls_evolve(q0, cfg, track_s=(3.0,), nonlinear=False)
-    norms = rec.channel("norm_s3")
-    assert np.max(np.abs(norms / norms[0] - 1.0)) < 1e-9
 
 
 # -- residuals -----------------------------------------------------------------------

@@ -115,11 +115,11 @@ def test_enumeration_known_members():
 def test_enumeration_positive_only_distinct_picture():
     # with repeated entries allowed, positive pairs exist already at bound 6;
     # all-distinct positive pairs appear first at bound 7
-    six = enumerate_triple_pairs(6, positive_only=True)
+    six = [p for p in enumerate_triple_pairs(6) if min(p.x + p.y) > 0]
     assert all(
         len(set(p.x)) < 3 or len(set(p.y)) < 3 for p in six
     ), "every bound-6 positive pair involves a repeated entry"
-    seven = enumerate_triple_pairs(7, positive_only=True)
+    seven = [p for p in enumerate_triple_pairs(7) if min(p.x + p.y) > 0]
     assert any(
         len(set(p.x)) == 3 and len(set(p.y)) == 3 for p in seven
     )

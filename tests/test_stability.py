@@ -197,12 +197,6 @@ def test_epsilon_validation():
         StabilityRun(s=3.0, epsilon=1.5, M=8)
 
 
-def test_linear_flow_calibration():
-    run = StabilityRun(s=3.0, epsilon=0.3, M=16, horizon_exponent=2.0, seed=1, dt=2e-3)
-    rep = stability_ensemble(run, (run.seed,), nonlinear=False)[0]
-    assert abs(rep.max_ratio - 1.0) < 1e-9
-
-
 def test_short_nonlinear_sweep_passes():
     run = StabilityRun(s=3.0, epsilon=0.35, M=16, horizon_exponent=2.0, seed=1, dt=2e-3)
     rep = stability_ensemble(run, (run.seed,))[0]
@@ -220,8 +214,8 @@ def test_ensemble_matches_single():
 
 
 def test_step_budget_reported():
-    run = StabilityRun(s=3.0, epsilon=0.3, M=8, horizon_exponent=4.0, seed=1, dt=1e-4)
-    rep = stability_ensemble(run, (run.seed,), max_steps=100)[0]
+    run = StabilityRun(s=3.0, epsilon=0.1, M=8, horizon_exponent=6.0, dt=1e-3)
+    rep = stability_ensemble(run, (run.seed,))[0]
     assert rep.budget_exhausted
     assert not rep.passed
     assert "budget" in rep.message
