@@ -24,8 +24,8 @@ from pathlib import Path
 class UsageError(Exception):
     """Bad user input: a numeric option out of range, an init spec that
     does not parse or fit the truncation, a --config file that cannot be
-    read or names an unknown option, or a report path that cannot be
-    written.  Exit code 2."""
+    read, names an unknown option or holds a value of the wrong type, or a
+    report path that cannot be written.  Exit code 2."""
 
 
 def _git_describe() -> str:
@@ -81,11 +81,12 @@ def write_json(path: str, manifest: dict, data) -> None:
     write_text(path, json.dumps({"manifest": manifest, "data": data}, indent=1) + "\n")
 
 
-def _status(ok: bool, name: str, detail: str = "") -> bool:
-    line = f"{'PASS' if ok else 'FAIL'} {name}"
-    if detail:
-        line += f" ({detail})"
-    print(line)
+def _print_checks(checks) -> bool:
+    """Print each check's line as it completes; True iff every check passed."""
+    ok = True
+    for check in checks:
+        print(check)
+        ok &= check.passed
     return ok
 
 
@@ -93,32 +94,22 @@ def _status(ok: bool, name: str, detail: str = "") -> bool:
 
 
 def cmd_nf4(args) -> int:
+    from .checks import Check, order4_homological, quadruple_bound
     from .order4 import (
         build_F4,
         coefficient_growth_audit,
-        exhaustive_divisor_audit,
         f4_coefficient_bound_audit,
         iter_delta,
         divisor_bound_check,
     )
-    from .poly import bracket, build_lambda, build_Q
 
     M = args.modes
-    ok = True
-    F4 = build_F4(M)
-    residual = bracket(build_lambda(M), F4) + build_Q(M)
-    ok &= _status(residual.is_zero, "order-4 homological equation", f"M={M}")
+    ok = _print_checks([order4_homological(M)])
+    F4 = build_F4(M) if args.audit or args.dump_f4 else None
     if args.audit:
-        rep = exhaustive_divisor_audit(args.divisor_bound)
-        ok &= _status(
-            not rep["violations"],
-            "quadruple divisor bound",
-            f"{rep['checked']} tuples, |j|<={args.divisor_bound}",
-        )
         frep = f4_coefficient_bound_audit(F4)
-        ok &= _status(
-            not frep["violations"], "generator coefficient bound", f"{frep['checked']} terms"
-        )
+        bound = Check("generator coefficient bound", not frep["violations"], f"{frep['checked']} terms", frep)
+        ok &= _print_checks([quadruple_bound(args.divisor_bound), bound])
         audit = coefficient_growth_audit(F4, Fraction(1, 2), Fraction(3, 2))
         print(f"  generator growth constant: {audit.constant_raw:.6g}")
     outcome = "pass" if ok else "fail"
@@ -141,35 +132,24 @@ def cmd_nf4(args) -> int:
 
 
 def cmd_nf6(args) -> int:
+    from .checks import action_part, order6_homological, resonant_cancellation
     from .order4 import compute_R6
-    from .order6 import (
-        build_F6,
-        build_K,
-        enumerate_resonant,
-        split_r6,
-        verify_Ktilde_zero,
-        coefficient_growth_audit_f6,
-    )
-    from .poly import bracket, build_lambda, poly_to_records
+    from .order6 import build_F6, build_K, enumerate_resonant, coefficient_growth_audit_f6
+    from .poly import poly_to_records
 
     M = args.modes
-    ok = True
     r6 = compute_R6(M)
-    K = build_K(M)
-    normal, qtilde = split_r6(r6)
-    ok &= _status(normal == K, "sextic action part matches closed form", f"M={M}")
+    checks = [action_part(M, r6)]
     if args.verify_ktilde:
-        rep = verify_Ktilde_zero(M, r6)
-        ok &= _status(rep.passed, "resonant cancellation", f"{rep.checked} monomials")
-    F6 = build_F6(M, r6)
-    residual = bracket(build_lambda(M), F6) + qtilde
-    ok &= _status(residual.is_zero, "order-6 homological equation", f"M={M}")
+        checks.append(resonant_cancellation(M, r6))
+    checks.append(order6_homological(M, r6))
+    ok = _print_checks(checks)
     if args.audit_f6:
-        audit = coefficient_growth_audit_f6(F6)
+        audit = coefficient_growth_audit_f6(build_F6(M, r6))
         print(f"  sextic generator growth constant: {audit.constant_raw:.6g}")
     outcome = "pass" if ok else "fail"
     if args.dump_k:
-        write_json(args.dump_k, make_manifest(args, outcome), poly_to_records(K))
+        write_json(args.dump_k, make_manifest(args, outcome), poly_to_records(build_K(M)))
     if args.resonant_csv:
         rows = [list(t) for t in enumerate_resonant(M)]
         write_csv(
@@ -182,6 +162,7 @@ def cmd_nf6(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from .checks import Check
     from .identities import (
         enumerate_triple_pairs,
         nine_term_sums,
@@ -197,12 +178,13 @@ def cmd_identities(args) -> int:
         if I != 0 or II != 0:
             ok = False
         rows.append([*(str(v) for v in p.x), *(str(v) for v in p.y), str(I), str(II)])
-    _status(ok, "enumerated pairs", f"bound={args.bound}, {len(pairs)} pairs")
+    print(Check("enumerated pairs", ok, f"bound={args.bound}, {len(pairs)} pairs"))
     n_random = args.random
     if n_random:
+        # verify_vanishing_sums raises on the first pair whose sums do not vanish
         for p in random_rational_pairs(n_random, seed=args.seed):
             verify_vanishing_sums(p)
-        _status(True, "random rational pairs", f"{n_random} pairs")
+        print(Check("random rational pairs", True, f"{n_random} pairs"))
     if args.report:
         write_csv(
             args.report,
@@ -257,6 +239,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from .checks import Check
     from .stability import StabilityRun, stability_ensemble
 
     run = StabilityRun(
@@ -270,9 +253,6 @@ def cmd_stability(args) -> int:
     )
     rep = stability_ensemble(run, (run.seed,))[0]
     outcome = "pass" if rep.passed else "fail"
-    if rep.budget_exhausted:
-        print(f"step budget exhausted: {rep.message}")
-        return 3
     if args.out:
         rows = [
             [f"{t:.12g}", f"{r:.12g}", f"{m:.6e}", f"{e:.6e}"]
@@ -286,70 +266,15 @@ def cmd_stability(args) -> int:
             ["t", "norm_ratio", "mass_drift", "energy_drift"],
             rows,
         )
-    _status(
-        rep.passed,
-        "norm ratio within threshold",
-        f"max ratio {rep.max_ratio:.4f}, threshold {run.threshold}",
-    )
+    detail = f"max ratio {rep.max_ratio:.4f}, threshold {run.threshold}"
+    print(Check("norm ratio within threshold", rep.passed, detail, rep))
     return 0 if rep.passed else 1
 
 
 def cmd_verify_all(args) -> int:
-    from .identities import enumerate_triple_pairs, nine_term_sums, random_rational_pairs
-    from .order4 import compute_R6, exhaustive_divisor_audit, random_divisor_audit
-    from .order6 import (
-        build_F6,
-        build_K,
-        exhaustive_sextuple_audit,
-        qtilde0_crosscheck,
-        split_r6,
-        verify_Ktilde_zero,
-    )
-    from .order4 import build_F4
-    from .poly import bracket, build_lambda, build_Q
+    from .checks import exact_battery
 
-    M = args.modes
-    ok = True
-
-    lam = build_lambda(M)
-    res4 = bracket(lam, build_F4(M)) + build_Q(M)
-    ok &= _status(res4.is_zero, "order-4 homological equation", f"M={M}")
-
-    r6 = compute_R6(M)
-    normal, qtilde = split_r6(r6)
-    ok &= _status(normal == build_K(M), "sextic action part matches closed form")
-
-    krep = verify_Ktilde_zero(M, r6)
-    ok &= _status(krep.passed, "resonant cancellation", f"{krep.checked} monomials")
-
-    F6 = build_F6(M, r6)
-    res6 = bracket(lam, F6) + qtilde
-    ok &= _status(res6.is_zero, "order-6 homological equation", f"M={M}")
-
-    crep = qtilde0_crosscheck(M, M, r6)
-    ok &= _status(
-        crep.passed,
-        "reducible closed-form cross-check",
-        f"{crep.n_compared} terms, designated mode {M}",
-    )
-
-    pairs = enumerate_triple_pairs(max(10, args.identities_bound))
-    bad = [p for p in pairs if nine_term_sums(p) != (0, 0)]
-    ok &= _status(not bad, "kernel identities (integer pairs)", f"{len(pairs)} pairs")
-    n_rand = 200
-    rand_ok = all(
-        nine_term_sums(p) == (0, 0)
-        for p in random_rational_pairs(n_rand, seed=args.seed)
-    )
-    ok &= _status(rand_ok, "kernel identities (random rational)", f"{n_rand} pairs")
-
-    qrep = exhaustive_divisor_audit(20)
-    ok &= _status(not qrep["violations"], "quadruple divisor bound", f"{qrep['checked']} tuples")
-    rrep = random_divisor_audit(20_000, 10_000, seed=args.seed)
-    ok &= _status(not rrep["violations"], "quadruple divisor bound (random)", "20000 samples")
-    srep = exhaustive_sextuple_audit(min(8, M))
-    ok &= _status(not srep["violations"], "sextuple divisor bound", f"{srep['checked']} tuples")
-
+    ok = _print_checks(exact_battery(args.modes, args.identities_bound, args.seed))
     print("verify-all:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -475,8 +400,9 @@ def _check_ranges(args: argparse.Namespace) -> argparse.Namespace:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  A --config file supplies defaults for the
     subcommand's options, so every flag given on the command line wins and
-    a required option may come from the file instead.  A numeric option
-    outside its range is a UsageError."""
+    a required option may come from the file instead.  A config value its
+    option's type rejects, or a numeric option outside its range, is a
+    UsageError."""
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     # the first parse only finds the subcommand and --config, so it must not
@@ -498,9 +424,25 @@ def parse_args(argv=None) -> argparse.Namespace:
             f"--config {args.config!r} has keys that {args.subcommand} does not take: "
             + ", ".join(unknown)
         )
+    sub = subparsers.choices[args.subcommand]
+    # a typed value gets the conversion its text would get on the command
+    # line; a null stands for "not given" only where the default is None
+    for action in sub._actions:
+        value = conf.get(action.dest)
+        if action.dest not in conf or action.type is None or (value is None and action.default is None):
+            continue
+        try:
+            if value is None:
+                raise ValueError("null")
+            conf[action.dest] = action.type(str(value))
+        except ValueError:
+            raise UsageError(
+                f"bad --config {args.config!r}: invalid {action.type.__name__} value for "
+                f"{action.option_strings[0]}: {json.dumps(value)}"
+            ) from None
     for action in required:
         action.required = conf.get(action.dest) is None
-    subparsers.choices[args.subcommand].set_defaults(**conf)
+    sub.set_defaults(**conf)
     return _check_ranges(parser.parse_args(argv))
 
 

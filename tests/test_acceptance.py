@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from dnls_nflab.checks import action_part, order4_homological, order6_homological
 from dnls_nflab.flows import FlowConfig, evolve_vec, residual_scaling
 from dnls_nflab.identities import (
     enumerate_triple_pairs,
@@ -19,22 +20,14 @@ from dnls_nflab.identities import (
     random_rational_pairs,
     row_sum_closed_forms,
 )
-from dnls_nflab.order4 import (
-    build_F4,
-    exhaustive_divisor_audit,
-    random_divisor_audit,
-)
+from dnls_nflab.order4 import exhaustive_divisor_audit, random_divisor_audit
 from dnls_nflab.order6 import (
-    build_F6,
-    build_K,
     exhaustive_sextuple_audit,
     qtilde0_crosscheck,
     random_sextuple_audit,
-    split_r6,
     tau_bound_check,
     verify_Ktilde_zero,
 )
-from dnls_nflab.poly import bracket, build_lambda, build_Q
 from dnls_nflab.stability import (
     StabilityRun,
     exhaustive_omega_audit,
@@ -53,16 +46,13 @@ def _report(number: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_homological_equations(r6_at_8):
-    M = 8
-    lam = build_lambda(M)
-    res4 = bracket(lam, build_F4(M)) + build_Q(M)
-    _, qtilde = split_r6(r6_at_8)
-    res6 = bracket(lam, build_F6(M, r6_at_8)) + qtilde
+    c4, c6 = order4_homological(8), order6_homological(8, r6_at_8)
     _report(
         1,
         "exact homological equations at M=8",
-        res4.is_zero and res6.is_zero,
-        f"order-4 residual terms {res4.num_terms}, order-6 residual terms {res6.num_terms}",
+        c4.passed and c6.passed,
+        f"order-4 residual terms {c4.report.num_terms}, "
+        f"order-6 residual terms {c6.report.num_terms}",
     )
 
 
@@ -80,10 +70,10 @@ def test_criterion_2_resonant_cancellation(r6_at_10):
 
 @pytest.mark.slow
 def test_criterion_3_action_part_closed_form(r6_at_10):
-    normal, qtilde = split_r6(r6_at_10)
-    ok = normal == build_K(10)
+    check = action_part(10, r6_at_10)
+    normal, qtilde = check.report
     # the split is exhaustive: action part plus non-resonant part rebuild R6
-    ok = ok and (normal + qtilde == r6_at_10)
+    ok = check.passed and normal + qtilde == r6_at_10
     _report(
         3,
         "sextic action part equals closed form, term by term, at M=10",

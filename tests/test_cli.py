@@ -164,6 +164,24 @@ def test_verify_all_small():
     assert main(["verify-all", "--modes", "4"]) == 0
 
 
+def test_verify_all_reports_a_failing_check(monkeypatch, capsys):
+    import dnls_nflab.checks
+    from dnls_nflab.poly import build_Q
+
+    # twice Q leaves Q as the order-4 residual
+    monkeypatch.setattr(dnls_nflab.checks, "build_Q", lambda M: build_Q(M).scaled(2))
+    assert main(["verify-all", "--modes", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL order-4 homological equation (M=4)"
+    assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines[1:10])
+    assert lines[10] == "verify-all: FAIL"
+
+
+def test_nf6_audit_f6(capsys):
+    assert main(["nf6", "--modes", "4", "--audit-f6"]) == 0
+    assert "  sextic generator growth constant: 0.0647818\n" in capsys.readouterr().out
+
+
 def test_config_file_flags_win(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"bound": 5, "report": None}))
@@ -238,9 +256,12 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
         (["simulate", "--modes", "4", "--init", "planewave:1,0.1"], {"dt": -1e-3},
          "--dt must be greater than 0, got -0.001"),
         (["stability", "--s", "3", "--eps", "0.3"], {"dt": 0}, "--dt must be greater than 0, got 0"),
+        (["stability", "--s", "3", "--eps", "0.3"], {"dt": None}, "invalid float value for --dt: null"),
+        (["verify-all"], {"modes": 4.5}, "invalid int value for --modes: 4.5"),
     ],
     ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
-         "simulate-dt-config", "stability-dt-config"],
+         "simulate-dt-config", "stability-dt-config", "stability-dt-config-null",
+         "verify-all-modes-config-float"],
 )
 def test_out_of_range_float_option_is_usage_error(tmp_path, capsys, argv, conf, message):
     if conf is not None:
@@ -347,13 +368,14 @@ def test_nonfinite_blowup_exit_code(tmp_path):
     assert not out.exists()
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(capsys):
     # an impossible step budget surfaces as exit 3 through the CLI
     code = main(
         ["stability", "--s", "3", "--eps", "0.2", "--modes", "8", "--r", "4",
          "--seed", "1", "--dt", "0.000000001"]
     )
     assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def _report_body_digest(path: Path) -> str:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dnls_nflab import order6
+from dnls_nflab.checks import action_part, order4_homological, order6_homological, resonant_cancellation
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.identities import tau
 from dnls_nflab.order4 import compute_R6
@@ -30,8 +31,6 @@ from dnls_nflab.order6 import (
 from dnls_nflab.poly import (
     Monomial,
     PolyHamiltonian,
-    bracket,
-    build_lambda,
     poly_to_records,
     split_normal,
 )
@@ -113,13 +112,6 @@ def test_K_is_action_only():
         assert mono.is_normal()
 
 
-def test_K_matches_r6_action_part():
-    for M in (4, 6):
-        r6 = compute_R6(M)
-        normal, _ = split_r6(r6)
-        assert normal == build_K(M)
-
-
 # -- resonant set ------------------------------------------------------------------
 
 
@@ -189,16 +181,9 @@ def test_ktilde_example_monomial(r6_at_8):
 # -- generator --------------------------------------------------------------------
 
 
-def test_f6_solves_homological_equation(r6_at_8):
-    F6 = build_F6(8, r6_at_8)
-    _, qtilde = split_r6(r6_at_8)
-    residual = bracket(build_lambda(8), F6) + qtilde
-    assert residual.is_zero
-    assert F6.is_real_valued()
-
-
 def test_f6_supported_off_resonance(r6_at_8):
     F6 = build_F6(8, r6_at_8)
+    assert F6.is_real_valued()
     for mono, _ in F6.terms():
         assert mono.square_divisor() != 0
         assert not mono.is_normal()
@@ -208,19 +193,14 @@ def test_f6_supported_off_resonance(r6_at_8):
 def test_criteria_1_to_3_at_m12():
     # the homological equations, the resonant cancellation and the closed
     # action part at a truncation beyond the acceptance suite's M = 10
-    from dnls_nflab.order4 import build_F4
-    from dnls_nflab.poly import build_Q
-
     M = 12
     r6 = compute_R6(M)
     assert r6.num_terms == 136_872
-    lam = build_lambda(M)
-    assert (bracket(lam, build_F4(M)) + build_Q(M)).is_zero
-    normal, qtilde = split_r6(r6)
-    assert (bracket(lam, build_F6(M, r6)) + qtilde).is_zero
-    rep = verify_Ktilde_zero(M, r6)
+    assert order4_homological(M).passed
+    assert order6_homological(M, r6).passed
+    rep = resonant_cancellation(M, r6).report
     assert rep.passed and rep.checked == 712
-    assert normal == build_K(M)
+    assert action_part(M, r6).passed
 
 
 def test_split_r6_refuses_resonant_survivor():

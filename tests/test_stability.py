@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dnls_nflab import stability
-from dnls_nflab.flows import FlowConfig, evolve_vec, normal_form_bundle
+from dnls_nflab.flows import FlowConfig, StepBudgetError, evolve_vec, normal_form_bundle
 from dnls_nflab.stability import (
     StabilityRun,
     exhaustive_omega_audit,
@@ -215,10 +215,8 @@ def test_ensemble_matches_single():
 
 def test_step_budget_reported():
     run = StabilityRun(s=3.0, epsilon=0.1, M=8, horizon_exponent=6.0, dt=1e-3)
-    rep = stability_ensemble(run, (run.seed,))[0]
-    assert rep.budget_exhausted
-    assert not rep.passed
-    assert "budget" in rep.message
+    with pytest.raises(StepBudgetError, match="budget"):
+        stability_ensemble(run, (run.seed,))
 
 
 def test_ratio_trend_with_epsilon():
