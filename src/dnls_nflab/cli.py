@@ -96,7 +96,6 @@ def _print_checks(checks) -> bool:
 def cmd_nf4(args) -> int:
     from .checks import Check, order4_homological, quadruple_bound
     from .order4 import (
-        build_F4,
         coefficient_growth_audit,
         f4_coefficient_bound_audit,
         iter_delta,
@@ -104,8 +103,9 @@ def cmd_nf4(args) -> int:
     )
 
     M = args.modes
-    ok = _print_checks([order4_homological(M)])
-    F4 = build_F4(M) if args.audit or args.dump_f4 else None
+    homological = order4_homological(M)
+    ok = _print_checks([homological])
+    F4 = homological.report[1]
     if args.audit:
         frep = f4_coefficient_bound_audit(F4)
         bound = Check("generator coefficient bound", not frep["violations"], f"{frep['checked']} terms", frep)
@@ -134,22 +134,21 @@ def cmd_nf4(args) -> int:
 def cmd_nf6(args) -> int:
     from .checks import action_part, order6_homological, resonant_cancellation
     from .order4 import compute_R6
-    from .order6 import build_F6, build_K, enumerate_resonant, coefficient_growth_audit_f6
+    from .order6 import enumerate_resonant, coefficient_growth_audit_f6
     from .poly import poly_to_records
 
     M = args.modes
     r6 = compute_R6(M)
-    checks = [action_part(M, r6)]
-    if args.verify_ktilde:
-        checks.append(resonant_cancellation(M, r6))
-    checks.append(order6_homological(M, r6))
-    ok = _print_checks(checks)
+    action = action_part(M, r6)
+    ktilde = [resonant_cancellation(M, r6)] if args.verify_ktilde else []
+    homological = order6_homological(M, r6)
+    ok = _print_checks([action, *ktilde, homological])
     if args.audit_f6:
-        audit = coefficient_growth_audit_f6(build_F6(M, r6))
+        audit = coefficient_growth_audit_f6(homological.report[1])
         print(f"  sextic generator growth constant: {audit.constant_raw:.6g}")
     outcome = "pass" if ok else "fail"
     if args.dump_k:
-        write_json(args.dump_k, make_manifest(args, outcome), poly_to_records(build_K(M)))
+        write_json(args.dump_k, make_manifest(args, outcome), poly_to_records(action.report[2]))
     if args.resonant_csv:
         rows = [list(t) for t in enumerate_resonant(M)]
         write_csv(
@@ -162,13 +161,8 @@ def cmd_nf6(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    from .checks import Check
-    from .identities import (
-        enumerate_triple_pairs,
-        nine_term_sums,
-        random_rational_pairs,
-        verify_vanishing_sums,
-    )
+    from .checks import Check, vanishing_sums
+    from .identities import enumerate_triple_pairs, nine_term_sums, random_rational_pairs
 
     pairs = enumerate_triple_pairs(args.bound)
     rows = []
@@ -179,12 +173,9 @@ def cmd_identities(args) -> int:
             ok = False
         rows.append([*(str(v) for v in p.x), *(str(v) for v in p.y), str(I), str(II)])
     print(Check("enumerated pairs", ok, f"bound={args.bound}, {len(pairs)} pairs"))
-    n_random = args.random
-    if n_random:
-        # verify_vanishing_sums raises on the first pair whose sums do not vanish
-        for p in random_rational_pairs(n_random, seed=args.seed):
-            verify_vanishing_sums(p)
-        print(Check("random rational pairs", True, f"{n_random} pairs"))
+    if args.random:
+        check = vanishing_sums("random rational pairs", random_rational_pairs(args.random, seed=args.seed))
+        ok &= _print_checks([check])
     if args.report:
         write_csv(
             args.report,

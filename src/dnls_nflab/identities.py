@@ -1,7 +1,7 @@
 """Exact rational identities behind the resonant-coefficient cancellation.
 
-Everything here runs in arbitrary-precision rationals; there is no floating
-point in this module.  The central objects are two kernels on triples,
+Everything here is exact; there is no floating point in this module.  The
+central objects are two kernels on triples,
 
     mu(x, y, z)  = 1 / ((x - y)(z - y))
     tau(x, y, z) = (x - y + z) / ((x - y)(z - y))
@@ -9,11 +9,19 @@ point in this module.  The central objects are two kernels on triples,
 and the nine-term sums I (over mu) and II (over tau) attached to a pair of
 triples with disjoint values, equal sums and equal square sums.  Both sums
 vanish identically; II = 0 is what kills the resonant sextic coefficients.
+
+The checks on a pair run on integers: the pair is scaled by D, the lcm of
+its six denominators, to int triples X = D x and Y = D y.  Every quantity
+checked is homogeneous, so this is exact: I has degree -2 and II degree -1
+(I(x) = D^2 I(X), II(x) = D II(X)), and each polynomial identity is an
+integer equation with its denominators cleared.  The nine-term sums are
+added over one common denominator and become Fractions only on return.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -60,12 +68,13 @@ class TriplePair:
         return cls(xt, yt)
 
     def hypothesis_violations(self) -> list[str]:
+        _, X, Y = _scaled(self)
         out = []
-        if set(self.x) & set(self.y):
+        if set(X) & set(Y):
             out.append("triples share a value")
-        if sum(self.x) != sum(self.y):
+        if sum(X) != sum(Y):
             out.append("sums differ")
-        if sum(v * v for v in self.x) != sum(v * v for v in self.y):
+        if _square_sum(X) != _square_sum(Y):
             out.append("square sums differ")
         return out
 
@@ -85,16 +94,44 @@ class TriplePair:
         return self.translated(-shift)
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _square_sum(t) -> int:
+    return t[0] * t[0] + t[1] * t[1] + t[2] * t[2]
+
+
+def _scaled(pair: TriplePair) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(D, X, Y): D the lcm of the pair's six denominators, X = D*x and
+    Y = D*y as int triples."""
+    D = math.lcm(*(v.denominator for v in pair.x + pair.y))
+    X = tuple(v.numerator * (D // v.denominator) for v in pair.x)
+    Y = tuple(v.numerator * (D // v.denominator) for v in pair.y)
+    return D, X, Y
+
+
 def nine_term_sums(pair: TriplePair) -> tuple[Fraction, Fraction]:
-    """(I, II): the mu and tau sums over {alpha<gamma} x beta."""
-    x, y = pair.x, pair.y
-    I = Fraction(0)
-    II = Fraction(0)
-    for a, g in itertools.combinations(range(3), 2):
-        for b in range(3):
-            I += mu(x[a], y[b], x[g])
-            II += tau(x[a], y[b], x[g])
-    return I, II
+    """(I, II): the mu and tau sums over {alpha<gamma} x beta.
+
+    Summed on the scaled integers over the lcm of the nine kernel
+    denominators; I(x) = D^2 I(X) and II(x) = D II(X).
+    """
+    D, X, Y = _scaled(pair)
+    dens, nums = [], []
+    for a, g in _PAIRS:
+        for yb in Y:
+            den = (X[a] - yb) * (X[g] - yb)
+            if not den:
+                raise ZeroDivisionError("mu undefined at x=y or z=y")
+            dens.append(den)
+            nums.append(X[a] - yb + X[g])
+    L = math.lcm(*dens)
+    I = II = 0
+    for den, num in zip(dens, nums):
+        q = L // den
+        I += q
+        II += num * q
+    return Fraction(D * D * I, L), Fraction(D * II, L)
 
 
 def verify_vanishing_sums(pair: TriplePair) -> tuple[Fraction, Fraction]:
@@ -106,78 +143,87 @@ def verify_vanishing_sums(pair: TriplePair) -> tuple[Fraction, Fraction]:
     return I, II
 
 
+def _symmetric_sums(t) -> tuple[int, ...]:
+    """Of an int triple: the sum of pair products, of their squares, of
+    fourth powers, of cubes, of cubed pair products, and the product."""
+    p01, p12, p20 = t[0] * t[1], t[1] * t[2], t[2] * t[0]
+    s0, s1, s2 = t[0] * t[0], t[1] * t[1], t[2] * t[2]
+    return (
+        p01 + p12 + p20,
+        p01 * p01 + p12 * p12 + p20 * p20,
+        s0 * s0 + s1 * s1 + s2 * s2,
+        s0 * t[0] + s1 * t[1] + s2 * t[2],
+        p01**3 + p12**3 + p20**3,
+        p01 * t[2],
+    )
+
+
 def intermediate_identities(pair: TriplePair) -> dict[str, bool]:
     """The symmetric-function identities used in the cancellation proof.
 
-    Requires both triples centered (sum zero).  Returns name -> holds; all
-    comparisons are exact.
+    Requires both triples centered (sum zero).  Returns name -> holds; each
+    identity is homogeneous, so it is checked on the scaled integers with
+    its denominators cleared.
     """
-    if sum(pair.x) != 0 or sum(pair.y) != 0:
+    _, X, Y = _scaled(pair)
+    if sum(X) != 0 or sum(Y) != 0:
         raise ValueError("identities require centered triples (sum zero)")
-    x, y = pair.x, pair.y
-    N = sum(v * v for v in x)
-    if sum(v * v for v in y) != N:
+    N = _square_sum(X)
+    if _square_sum(Y) != N:
         raise ValueError("square sums differ")
-    X = x[0] * x[1] * x[2]
-    Y = y[0] * y[1] * y[2]
-
-    def e2(t):
-        return t[0] * t[1] + t[1] * t[2] + t[2] * t[0]
-
-    def pair_squares(t):
-        return (t[0] * t[1]) ** 2 + (t[1] * t[2]) ** 2 + (t[2] * t[0]) ** 2
-
-    def power(t, k):
-        return sum(v**k for v in t)
-
-    def pair_cubes(t):
-        return (t[0] * t[1]) ** 3 + (t[1] * t[2]) ** 3 + (t[2] * t[0]) ** 3
-
-    checks = {
-        "pair_products": e2(x) == -N / 2 and e2(y) == -N / 2,
-        "pair_squares": pair_squares(x) == N * N / 4 and pair_squares(y) == N * N / 4,
-        "fourth_powers": power(x, 4) == N * N / 2 and power(y, 4) == N * N / 2,
-        "third_powers": power(x, 3) == 3 * X and power(y, 3) == 3 * Y,
-        "pair_cubes": pair_cubes(x) == 3 * X * X - N**3 / 8
-        and pair_cubes(y) == 3 * Y * Y - N**3 / 8,
+    e2x, psx, p4x, p3x, pcx, PX = _symmetric_sums(X)
+    e2y, psy, p4y, p3y, pcy, PY = _symmetric_sums(Y)
+    NN = N * N
+    return {
+        "pair_products": 2 * e2x == -N and 2 * e2y == -N,
+        "pair_squares": 4 * psx == NN and 4 * psy == NN,
+        "fourth_powers": 2 * p4x == NN and 2 * p4y == NN,
+        "third_powers": p3x == 3 * PX and p3y == 3 * PY,
+        "pair_cubes": 8 * pcx == 24 * PX * PX - NN * N and 8 * pcy == 24 * PY * PY - NN * N,
     }
-    return checks
 
 
 def denominator_identity(pair: TriplePair) -> bool:
-    """prod_a (x_a - y_b) == X + (N/2) y_b - y_b^3 for every b (centered)."""
-    if sum(pair.x) != 0:
+    """prod_a (x_a - y_b) == X + (N/2) y_b - y_b^3 for every b (centered x),
+    checked as 2 prod_a (X_a - Y_b) == 2X + N Y_b - 2 Y_b^3 on the scaled
+    integers."""
+    _, X, Y = _scaled(pair)
+    if sum(X) != 0:
         raise ValueError("requires centered triples")
-    x, y = pair.x, pair.y
-    N = sum(v * v for v in x)
-    X = x[0] * x[1] * x[2]
-    for b in range(3):
-        lhs = (x[0] - y[b]) * (x[1] - y[b]) * (x[2] - y[b])
-        if lhs != X + (N / 2) * y[b] - y[b] ** 3:
+    N, PX = _square_sum(X), X[0] * X[1] * X[2]
+    for yb in Y:
+        lhs = (X[0] - yb) * (X[1] - yb) * (X[2] - yb)
+        if 2 * lhs != 2 * PX + N * yb - 2 * yb**3:
             return False
     return True
 
 
 def row_sum_closed_forms(pair: TriplePair) -> bool:
-    """Per-beta row sums match their closed forms (centered triples)."""
-    if sum(pair.x) != 0:
+    """Per-beta row sums match their closed forms (centered x):
+
+        sum_{a<g} mu(x_a, y_b, x_g)  = -3 y_b / den
+        sum_{a<g} tau(x_a, y_b, x_g) = (3 y_b^2 - N) / den
+
+    with den = X + (N/2) y_b - y_b^3.  Checked on the scaled integers, each
+    row over its common denominator prod_a (X_a - Y_b), by cross-multiplying;
+    den = prod_a (x_a - y_b) for centered x, so den != 0 excludes the poles.
+    """
+    _, X, Y = _scaled(pair)
+    if sum(X) != 0:
         raise ValueError("requires centered triples")
-    x, y = pair.x, pair.y
-    N = sum(v * v for v in x)
-    X = x[0] * x[1] * x[2]
-    for b in range(3):
-        den = X + (N / 2) * y[b] - y[b] ** 3
-        if den == 0:
+    N, PX = _square_sum(X), X[0] * X[1] * X[2]
+    for yb in Y:
+        den2 = 2 * PX + N * yb - 2 * yb**3
+        if den2 == 0:
             raise ZeroDivisionError("degenerate denominator; disjointness violated")
-        mu_row = sum(
-            mu(x[a], y[b], x[g]) for a, g in itertools.combinations(range(3), 2)
-        )
-        tau_row = sum(
-            tau(x[a], y[b], x[g]) for a, g in itertools.combinations(range(3), 2)
-        )
-        if mu_row != Fraction(-3) * y[b] / den:
+        u = [v - yb for v in X]
+        prod = u[0] * u[1] * u[2]
+        # 1/(u_a u_g) = u_k/prod, k the index other than a and g
+        mu_num = u[0] + u[1] + u[2]
+        tau_num = (X[0] + X[1] - yb) * u[2] + (X[1] + X[2] - yb) * u[0] + (X[0] + X[2] - yb) * u[1]
+        if mu_num * den2 != -6 * yb * prod:
             return False
-        if tau_row != (3 * y[b] ** 2 - N) / den:
+        if tau_num * den2 != 2 * (3 * yb * yb - N) * prod:
             return False
     return True
 
@@ -215,21 +261,15 @@ def enumerate_triple_pairs(bound: int) -> list[TriplePair]:
         key = (sum(triple), sum(v * v for v in triple))
         buckets.setdefault(key, []).append(triple)
 
-    seen = set()
-    out: list[TriplePair] = []
+    canonical = set()
     for group in buckets.values():
         if len(group) < 2:
             continue
         for x, y in itertools.permutations(group, 2):
-            if set(x) & set(y):
-                continue
-            canon = _canonical_pair(x, y)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(TriplePair.of(*canon))
-    out.sort(key=lambda p: (p.x, p.y))
-    return out
+            if not set(x) & set(y):
+                canonical.add(_canonical_pair(x, y))
+    # sorted as int tuples, the order of the pairs' (x, y)
+    return [TriplePair.of(x, y) for x, y in sorted(canonical)]
 
 
 def pair_matches(pair: TriplePair, x: Iterable, y: Iterable) -> bool:

@@ -51,8 +51,8 @@ def test_criterion_1_homological_equations(r6_at_8):
         1,
         "exact homological equations at M=8",
         c4.passed and c6.passed,
-        f"order-4 residual terms {c4.report.num_terms}, "
-        f"order-6 residual terms {c6.report.num_terms}",
+        f"order-4 residual terms {c4.report[0].num_terms}, "
+        f"order-6 residual terms {c6.report[0].num_terms}",
     )
 
 
@@ -71,7 +71,7 @@ def test_criterion_2_resonant_cancellation(r6_at_10):
 @pytest.mark.slow
 def test_criterion_3_action_part_closed_form(r6_at_10):
     check = action_part(10, r6_at_10)
-    normal, qtilde = check.report
+    normal, qtilde, _ = check.report
     # the split is exhaustive: action part plus non-resonant part rebuild R6
     ok = check.passed and normal + qtilde == r6_at_10
     _report(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dnls_nflab import checks
 from dnls_nflab.cli import _option_ranges, build_parser, main, parse_args
 
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "cli_reports_sha256.json"
@@ -99,6 +100,17 @@ def test_identities_determinism(tmp_path):
     body_a = a.read_text().splitlines()[1:]
     body_b = b.read_text().splitlines()[1:]
     assert body_a == body_b
+
+
+def test_identities_random_pairs_pass_and_fail(monkeypatch, capsys):
+    assert main(["identities", "--bound", "3", "--random", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS random rational pairs (2 pairs)"
+    # a kernel whose sums do not vanish: a FAIL line and exit 1, no traceback
+    monkeypatch.setattr(checks, "nine_term_sums", lambda pair: (1, 0))
+    assert main(["identities", "--bound", "3", "--random", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "FAIL random rational pairs (2 pairs)"
+    assert "Traceback" not in out + err
 
 
 def test_simulate_planewave(tmp_path):
