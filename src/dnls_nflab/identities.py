@@ -69,14 +69,7 @@ class TriplePair:
 
     def hypothesis_violations(self) -> list[str]:
         _, X, Y = _scaled(self)
-        out = []
-        if set(X) & set(Y):
-            out.append("triples share a value")
-        if sum(X) != sum(Y):
-            out.append("sums differ")
-        if _square_sum(X) != _square_sum(Y):
-            out.append("square sums differ")
-        return out
+        return _violations(X, Y)
 
     def require_hypotheses(self) -> None:
         bad = self.hypothesis_violations()
@@ -99,6 +92,19 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 def _square_sum(t) -> int:
     return t[0] * t[0] + t[1] * t[1] + t[2] * t[2]
+
+
+def _violations(X, Y) -> list[str]:
+    """The pair hypotheses that int triples X and Y, numerators over one
+    common denominator, violate."""
+    out = []
+    if set(X) & set(Y):
+        out.append("triples share a value")
+    if sum(X) != sum(Y):
+        out.append("sums differ")
+    if _square_sum(X) != _square_sum(Y):
+        out.append("square sums differ")
+    return out
 
 
 def _scaled(pair: TriplePair) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -164,6 +170,11 @@ def intermediate_identities(pair: TriplePair) -> dict[str, bool]:
     Requires both triples centered (sum zero).  Returns name -> holds; each
     identity is homogeneous, so it is checked on the scaled integers with
     its denominators cleared.
+
+    Each identity follows from x_1 + x_2 + x_3 = 0 alone (Newton's identities
+    with e1 = 0, N being the triple's own square sum), so a False here means
+    a fault in the integer scaling or the denominator clearing, not a pair
+    that violates its hypotheses.
     """
     _, X, Y = _scaled(pair)
     if sum(X) != 0 or sum(Y) != 0:
@@ -186,7 +197,12 @@ def intermediate_identities(pair: TriplePair) -> dict[str, bool]:
 def denominator_identity(pair: TriplePair) -> bool:
     """prod_a (x_a - y_b) == X + (N/2) y_b - y_b^3 for every b (centered x),
     checked as 2 prod_a (X_a - Y_b) == 2X + N Y_b - 2 Y_b^3 on the scaled
-    integers."""
+    integers.
+
+    prod_a (x_a - t) = -t^3 + (N/2) t + X is a polynomial identity in t once
+    x_1 + x_2 + x_3 = 0, so this holds for any y: a False means a fault in
+    the integer scaling or the denominator clearing, not in the pair.
+    """
     _, X, Y = _scaled(pair)
     if sum(X) != 0:
         raise ValueError("requires centered triples")
@@ -207,6 +223,11 @@ def row_sum_closed_forms(pair: TriplePair) -> bool:
     with den = X + (N/2) y_b - y_b^3.  Checked on the scaled integers, each
     row over its common denominator prod_a (X_a - Y_b), by cross-multiplying;
     den = prod_a (x_a - y_b) for centered x, so den != 0 excludes the poles.
+
+    Both closed forms follow from x_1 + x_2 + x_3 = 0 alone (the mu row sum
+    is sum_k (x_k - y_b) / den), so a False means a fault in the integer
+    scaling or the denominator clearing, not a pair that violates its
+    hypotheses.
     """
     _, X, Y = _scaled(pair)
     if sum(X) != 0:
@@ -290,31 +311,40 @@ def random_rational_pairs(count: int, seed: int) -> Iterator[TriplePair]:
     u^2 + u v + v^2 = N/2 (the centered equal-sum, equal-square-sum locus);
     the second intersection is rational.  A random common translation
     exercises the non-centered code paths.
+
+    With x1 = a/b, x2 = c/e and slope t = p/q, every value is an integer
+    numerator over the one denominator b e q (q^2 + p q + p^2) d, d being
+    the translation's denominator, so the construction and the hypothesis
+    check run on ints; each pair's six Fractions are built at the end.
     """
     rng = np.random.default_rng(np.random.Philox(key=seed))
+    draw = rng.integers
     produced = 0
     while produced < count:
-        a = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 7)))
-        b = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 7)))
-        x1, x2 = a, b
-        x3 = -x1 - x2
-        x = (x1, x2, x3)
-        if len(set(x)) < 2:
+        a, b = int(draw(-30, 31)), int(draw(1, 7))
+        c, e = int(draw(-30, 31)), int(draw(1, 7))
+        if a == 0 and c == 0:  # x = (0, 0, 0)
             continue
-        t = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9)))
-        den = 1 + t + t * t  # positive definite, never zero
-        w = -(2 * x1 + x2 + t * (x1 + 2 * x2)) / den
-        if w == 0:
+        p, q = int(draw(-20, 21)), int(draw(1, 9))
+        # t (x1 + 2 x2) + 2 x1 + x2, times b e q
+        chord = p * (a * e + 2 * c * b) + q * (2 * a * e + c * b)
+        if chord == 0:  # w = 0
             continue
-        y1 = x1 + w
-        y2 = x2 + t * w
-        y3 = -y1 - y2
-        y = (y1, y2, y3)
+        # over b e q Q, with Q = q^2 + p q + p^2 (never zero): x, and
+        # w = -q chord / (b e Q), t w = -p chord / (b e Q)
+        scale = q * (q * q + p * q + p * p)
+        x1, x2 = a * e * scale, c * b * scale
+        y1, y2 = x1 - q * q * chord, x2 - p * q * chord
+        x = (x1, x2, -x1 - x2)
+        y = (y1, y2, -y1 - y2)
         if set(x) & set(y):
             continue
-        shift = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 5)))
-        pair = TriplePair.of(x, y).translated(shift)
-        if pair.hypothesis_violations():
+        num, den = int(draw(-12, 13)), int(draw(1, 5))
+        D = b * e * scale
+        x = tuple(v * den + num * D for v in x)
+        y = tuple(v * den + num * D for v in y)
+        if _violations(x, y):
             continue
         produced += 1
-        yield pair
+        D *= den
+        yield TriplePair(tuple(Fraction(v, D) for v in x), tuple(Fraction(v, D) for v in y))

@@ -35,6 +35,8 @@ from .poly import (
 )
 from .states import (
     alternating_sum,
+    fortran_rows,
+    leading_stars,
     mode_range,
     random_zero_momentum_rows,
     rejection_sample,
@@ -60,11 +62,13 @@ def quad_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The bound |d| >= sqrt(j1*)^3 / (2 sqrt(j2* j3* j4*)) is compared squared,
     as the integer inequality j1*^3 <= 4 d^2 j2* j3* j4*, so the check carries
     no floating error; the factorization is d = -2(m-j)(m-l) = -2(m-j)(j-k).
+    Runs on the columns rows.T, contiguous for the chunks of delta_rows.
     """
-    j, k, l, m = rows.T
-    d = alternating_sum(rows.T, 2)
-    stars = np.sort(np.abs(rows), axis=1)
-    holds = stars[:, 3] ** 3 <= 4 * d * d * stars[:, 2] * stars[:, 1] * stars[:, 0]
+    cols = rows.T
+    j, k, l, m = cols
+    d = alternating_sum(cols, 2)
+    s1, s2, s3, s4 = leading_stars(cols, 4)
+    holds = s1**3 <= 4 * d * d * s2 * s3 * s4
     fact_ok = (d == -2 * (m - j) * (m - l)) & (d == -2 * (m - j) * (j - k))
     return d, holds, fact_ok
 
@@ -103,14 +107,15 @@ def _divisor_violations(rows: np.ndarray) -> list[DivisorReport]:
 
 def delta_rows(max_abs: int):
     """All quadruples in Delta with entries bounded by max_abs: one int64
-    array of rows (j, k, l, m) per j ascending, each in lexicographic order
-    of (k, l), m being solved from zero momentum."""
+    array of rows (j, k, l, m) per j ascending, in Fortran order (see
+    fortran_rows), each in lexicographic order of (k, l), m being solved
+    from zero momentum."""
     values = np.array(mode_range(max_abs), dtype=np.int64)
     k, l = (g.ravel() for g in np.meshgrid(values, values, indexing="ij"))
     for j in values:
         m = alternating_sum((j, k, l))
         ok = (k != j) & (m != 0) & (m != j) & (np.abs(m) <= max_abs)
-        yield np.column_stack((np.full(np.count_nonzero(ok), j), k[ok], l[ok], m[ok]))
+        yield fortran_rows((j, k, l, m), ok)
 
 
 def iter_delta(max_abs: int):

@@ -21,6 +21,7 @@ from .order4 import compute_R6, in_delta, iter_delta
 from .poly import Monomial, PolyHamiltonian, split_normal
 from .states import (
     alternating_sum,
+    leading_stars,
     mode_range,
     random_zero_momentum_rows,
     rejection_sample,
@@ -202,19 +203,28 @@ def sextuple_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         |divisor| >= j1*^3 / (100 (j2* j3* j4* j5* j6*)^2)
 
     is evaluated exactly in integers; it is asserted only where the row is
-    non-resonant (divisor != 0) and not excluded.
+    non-resonant (divisor != 0) and not excluded.  Runs on the columns
+    rows.T, contiguous for the chunks of zero_momentum_sextuples.
     """
-    d = alternating_sum(rows.T, 2)
-    stars = np.sort(np.abs(rows), axis=1)[:, ::-1]
-    top = stars[:, 0]
-    plus, minus = rows[:, 0::2], rows[:, 1::2]
+    cols = rows.T
+    d = alternating_sum(cols, 2)
+    stars = leading_stars(cols, 6)
+    top, s2, s3, s4, s5, s6 = stars
     shared = np.zeros(len(rows), dtype=bool)
     for v in (top, -top):
-        shared |= (plus == v[:, None]).any(axis=1) & (minus == v[:, None]).any(axis=1)
-    excluded = shared & (top > 100 * stars[:, 2] ** 2)
-    tail = stars[:, 1] * stars[:, 2] * stars[:, 3] * stars[:, 4] * stars[:, 5]
+        shared |= _any_equal(cols[0::2], v) & _any_equal(cols[1::2], v)
+    excluded = shared & (top > 100 * s3**2)
+    tail = s2 * s3 * s4 * s5 * s6
     holds = 100 * np.abs(d) * tail * tail >= top**3
-    return d, stars, excluded, holds
+    return d, stars.T, excluded, holds
+
+
+def _any_equal(columns, v) -> np.ndarray:
+    """Per row, whether any of the columns equals v."""
+    hit = columns[0] == v
+    for col in columns[1:]:
+        hit |= col == v
+    return hit
 
 
 @dataclass(frozen=True)

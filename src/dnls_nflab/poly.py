@@ -121,6 +121,17 @@ def is_normal_form(m: Monomial) -> bool:
     return m.is_normal()
 
 
+def _cancels(a: ExactCoeff, b: ExactCoeff) -> bool:
+    """The rational parts of a + b are zero, read off the normalized
+    numerators and denominators without adding Fractions."""
+    return (
+        a.re.numerator == -b.re.numerator
+        and a.re.denominator == b.re.denominator
+        and a.im.numerator == -b.im.numerator
+        and a.im.denominator == b.im.denominator
+    )
+
+
 class PolyHamiltonian:
     """Exact polynomial: map Monomial -> nonzero ExactCoeff."""
 
@@ -193,7 +204,12 @@ class PolyHamiltonian:
         coeffs = dict(self._coeffs)
         for mono, coeff in other._coeffs.items():
             acc = coeffs.get(mono)
-            coeffs[mono] = coeff if acc is None else acc + coeff
+            if acc is None:
+                coeffs[mono] = coeff
+            elif acc.pi_power == coeff.pi_power and _cancels(acc, coeff):
+                del coeffs[mono]
+            else:  # raises on mixed pi powers
+                coeffs[mono] = acc + coeff
         return PolyHamiltonian(self.truncation, coeffs)
 
     def __neg__(self) -> "PolyHamiltonian":

@@ -28,6 +28,7 @@ from .states import (
     TWO_PI,
     FourierState,
     alternating_sum,
+    leading_stars,
     mode_range,
     random_zero_momentum_rows,
     rejection_sample,
@@ -42,28 +43,22 @@ def omega_kernel(rows: np.ndarray, s_values) -> list[tuple[np.ndarray, np.ndarra
 
     The bound is |Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, with j3* = 0
     for 2r = 2.  Powers are integer whenever 2s is an even integer, so object
-    rows give exact Python ints; otherwise they are float.  The rows are
-    sorted once for all s, and each Omega_s is summed from one in-place
-    (rows, 2r) temporary.
+    rows give exact Python ints; otherwise they are float.  Everything runs on
+    the columns rows.T: the leading stars are found once for all s, and each
+    Omega_s is an alternating sum of columns, j|j|^2s being j^(2s+1) when 2s
+    is even.
     """
-    width = rows.shape[1]
-    signs = np.resize(np.array([1, -1], dtype=rows.dtype), width)
-    stars = np.abs(rows)
-    stars.sort(axis=1)
-    stars = stars[:, :-4:-1].copy()  # j1* >= j2* >= j3*, the leading stars only
-    j3 = stars[:, 2] if width > 2 else 0
+    cols = rows.T
+    width = len(cols)
+    stars = leading_stars(cols, 3)
+    j3 = stars[2] if width > 2 else 0
     out = []
     for s in s_values:
-        v = np.abs(rows)
-        if float(s).is_integer():  # 2s even: integer powers, in place
-            v **= int(2 * s)
+        if float(s).is_integer():
+            value = alternating_sum(cols, int(2 * s + 1))
         else:
-            v = v ** (2 * s)
-        v *= rows
-        v *= signs
-        value = v.sum(axis=1)
-        del v  # freed before the next s allocates its own
-        bound = (2 * s + 1) * width ** (s + 2) * stars[:, 0] ** s * stars[:, 1] ** s * j3
+            value = alternating_sum(col * np.abs(col) ** (2 * s) for col in cols)
+        bound = (2 * s + 1) * width ** (s + 2) * stars[0] ** s * stars[1] ** s * j3
         out.append((value, bound, np.abs(value) <= bound))
     return out
 

@@ -37,13 +37,50 @@ def alternating_sum(entries, power: int = 1):
     return total
 
 
+def leading_stars(columns, k: int) -> np.ndarray:
+    """The k largest absolute values of each row, largest first, as a
+    (k, rows) array (fewer than k when width < k), from the columns rows.T
+    of a (rows, width) array.
+
+    A fixed compare-exchange network of np.maximum/np.minimum: each column
+    is inserted into the sorted stars before it, and the value pushed past
+    the k-th place is dropped.  Runs elementwise on int64 and on object
+    columns of Python ints.
+    """
+    stars = np.abs(columns[:k])
+    for i in range(1, len(columns)):
+        c = stars[i] if i < k else np.abs(columns[i])
+        for j, s in enumerate(stars[:i]):
+            loser = np.minimum(s, c) if j + 1 < k else None
+            np.maximum(s, c, out=s)
+            c = loser
+        if i < k:
+            stars[i] = c
+    return stars
+
+
+def fortran_rows(columns, mask) -> np.ndarray:
+    """The entries where mask holds of each of columns (an array as long as
+    mask, or a scalar repeated), as an int64 array of shape (n, width) in
+    Fortran order: each column rows.T[k] is contiguous."""
+    kept = np.flatnonzero(mask)
+    rows = np.empty((len(columns), len(kept)), dtype=np.int64)
+    for out, col in zip(rows, columns):
+        if np.ndim(col):
+            np.take(col, kept, out=out)
+        else:
+            out.fill(col)
+    return rows.T
+
+
 def zero_momentum_sextuples(max_abs: int):
     """All zero-momentum 6-tuples j1 - j2 + j3 - j4 + j5 - j6 = 0 of modes
     with 1 <= |j| <= max_abs, in chunks of one j1 each.
 
-    Yields int64 arrays of shape (n, 6); rows run in lexicographic order of
-    (j1, ..., j5), j6 being solved from zero momentum.  A chunk holds at most
-    (2 max_abs)^4 rows, so memory stays bounded at any radius.
+    Yields int64 arrays of shape (n, 6) in Fortran order, so each column
+    rows.T[k] is contiguous; rows run in lexicographic order of (j1, ..., j5),
+    j6 being solved from zero momentum.  A chunk holds at most (2 max_abs)^4
+    rows, so memory stays bounded at any radius.
     """
     values = np.array(mode_range(max_abs), dtype=np.int64)
     j2, j3, j4, j5 = (g.ravel() for g in np.meshgrid(values, values, values, values, indexing="ij"))
@@ -51,7 +88,7 @@ def zero_momentum_sextuples(max_abs: int):
     for j1 in values:
         j6 = j1 - rest
         ok = (j6 != 0) & (np.abs(j6) <= max_abs)
-        yield np.stack([np.full(int(ok.sum()), j1), j2[ok], j3[ok], j4[ok], j5[ok], j6[ok]], axis=1)
+        yield fortran_rows((j1, j2, j3, j4, j5, j6), ok)
 
 
 def random_zero_momentum_rows(rng, k: int, width: int, max_abs: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -154,6 +155,42 @@ def test_random_pairs_stream_is_pinned():
         ((F(25, 4), F(-85, 12), F(-17, 12)), (F(4743, 988), F(3349, 2964), F(-24247, 2964))),
     ]
     assert [(p.x, p.y) for p in random_rational_pairs(3, seed=20200826)] == want
+
+
+def _reference_random_rational_pairs(count, seed):
+    """random_rational_pairs written in Fraction arithmetic, draw by draw."""
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    produced = 0
+    while produced < count:
+        a = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 7)))
+        b = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 7)))
+        x1, x2 = a, b
+        x3 = -x1 - x2
+        x = (x1, x2, x3)
+        if len(set(x)) < 2:
+            continue
+        t = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9)))
+        w = -(2 * x1 + x2 + t * (x1 + 2 * x2)) / (1 + t + t * t)
+        if w == 0:
+            continue
+        y1 = x1 + w
+        y2 = x2 + t * w
+        y = (y1, y2, -y1 - y2)
+        if set(x) & set(y):
+            continue
+        shift = Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 5)))
+        pair = TriplePair.of(x, y).translated(shift)
+        if _reference_hypothesis_violations(pair):
+            continue
+        produced += 1
+        yield pair
+
+
+@pytest.mark.parametrize("seed", [1, 2, 20200826])
+def test_random_pairs_match_the_fraction_reference(seed):
+    got = [(p.x, p.y) for p in random_rational_pairs(1000, seed=seed)]
+    assert got == [(p.x, p.y) for p in _reference_random_rational_pairs(1000, seed)]
+    assert all(type(v) is Fraction for x, y in got for v in x + y)
 
 
 # -- plain-Fraction references for the integer-scaled checks ----------------------

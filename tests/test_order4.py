@@ -75,6 +75,10 @@ def test_iter_delta_matches_brute_force():
         got = list(iter_delta(max_abs))
         assert got == expected
         assert all(type(v) is int for t in got for v in t)
+        # one chunk per j, each int64 in Fortran order: the columns are contiguous
+        chunks = list(delta_rows(max_abs))
+        assert [tuple(r) for c in chunks for r in c.tolist()] == expected
+        assert all(c.dtype == np.int64 and c.flags.f_contiguous for c in chunks)
 
 
 def test_exhaustive_divisor_audit_small():

@@ -105,6 +105,26 @@ def test_from_terms_sums_cancels_and_checks_truncation():
         PolyHamiltonian.from_terms(2, [(mono, c), (outside, ExactCoeff.real(1))])
 
 
+def test_add_drops_cancelling_terms_and_rejects_mixed_pi_powers():
+    mono, other = Monomial.of((1,), (2,)), Monomial.of((2,), (1,))
+    c = ExactCoeff(Fraction(1, 3), Fraction(-2, 5), pi_power=1)
+    d = ExactCoeff.imag(Fraction(7, 2), pi_power=1)
+    P = PolyHamiltonian.from_terms(2, [(mono, c), (other, d)])
+    total = P + PolyHamiltonian.from_terms(2, [(mono, -c)])
+    assert total == PolyHamiltonian.from_terms(2, [(other, d)]) and total.num_terms == 1
+    # only the real parts cancel: the imaginary part stays
+    half = ExactCoeff(Fraction(-1, 3), Fraction(1, 5), pi_power=1)
+    total = P + PolyHamiltonian.from_terms(2, [(mono, half)])
+    assert total.coefficient(mono) == ExactCoeff.imag(Fraction(-1, 5), pi_power=1)
+    # distinct pi powers raise the coefficient sum's error, cancelling or not
+    for e in (ExactCoeff(-c.re, -c.im, pi_power=2), ExactCoeff.real(1, pi_power=2)):
+        with pytest.raises(ValueError) as want:
+            c + e
+        with pytest.raises(ValueError, match="pi powers") as got:
+            P + PolyHamiltonian.from_terms(2, [(mono, e)])
+        assert str(got.value) == str(want.value)
+
+
 # -- bracket -------------------------------------------------------------------
 
 

@@ -1,9 +1,13 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from dnls_nflab.order4 import delta_rows, quad_kernel
+from dnls_nflab.order6 import sextuple_kernel
+from dnls_nflab.stability import omega_kernel
 from dnls_nflab.states import (
     SAMPLE_BLOCK,
     FourierState,
@@ -12,6 +16,7 @@ from dnls_nflab.states import (
     hamiltonian_coefficients,
     hamiltonian_physical,
     lambda_energy,
+    leading_stars,
     mode_range,
     random_zero_momentum_rows,
     rejection_sample,
@@ -158,6 +163,45 @@ def test_zero_momentum_sextuples_match_brute_force():
     assert len(chunks) == len(modes)
     got = [tuple(int(v) for v in row) for chunk in chunks for row in chunk]
     assert got == expected
+    # one chunk per j1, each int64 in Fortran order: the columns are contiguous
+    assert [chunk[0, 0] for chunk in chunks] == modes
+    assert all(chunk.dtype == np.int64 and chunk.flags.f_contiguous for chunk in chunks)
+
+
+def test_leading_stars_match_sorted_absolute_values():
+    rng = np.random.default_rng(0)
+    for width in range(1, 11):
+        rows = rng.integers(-9, 10, size=(300, width))
+        want = (-np.sort(-np.abs(rows), axis=1)).T.tolist()
+        for k in range(1, 7):
+            for r in (rows, rows.astype(object)):
+                before = r.copy()
+                got = leading_stars(r.T, k)
+                assert [c.tolist() for c in got] == want[:k]
+                assert np.array_equal(r, before)
+
+
+@pytest.mark.parametrize(
+    "kernel, chunks",
+    [
+        (quad_kernel, partial(delta_rows, 7)),
+        (sextuple_kernel, partial(zero_momentum_sextuples, 4)),
+        (partial(omega_kernel, s_values=(1, 2, 3, 1.5)), partial(zero_momentum_sextuples, 4)),
+    ],
+    ids=["quad", "sextuple", "omega"],
+)
+def test_kernels_agree_on_c_order_f_order_and_object_rows(kernel, chunks):
+    def outputs(rows):
+        out = kernel(rows)
+        return [a for triple in out for a in triple] if isinstance(out, list) else list(out)
+
+    for rows in chunks():
+        f_order = outputs(rows)
+        c_order = outputs(np.ascontiguousarray(rows))
+        objects = outputs(rows.astype(object))
+        for f, c, o in zip(f_order, c_order, objects, strict=True):
+            assert f.dtype == c.dtype and np.array_equal(f, c)
+            assert f.tolist() == o.tolist()
 
 
 def test_rejection_sample_is_bounded():
