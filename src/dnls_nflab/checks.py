@@ -4,8 +4,8 @@ A check returns a Check record; its text is the PASS/FAIL line the CLI
 prints, and its report is what the check computed (a residual polynomial
 with the generator it built, the split of R6 with K, an audit report, the
 failing pairs), from which callers read counts and which they reuse rather
-than build again.  ``nf4``, ``nf6``,
-``verify-all`` and the acceptance tests run the same functions.
+than build again.  ``nf4``, ``nf6``, ``verify-all`` and the acceptance
+tests run the same functions.
 """
 
 from __future__ import annotations
@@ -59,11 +59,31 @@ def resonant_cancellation(M: int, r6: PolyHamiltonian) -> Check:
     return Check("resonant cancellation", rep.passed, f"{rep.checked} monomials", rep)
 
 
+def reducible_closed_form(M: int, n: int, r6: PolyHamiltonian) -> Check:
+    """The |q_n|^2-reducible non-resonant part of R6 equals its closed form;
+    the report is the Qtilde0Report."""
+    rep = qtilde0_crosscheck(M, n, r6)
+    detail = f"{rep.n_compared} terms, designated mode {n}"
+    return Check("reducible closed-form cross-check", rep.passed, detail, rep)
+
+
 def quadruple_bound(max_abs: int) -> Check:
     """The quadruple small-divisor bound on all of Delta within max_abs."""
     rep = exhaustive_divisor_audit(max_abs)
     detail = f"{rep['checked']} tuples, |j|<={max_abs}"
     return Check("quadruple divisor bound", not rep["violations"], detail, rep)
+
+
+def quadruple_bound_random(n_samples: int, max_abs: int, seed: int) -> Check:
+    """The quadruple small-divisor bound on random Delta quadruples."""
+    rep = random_divisor_audit(n_samples, max_abs, seed=seed)
+    return Check("quadruple divisor bound (random)", not rep["violations"], f"{rep['checked']} samples", rep)
+
+
+def sextuple_bound(max_abs: int) -> Check:
+    """The sextuple small-divisor bound on all non-resonant sextuples within max_abs."""
+    rep = exhaustive_sextuple_audit(max_abs)
+    return Check("sextuple divisor bound", not rep["violations"], f"{rep['checked']} tuples", rep)
 
 
 def vanishing_sums(name: str, pairs: Iterable[TriplePair]) -> Check:
@@ -85,15 +105,9 @@ def exact_battery(M: int, identities_bound: int, seed: int) -> Iterator[Check]:
     yield action_part(M, r6)
     yield resonant_cancellation(M, r6)
     yield order6_homological(M, r6)
-    rep = qtilde0_crosscheck(M, M, r6)
-    detail = f"{rep.n_compared} terms, designated mode {M}"
-    yield Check("reducible closed-form cross-check", rep.passed, detail, rep)
-    pairs = enumerate_triple_pairs(max(10, identities_bound))
-    yield vanishing_sums("kernel identities (integer pairs)", pairs)
+    yield reducible_closed_form(M, M, r6)
+    yield vanishing_sums("kernel identities (integer pairs)", enumerate_triple_pairs(identities_bound))
     yield vanishing_sums("kernel identities (random rational)", random_rational_pairs(200, seed=seed))
     yield quadruple_bound(20)
-    rep = random_divisor_audit(20_000, 10_000, seed=seed)
-    detail = f"{rep['checked']} samples"
-    yield Check("quadruple divisor bound (random)", not rep["violations"], detail, rep)
-    rep = exhaustive_sextuple_audit(min(8, M))
-    yield Check("sextuple divisor bound", not rep["violations"], f"{rep['checked']} tuples", rep)
+    yield quadruple_bound_random(20_000, 10_000, seed)
+    yield sextuple_bound(min(8, M))

@@ -208,7 +208,10 @@ def cmd_simulate(args) -> int:
     from .states import FourierState, state_to_json
 
     M = args.modes
-    track = tuple(float(s) for s in args.track_s.split(",")) if args.track_s else ()
+    try:
+        track = tuple(float(s) for s in args.track_s.split(",")) if args.track_s else ()
+    except ValueError:
+        raise UsageError(f"bad --track-s {args.track_s!r}: expected comma-separated numbers") from None
     q0 = _parse_init(args.init, M)
     for path in (args.out, args.dump_final):
         if path:
@@ -355,8 +358,9 @@ def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
     subcommand; high None is unbounded.  The integer ranges are closed: the
     lows are the smallest values the library calls accept, a divisor bound
     above QUAD_INT64_MAX_ABS would overflow the int64 audit, and a seed is a
-    Philox key, below 2**128.  The float ranges are open: a time step must
-    be positive and an amplitude lies strictly between 0 and 1."""
+    Philox key, below 2**128.  A Sobolev index is at least 0; the other float
+    ranges are open: a time step must be positive and an amplitude lies
+    strictly between 0 and 1."""
     from .order4 import QUAD_INT64_MAX_ABS
 
     seed = (0, 2**128 - 1, True)
@@ -367,8 +371,9 @@ def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
         "nf6": {"modes": (2, None, True)},
         "identities": {"bound": (1, None, True), "random": (0, None, True), "seed": seed},
         "simulate": {"modes": modes, "dt": dt},
-        "stability": {"modes": modes, "seed": seed, "dt": dt, "eps": (0.0, 1.0, False)},
-        "verify-all": {"modes": (2, None, True), "seed": seed},
+        "stability": {"s": (0, None, True), "modes": modes, "seed": seed, "dt": dt,
+                      "eps": (0.0, 1.0, False)},
+        "verify-all": {"modes": (2, None, True), "identities_bound": (1, None, True), "seed": seed},
     }
 
 

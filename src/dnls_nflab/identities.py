@@ -71,11 +71,6 @@ class TriplePair:
         _, X, Y = _scaled(self)
         return _violations(X, Y)
 
-    def require_hypotheses(self) -> None:
-        bad = self.hypothesis_violations()
-        if bad:
-            raise ValueError("hypotheses violated: " + "; ".join(bad))
-
     def translated(self, t) -> "TriplePair":
         t = _frac(t)
         return TriplePair(
@@ -138,15 +133,6 @@ def nine_term_sums(pair: TriplePair) -> tuple[Fraction, Fraction]:
         I += q
         II += num * q
     return Fraction(D * D * I, L), Fraction(D * II, L)
-
-
-def verify_vanishing_sums(pair: TriplePair) -> tuple[Fraction, Fraction]:
-    """Exact evaluation of I and II; raises if either fails to vanish."""
-    pair.require_hypotheses()
-    I, II = nine_term_sums(pair)
-    if I != 0 or II != 0:
-        raise ArithmeticError(f"nonzero sums: I={I}, II={II} for {pair}")
-    return I, II
 
 
 def _symmetric_sums(t) -> tuple[int, ...]:

@@ -34,6 +34,7 @@ from .poly import (
     build_Q,
 )
 from .states import (
+    MAX_VIOLATIONS,
     alternating_sum,
     fortran_rows,
     leading_stars,
@@ -95,13 +96,13 @@ def divisor_bound_check(t: tuple[int, int, int, int]) -> DivisorReport:
     return DivisorReport(t, d[0], bool(holds[0]), bool(fact_ok[0]))
 
 
-def _divisor_violations(rows: np.ndarray) -> list[DivisorReport]:
-    """Reports, in Python ints, for the rows of an array of Delta quadruples
-    that fail the bound or the factorization."""
+def _divisor_violations(rows: np.ndarray, limit: int) -> list[DivisorReport]:
+    """Reports, in Python ints, for the first `limit` rows of an array of
+    Delta quadruples that fail the bound or the factorization."""
     d, holds, fact_ok = quad_kernel(rows)
     return [
         DivisorReport(tuple(rows[i].tolist()), int(d[i]), bool(holds[i]), bool(fact_ok[i]))
-        for i in np.flatnonzero(~(holds & fact_ok))
+        for i in np.flatnonzero(~(holds & fact_ok))[:limit]
     ]
 
 
@@ -139,7 +140,7 @@ def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
     violations = []
     for rows in delta_rows(max_abs):
         checked += len(rows)
-        violations += _divisor_violations(rows)
+        violations += _divisor_violations(rows, MAX_VIOLATIONS - len(violations))
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 
@@ -158,7 +159,7 @@ def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
     violations = []
     for rows in rejection_sample(n_samples, draw):
         checked += len(rows)
-        violations += _divisor_violations(rows)
+        violations += _divisor_violations(rows, MAX_VIOLATIONS - len(violations))
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 

@@ -17,9 +17,10 @@ import numpy as np
 
 from .coeffs import ExactCoeff
 from .identities import TriplePair, _images, enumerate_triple_pairs, nine_term_sums, tau
-from .order4 import compute_R6, in_delta, iter_delta
+from .order4 import in_delta, iter_delta
 from .poly import Monomial, PolyHamiltonian, split_normal
 from .states import (
+    MAX_VIOLATIONS,
     alternating_sum,
     leading_stars,
     mode_range,
@@ -110,7 +111,7 @@ class KtildeReport:
         )
 
 
-def verify_Ktilde_zero(M: int, r6: PolyHamiltonian | None = None) -> KtildeReport:
+def verify_Ktilde_zero(M: int, r6: PolyHamiltonian) -> KtildeReport:
     """The resonant non-normal part of R6 vanishes identically.
 
     Three independent checks: (a) each resonant monomial's coefficient in R6
@@ -118,8 +119,6 @@ def verify_Ktilde_zero(M: int, r6: PolyHamiltonian | None = None) -> KtildeRepor
     divisor (the structural converse of (a)); (c) the nine-term kernel sum
     vanishes for each resonant pair, via exact rational arithmetic.
     """
-    if r6 is None:
-        r6 = compute_R6(M)
     report = KtildeReport(truncation=M, checked=0)
     for mono in iter_resonant_monomials(M):
         report.checked += 1
@@ -160,14 +159,12 @@ def split_r6(r6: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
     return split
 
 
-def build_F6(M: int, r6: PolyHamiltonian | None = None) -> PolyHamiltonian:
+def build_F6(M: int, r6: PolyHamiltonian) -> PolyHamiltonian:
     """Sextic generator: i/(square divisor) times the non-resonant part.
 
     One coefficient per term of the split of R6 (split_r6, computed once per
     R6), so F6 solves {Lambda, F6} = -Qtilde term by term.
     """
-    if r6 is None:
-        r6 = compute_R6(M)
     if r6.truncation > M:
         raise ValueError(f"R6 of truncation {r6.truncation} exceeds M = {M}")
     _, qtilde = split_r6(r6)
@@ -271,8 +268,8 @@ def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
         nz = d != 0
         checked += int(nz.sum())
         excluded_count += int((excluded & nz).sum())
-        bad = nz & ~holds & ~excluded
-        violations += [tuple(int(v) for v in arr[i]) for i in np.flatnonzero(bad)[: 20 - len(violations)]]
+        bad = np.flatnonzero(nz & ~holds & ~excluded)[: MAX_VIOLATIONS - len(violations)]
+        violations += [tuple(int(v) for v in arr[i]) for i in bad]
     return {
         "checked": checked,
         "excluded": excluded_count,
@@ -299,7 +296,8 @@ def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
         _, _, excl, holds = kernel
         checked += len(rows)
         excluded += int(excl.sum())
-        violations += [_sextuple_report(rows, i, *kernel) for i in np.flatnonzero(~holds & ~excl)]
+        bad = np.flatnonzero(~holds & ~excl)[: MAX_VIOLATIONS - len(violations)]
+        violations += [_sextuple_report(rows, i, *kernel) for i in bad]
     return {
         "checked": checked,
         "excluded": excluded,
@@ -349,13 +347,9 @@ class Qtilde0Report:
         return not self.mismatches
 
 
-def qtilde0_crosscheck(
-    M: int, n: int, r6: PolyHamiltonian | None = None
-) -> Qtilde0Report:
+def qtilde0_crosscheck(M: int, n: int, r6: PolyHamiltonian) -> Qtilde0Report:
     """Term-by-term comparison of the closed-form reducible part against the
     subtraction-derived non-resonant part of R6, for shared mode n."""
-    if r6 is None:
-        r6 = compute_R6(M)
     _, qtilde = split_r6(r6)
     extracted: dict[Monomial, ExactCoeff] = {}
     regime = True

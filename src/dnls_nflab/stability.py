@@ -25,6 +25,7 @@ from .flows import (
     spectral_model,
 )
 from .states import (
+    MAX_VIOLATIONS,
     TWO_PI,
     FourierState,
     alternating_sum,
@@ -116,7 +117,7 @@ def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
         for s, (_, _, holds) in zip(s_values, omega_kernel(arr, s_values)):
             checked += len(arr)
             found = violations[s]
-            bad = np.flatnonzero(~holds)[: 20 - len(found)]
+            bad = np.flatnonzero(~holds)[: MAX_VIOLATIONS - len(found)]
             found += [(tuple(int(v) for v in arr[i]), s) for i in bad]
     return {
         "checked": checked,
@@ -137,7 +138,8 @@ def random_omega_audit(
     n_samples is split as evenly as possible over r_values, in order (the
     first n_samples % len(r_values) widths take one sample more), and each
     width is drawn through rejection_sample in blocks of one (rows, 2r)
-    array.  Violations are listed by width, then by sample, then by s.
+    array.  Violations are listed by width, then by sample, then by s, up
+    to MAX_VIOLATIONS.
     """
     if max_abs < 1:
         raise ValueError("max_abs must be at least 1")
@@ -149,12 +151,13 @@ def random_omega_audit(
         draw = partial(random_zero_momentum_rows, rng, width=2 * r, max_abs=max_abs)
         for rows in rejection_sample(share + (w < extra), draw):
             checked += len(rows)
+            room = MAX_VIOLATIONS - len(violations)
             bad = [
                 (i, OmegaReport(tuple(rows[i]), s, value[i], bound[i], False))
                 for s, (value, bound, holds) in zip(s_values, omega_kernel(rows, s_values))
-                for i in np.flatnonzero(~holds)
+                for i in np.flatnonzero(~holds)[:room]
             ]
-            violations += [rep for _, rep in sorted(bad, key=lambda b: b[0])]
+            violations += [rep for _, rep in sorted(bad, key=lambda b: b[0])][:room]
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 

@@ -103,6 +103,10 @@ def random_zero_momentum_rows(rng, k: int, width: int, max_abs: int) -> np.ndarr
 
 SAMPLE_BLOCK = 4096
 
+# A small-divisor audit lists its first MAX_VIOLATIONS violations only (the
+# exhaustive Omega audit that many per s); its `checked` counts every row.
+MAX_VIOLATIONS = 20
+
 
 def rejection_sample(n_samples: int, draw):
     """Yield n_samples accepted samples in blocks of at most SAMPLE_BLOCK.

@@ -24,6 +24,7 @@ CLI_REPORT_RUNS = {
     "simulate": ["simulate", "--modes", "6", "--init", "planewave:2,0.3", "--t-end", "0.5",
                  "--dt", "1e-3", "--track-s", "2", "--record-interval", "0.1",
                  "--out", "simulate.csv", "--dump-final", "simulate_final.json"],
+    "verify-all": ["verify-all", "--modes", "6"],
 }
 
 
@@ -240,10 +241,11 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, message):
         (["identities", "--random", "3", "--seed", "-1"],
          f"--seed must be between 0 and {2**128 - 1}, got -1"),
         (["verify-all", "--seed", str(2**128)], f"--seed must be between 0 and {2**128 - 1}"),
+        (["verify-all", "--identities-bound", "-5"], "--identities-bound must be at least 1, got -5"),
     ],
     ids=["verify-all-modes", "nf4-modes", "nf6-modes", "stability-modes", "simulate-modes",
          "divisor-bound-low", "divisor-bound-int64", "identities-bound", "identities-random",
-         "identities-seed", "verify-all-seed"],
+         "identities-seed", "verify-all-seed", "verify-all-identities-bound"],
 )
 def test_out_of_range_integer_option_is_usage_error(capsys, argv, message):
     assert main(argv) == 2
@@ -270,10 +272,12 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
         (["stability", "--s", "3", "--eps", "0.3"], {"dt": 0}, "--dt must be greater than 0, got 0"),
         (["stability", "--s", "3", "--eps", "0.3"], {"dt": None}, "invalid float value for --dt: null"),
         (["verify-all"], {"modes": 4.5}, "invalid int value for --modes: 4.5"),
+        (["stability", "--s", "-1", "--eps", "0.3"], None, "--s must be at least 0, got -1.0"),
+        (SIMULATE + ["--track-s", "x"], None, "bad --track-s 'x': expected comma-separated numbers"),
     ],
     ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
          "simulate-dt-config", "stability-dt-config", "stability-dt-config-null",
-         "verify-all-modes-config-float"],
+         "verify-all-modes-config-float", "stability-s-negative", "simulate-track-s-not-a-number"],
 )
 def test_out_of_range_float_option_is_usage_error(tmp_path, capsys, argv, conf, message):
     if conf is not None:
@@ -293,6 +297,7 @@ def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
     assert parse_args(["nf4", "--divisor-bound", str(QUAD_INT64_MAX_ABS)]).divisor_bound == 344
     assert parse_args(["verify-all", "--modes", "2"]).modes == 2
     assert parse_args(STABILITY + ["--eps", "0.999", "--dt", "1e-9"]).eps == 0.999
+    assert parse_args(["stability", "--s", "0", "--eps", "0.3"]).s == 0
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"modes": 1}))
     assert main(["--config", str(conf), "verify-all"]) == 2

@@ -5,10 +5,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dnls_nflab.order4 import delta_rows, quad_kernel
+from dnls_nflab import order4, order6, stability
+from dnls_nflab.order4 import delta_rows, iter_delta, quad_kernel
 from dnls_nflab.order6 import sextuple_kernel
 from dnls_nflab.stability import omega_kernel
 from dnls_nflab.states import (
+    MAX_VIOLATIONS,
     SAMPLE_BLOCK,
     FourierState,
     alternating_sum,
@@ -288,3 +290,46 @@ def test_random_zero_momentum_rows_keeps_the_valid_rows_of_one_draw(width, max_a
     assert rows.dtype == object and rows.shape == (len(expected), width)
     assert [tuple(row) for row in rows] == expected
     assert all(type(v) is int for v in rows.ravel())
+
+
+def _six_audits():
+    return [
+        order4.exhaustive_divisor_audit(6),
+        order4.random_divisor_audit(500, 50, seed=1),
+        order6.exhaustive_sextuple_audit(3),
+        order6.random_sextuple_audit(500, 50, seed=2),
+        stability.exhaustive_omega_audit(3, (1, 2)),
+        stability.random_omega_audit(500, max_abs=50, r_values=(3, 4), s_values=(1, 2), seed=3),
+    ]
+
+
+def test_audits_list_only_their_first_violations(monkeypatch):
+    # every kernel fails every row: each audit still checks every row but
+    # lists only its first MAX_VIOLATIONS violations (the exhaustive Omega
+    # audit that many per s), in its usual order
+    passing = _six_audits()
+
+    def quad_failing(rows):
+        d, holds, fact_ok = quad_kernel(rows)
+        return d, holds & False, fact_ok
+
+    def sextuple_failing(rows):
+        d, stars, excluded, holds = sextuple_kernel(rows)
+        return d, stars, excluded & False, holds & False
+
+    def omega_failing(rows, s_values):
+        return [(value, bound, holds & False) for value, bound, holds in omega_kernel(rows, s_values)]
+
+    monkeypatch.setattr(order4, "quad_kernel", quad_failing)
+    monkeypatch.setattr(order6, "sextuple_kernel", sextuple_failing)
+    monkeypatch.setattr(stability, "omega_kernel", omega_failing)
+    failing = _six_audits()
+    assert [r["checked"] for r in failing] == [r["checked"] for r in passing]
+    assert all(r["violations"] == [] for r in passing)
+    n = MAX_VIOLATIONS
+    assert [len(r["violations"]) for r in failing] == [n, n, n, n, 2 * n, n]
+    assert [v.tuple for v in failing[0]["violations"]] == list(iter_delta(6))[:n]
+    assert [s for _, s in failing[4]["violations"]] == [1] * n + [2] * n
+    omega = failing[5]["violations"]
+    assert [v.s for v in omega] == [1, 2] * (n // 2)
+    assert all(a.entries == b.entries for a, b in zip(omega[::2], omega[1::2]))
