@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,9 @@ def cmd_simulate(args) -> int:
         track = tuple(float(s) for s in args.track_s.split(",")) if args.track_s else ()
     except ValueError:
         raise UsageError(f"bad --track-s {args.track_s!r}: expected comma-separated numbers") from None
+    for s in track:
+        if not 0 <= s < math.inf:
+            raise UsageError(f"--track-s values must be finite and at least 0, got {s}")
     q0 = _parse_init(args.init, M)
     for path in (args.out, args.dump_final):
         if path:
@@ -358,30 +362,36 @@ def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
     subcommand; high None is unbounded.  The integer ranges are closed: the
     lows are the smallest values the library calls accept, a divisor bound
     above QUAD_INT64_MAX_ABS would overflow the int64 audit, and a seed is a
-    Philox key, below 2**128.  A Sobolev index is at least 0; the other float
-    ranges are open: a time step must be positive and an amplitude lies
-    strictly between 0 and 1."""
+    Philox key, below 2**128.  A Sobolev index is at least 0 and a norm-ratio
+    threshold at least 1, the ratio at t = 0; the other float ranges are
+    open: a time step, a horizon and a record interval must be positive and
+    an amplitude lies strictly between 0 and 1."""
     from .order4 import QUAD_INT64_MAX_ABS
 
     seed = (0, 2**128 - 1, True)
     modes = (1, None, True)
-    dt = (0.0, None, False)
+    positive = (0.0, None, False)
     return {
         "nf4": {"modes": modes, "divisor_bound": (1, QUAD_INT64_MAX_ABS, True)},
         "nf6": {"modes": (2, None, True)},
         "identities": {"bound": (1, None, True), "random": (0, None, True), "seed": seed},
-        "simulate": {"modes": modes, "dt": dt},
-        "stability": {"s": (0, None, True), "modes": modes, "seed": seed, "dt": dt,
-                      "eps": (0.0, 1.0, False)},
+        "simulate": {"modes": modes, "dt": positive, "t_end": positive, "record_interval": positive},
+        "stability": {"s": (0, None, True), "modes": modes, "seed": seed, "dt": positive,
+                      "eps": (0.0, 1.0, False), "threshold": (1, None, True)},
         "verify-all": {"modes": (2, None, True), "identities_bound": (1, None, True), "seed": seed},
     }
 
 
 def _check_ranges(args: argparse.Namespace) -> argparse.Namespace:
     """Raise UsageError for a numeric option outside its range (NaN is
-    outside every open range)."""
+    outside every range, and an unbounded float range excludes infinity).
+    An option whose default is None may be left out."""
     for name, (low, high, closed) in _option_ranges()[args.subcommand].items():
         value = getattr(args, name)
+        if value is None:
+            continue
+        if value == math.inf:
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
         if closed:
             inside = low <= value and (high is None or value <= high)
             span = f"at least {low}" if high is None else f"between {low} and {high}"

@@ -156,7 +156,7 @@ def test_stability_threshold_failure(tmp_path):
     out = tmp_path / "run.csv"
     code = main(
         ["stability", "--s", "3", "--eps", "0.4", "--modes", "8", "--r", "1",
-         "--seed", "3", "--dt", "0.002", "--threshold", "0.5", "--out", str(out)]
+         "--seed", "3", "--dt", "0.002", "--threshold", "1", "--out", str(out)]
     )
     assert code == 1
     manifest = _read_manifest(out)
@@ -274,10 +274,18 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
         (["verify-all"], {"modes": 4.5}, "invalid int value for --modes: 4.5"),
         (["stability", "--s", "-1", "--eps", "0.3"], None, "--s must be at least 0, got -1.0"),
         (SIMULATE + ["--track-s", "x"], None, "bad --track-s 'x': expected comma-separated numbers"),
+        (SIMULATE + ["--t-end", "nan"], None, "--t-end must be greater than 0, got nan"),
+        (SIMULATE + ["--t-end", "inf"], None, "--t-end must be finite, got inf"),
+        (SIMULATE + ["--record-interval", "nan"], None, "--record-interval must be greater than 0, got nan"),
+        (SIMULATE + ["--record-interval", "-1"], None, "--record-interval must be greater than 0, got -1.0"),
+        (SIMULATE + ["--track-s=-1"], None, "--track-s values must be finite and at least 0, got -1.0"),
+        (STABILITY + ["--threshold", "-1"], None, "--threshold must be at least 1, got -1.0"),
     ],
     ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
          "simulate-dt-config", "stability-dt-config", "stability-dt-config-null",
-         "verify-all-modes-config-float", "stability-s-negative", "simulate-track-s-not-a-number"],
+         "verify-all-modes-config-float", "stability-s-negative", "simulate-track-s-not-a-number",
+         "simulate-t-end-nan", "simulate-t-end-inf", "simulate-record-interval-nan",
+         "simulate-record-interval-negative", "simulate-track-s-negative", "stability-threshold-negative"],
 )
 def test_out_of_range_float_option_is_usage_error(tmp_path, capsys, argv, conf, message):
     if conf is not None:
@@ -298,6 +306,8 @@ def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
     assert parse_args(["verify-all", "--modes", "2"]).modes == 2
     assert parse_args(STABILITY + ["--eps", "0.999", "--dt", "1e-9"]).eps == 0.999
     assert parse_args(["stability", "--s", "0", "--eps", "0.3"]).s == 0
+    assert parse_args(STABILITY + ["--threshold", "1"]).threshold == 1
+    assert parse_args(SIMULATE).record_interval is None
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"modes": 1}))
     assert main(["--config", str(conf), "verify-all"]) == 2

@@ -16,7 +16,7 @@ from dnls_nflab.flows import (
     transformed_hamiltonian_residual,
 )
 from dnls_nflab.poly import PolyHamiltonian, build_lambda
-from dnls_nflab.states import TWO_PI, FourierState, mode_range
+from dnls_nflab.states import TWO_PI, FourierState, mode_range, quartic_energy
 
 CFG = FlowConfig(dt=0.05, tolerance=1e-12)
 
@@ -80,21 +80,12 @@ def test_plane_wave_dispersion():
     assert rel < 1e-10
 
 
-def _reference_lawson(q, M, h, n_steps):
-    """The integrating-factor RK4 step written out plainly: a fresh scatter
-    buffer per transform and every product formed where it is used."""
-    model = spectral_model(M)
-
-    def nonlinear(q):
-        buf = np.zeros(q.shape[:-1] + (model.n_grid,), dtype=complex)
-        buf[..., model.bins] = q
-        u = np.fft.ifft(buf, axis=-1) * (model.n_grid / math.sqrt(TWO_PI))
-        w = (np.abs(u) ** 2) * u
-        w_hat = np.fft.fft(w, axis=-1)[..., model.bins] * (math.sqrt(TWO_PI) / model.n_grid)
-        return -1j * model.modes * w_hat
-
-    E = np.exp(-1j * model.jsq * h)
-    Eh = np.exp(-1j * model.jsq * (h / 2))
+def _lawson(nonlinear, q, M, h, n_steps):
+    """The integrating-factor RK4 step written out plainly: every product
+    formed where it is used."""
+    jsq = np.array(mode_range(M), dtype=float) ** 2
+    E = np.exp(-1j * jsq * h)
+    Eh = np.exp(-1j * jsq * (h / 2))
     for _ in range(n_steps):
         k1 = nonlinear(q)
         k2 = nonlinear(Eh * (q + (h / 2) * k1))
@@ -104,16 +95,112 @@ def _reference_lawson(q, M, h, n_steps):
     return q
 
 
+def _plain_nonlinear(M):
+    """The library's formula written out plainly: a fresh scatter buffer per
+    transform, the unscaled inverse DFT S = sqrt(2 pi) u, |S|^2 as
+    re^2 + im^2 and the folded weight -i j / (2 pi n)."""
+    model = spectral_model(M)
+    n = model.n_grid
+    bins = np.mod(model.modes, n)
+    weight = -1j * model.modes / (TWO_PI * n)
+
+    def nonlinear(q):
+        buf = np.zeros(q.shape[:-1] + (n,), dtype=complex)
+        buf[..., bins] = q
+        S = np.fft.ifft(buf, axis=-1, norm="forward")
+        S *= S.real**2 + S.imag**2
+        return np.fft.fft(S, axis=-1)[..., bins] * weight
+
+    return nonlinear
+
+
+def _power_of_two_nonlinear(M):
+    """The formula before the 5-smooth grid: 4M+2 rounded up to a power of
+    two, u scaled onto the grid, |u|^2 from np.abs and both scales applied
+    separately."""
+    n = 1 << (4 * M + 1).bit_length()
+    modes = np.array(mode_range(M))
+    bins = np.mod(modes, n)
+
+    def nonlinear(q):
+        buf = np.zeros(q.shape[:-1] + (n,), dtype=complex)
+        buf[..., bins] = q
+        u = np.fft.ifft(buf, axis=-1) * (n / math.sqrt(TWO_PI))
+        w = (np.abs(u) ** 2) * u
+        w_hat = np.fft.fft(w, axis=-1)[..., bins] * (math.sqrt(TWO_PI) / n)
+        return -1j * modes * w_hat
+
+    return nonlinear
+
+
+def _criterion_8_batch(M, seed):
+    rng = np.random.default_rng(seed)
+    modes = np.abs(np.array(mode_range(M)))
+    return 0.3 * (rng.normal(size=(3, 2 * M)) + 1j * rng.normal(size=(3, 2 * M))) / modes**2
+
+
 def test_lawson_step_is_bit_identical_to_the_plain_step():
     # criterion 8's size and batch: M = 32, three members, dt = 1e-3
     M, n_steps = 32, 500
-    rng = np.random.default_rng(11)
-    modes = np.abs(np.array(mode_range(M)))
-    q0 = 0.3 * (rng.normal(size=(3, 2 * M)) + 1j * rng.normal(size=(3, 2 * M))) / modes**2
+    q0 = _criterion_8_batch(M, 11)
     cfg = FlowConfig(dt=1e-3, t_end=n_steps * 1e-3, record_interval=0.1)
     _, _, q_final, _ = evolve_vec(q0, M, cfg)
     h = cfg.t_end / n_steps
-    assert np.array_equal(q_final, _reference_lawson(q0.astype(complex), M, h, n_steps))
+    assert np.array_equal(q_final, _lawson(_plain_nonlinear(M), q0.astype(complex), M, h, n_steps))
+
+
+def test_lawson_step_matches_the_power_of_two_grid_formula():
+    # the grid and the folded constants change rounding only
+    M, n_steps = 32, 500
+    q0 = _criterion_8_batch(M, 11)
+    assert spectral_model(M).n_grid == 135
+    cfg = FlowConfig(dt=1e-3, t_end=n_steps * 1e-3, record_interval=0.1)
+    _, _, q_final, _ = evolve_vec(q0, M, cfg)
+    h = cfg.t_end / n_steps
+    old = _lawson(_power_of_two_nonlinear(M), q0.astype(complex), M, h, n_steps)
+    rel = np.linalg.norm(q_final - old, axis=-1) / np.linalg.norm(old, axis=-1)
+    assert rel.shape == (3,) and np.all(rel <= 1e-13)
+
+
+def _direct_nonlinear(q, M):
+    """-i j / (2 pi) * sum over a - b + c = j of q_a conj(q_b) q_c, in mode space."""
+    modes = np.array(mode_range(M))
+    a, b, c = np.meshgrid(modes, modes, modes, indexing="ij")
+    j = (a - b + c).ravel()
+    terms = np.einsum("a,b,c->abc", q, np.conj(q), q).ravel()
+    inside = np.abs(j) <= M
+    total = np.zeros(4 * M + 1, dtype=complex)
+    np.add.at(total, j[inside] + 2 * M, terms[inside])
+    return -1j * modes / TWO_PI * total[modes + 2 * M]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 6, 8])
+def test_nonlinear_and_quartic_energy_match_mode_space_sums(M):
+    # independent of the grid: odd sizes (25 at M = 6) and the smallest ones
+    model = spectral_model(M)
+    rng = np.random.default_rng(M)
+    q = rng.normal(size=(2, 2 * M)) + 1j * rng.normal(size=(2, 2 * M))
+    got = model.nonlinear(q)
+    energy = model.quartic_energy(q)
+    for member in range(2):
+        want = _direct_nonlinear(q[member], M)
+        assert np.linalg.norm(got[member] - want) <= 1e-13 * np.linalg.norm(want)
+        pair_sum = quartic_energy(FourierState.from_vector(q[member], M))
+        assert energy[member] == pytest.approx(pair_sum, rel=1e-13)
+
+
+def test_grid_is_the_smallest_5_smooth_size_of_at_least_4m_plus_1():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for M in range(1, 65):
+        n = spectral_model(M).n_grid
+        assert n >= 4 * M + 1 and smooth(n)
+        assert not any(smooth(k) for k in range(4 * M + 1, n))
+    assert spectral_model(6).n_grid == 25
 
 
 def test_conservation_drift_small():
