@@ -9,7 +9,6 @@ from .poly import (
     build_G,
     build_Q,
     build_lambda,
-    is_normal_form,
     split_normal,
 )
 from .states import FourierState, sobolev_norm
@@ -26,7 +25,6 @@ __all__ = [
     "build_G",
     "build_Q",
     "build_lambda",
-    "is_normal_form",
     "sobolev_norm",
     "split_normal",
     "__version__",

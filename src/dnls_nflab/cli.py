@@ -134,8 +134,8 @@ def cmd_nf4(args) -> int:
 
 def cmd_nf6(args) -> int:
     from .checks import action_part, order6_homological, resonant_cancellation
-    from .order4 import compute_R6
-    from .order6 import enumerate_resonant, coefficient_growth_audit_f6
+    from .order4 import coefficient_growth_audit, compute_R6
+    from .order6 import enumerate_resonant
     from .poly import poly_to_records
 
     M = args.modes
@@ -145,7 +145,8 @@ def cmd_nf6(args) -> int:
     homological = order6_homological(M, r6)
     ok = _print_checks([action, *ktilde, homological])
     if args.audit_f6:
-        audit = coefficient_growth_audit_f6(homological.report[1])
+        # steep-head shape (j1*)^(-7/2) (j2*...j6*)^(5/2)
+        audit = coefficient_growth_audit(homological.report[1], Fraction(5, 2), Fraction(7, 2))
         print(f"  sextic generator growth constant: {audit.constant_raw:.6g}")
     outcome = "pass" if ok else "fail"
     if args.dump_k:
@@ -364,8 +365,9 @@ def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
     above QUAD_INT64_MAX_ABS would overflow the int64 audit, and a seed is a
     Philox key, below 2**128.  A Sobolev index is at least 0 and a norm-ratio
     threshold at least 1, the ratio at t = 0; the other float ranges are
-    open: a time step, a horizon and a record interval must be positive and
-    an amplitude lies strictly between 0 and 1."""
+    open: a time step, a horizon, the exponent r of the horizon eps^-r and a
+    record interval must be positive and an amplitude lies strictly between
+    0 and 1."""
     from .order4 import QUAD_INT64_MAX_ABS
 
     seed = (0, 2**128 - 1, True)
@@ -377,7 +379,7 @@ def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
         "identities": {"bound": (1, None, True), "random": (0, None, True), "seed": seed},
         "simulate": {"modes": modes, "dt": positive, "t_end": positive, "record_interval": positive},
         "stability": {"s": (0, None, True), "modes": modes, "seed": seed, "dt": positive,
-                      "eps": (0.0, 1.0, False), "threshold": (1, None, True)},
+                      "eps": (0.0, 1.0, False), "r": positive, "threshold": (1, None, True)},
         "verify-all": {"modes": (2, None, True), "identities_bound": (1, None, True), "seed": seed},
     }
 

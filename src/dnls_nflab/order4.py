@@ -12,7 +12,9 @@ involves contraction modes up to 3M (the contracted mode of a quartic pair
 is a signed sum of three window modes), so the brackets run on a mode set of
 radius 3M and the result is restricted to the window.  Without the enlarged
 intermediate set the resonant cancellations and the closed-form action part
-would fail near the truncation edge.
+would fail near the truncation edge.  r6_coefficient evaluates the known
+closed form of one R6 coefficient with no window at all, the oracle the
+engine's R6 is tested against.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -183,84 +186,70 @@ def build_F4(M: int, Mx: int | None = None) -> PolyHamiltonian:
 # -- sextic remainder --------------------------------------------------------------
 
 
-def r6_parts(M: int) -> tuple[PolyHamiltonian, PolyHamiltonian]:
-    """({B,F}, (1/2){Q,F}) with window-complete coefficients at truncation M."""
-    if M < 2:
-        raise ValueError("need M >= 2")
-    B = build_B_closed_form(M)
-    F = build_F4(M)
-    bf = bracket(B, F)
-    # the 1/2 scales Q's terms, far fewer than the bracket's
-    half_q = build_Q(M, 3 * M).scaled(Fraction(1, 2))
-    return bf, bracket(half_q, build_F4(M, 3 * M), support_bound=M)
-
-
 def compute_R6(M: int) -> PolyHamiltonian:
     """Exact degree-6 remainder of the order-4 step, windowed to |j| <= M.
 
     Every stored coefficient equals its untruncated value: the bracket runs
     with intermediate modes up to 3M before restriction.
     """
-    bf, qf_half = r6_parts(M)
-    return bf + qf_half
+    if M < 2:
+        raise ValueError("need M >= 2")
+    bf = bracket(build_B_closed_form(M), build_F4(M))
+    # the 1/2 scales Q's terms, far fewer than the bracket's
+    half_q = build_Q(M, 3 * M).scaled(Fraction(1, 2))
+    return bf + bracket(half_q, build_F4(M, 3 * M), support_bound=M)
 
 
-# -- closed forms of the two bracket pieces ---------------------------------------------
+# -- closed form of R6, one monomial at a time --------------------------------------
 #
-# Independent transcriptions of the known closed forms, used only as exact
-# cross-checks of the engine-produced parts.  Both are ordered-tuple sums
-# plus complex conjugate, aggregated onto canonical monomials.
+# The known closed forms of the two bracket pieces are sums of a kernel over
+# the ways to read a monomial, or its conjugate, as an ordered tuple.  The
+# contracted mode j-k+l is intrinsic to the monomial, so a coefficient needs
+# no 3M window and does not depend on the truncation.
 
 
-def closed_form_bf(M: int) -> PolyHamiltonian:
-    """{B, F} as -(1/4pi^2) sum over Delta of (m/divisor) q_j qbar_k q_l qbar_m |q_m|^2 + c.c."""
-    acc: dict[Monomial, Fraction] = {}
-    for j, k, l, m in iter_delta(M):
-        kernel = Fraction(-m, 4 * alternating_sum((j, k, l, m), 2))
-        mono = Monomial.of((j, l, m), (k, m, m))
-        acc[mono] = acc.get(mono, Fraction(0)) + kernel
-        conj = mono.conjugate()
-        acc[conj] = acc.get(conj, Fraction(0)) + kernel
-    return PolyHamiltonian.from_terms(
-        M, ((mono, ExactCoeff.real(f, pi_power=2)) for mono, f in acc.items())
+def _readings(mono: Monomial):
+    """Ordered readings (plus, minus) of a zero-momentum monomial with three
+    slots of each kind, and of its conjugate; none at nonzero momentum."""
+    if mono.momentum() != 0:
+        return
+    for m in (mono, mono.conjugate()):
+        for plus in set(permutations(m.plus)):
+            for minus in set(permutations(m.minus)):
+                yield plus, minus
+
+
+def _bf_reading_sum(mono: Monomial) -> Fraction:
+    """pi^2 times the {B, F} coefficient: -m/(4 divisor) summed over the
+    readings (j, l, m | k, m, m) with (j, k, l, m) in Delta."""
+    return sum(
+        (
+            Fraction(-m, 4 * alternating_sum((j, k, l, m), 2))
+            for (j, l, m), (k, m1, m2) in _readings(mono)
+            if m1 == m2 == m and in_delta(j, k, l, m)
+        ),
+        Fraction(0),
     )
 
 
-def closed_form_qf_half(M: int) -> PolyHamiltonian:
-    """(1/2){Q, F} as -(1/16pi^2) sum of tau(j,k,l) q_j qbar_k q_l qbar_m1 q_m2 qbar_m3 + c.c.
-
-    The sum runs over zero-momentum sextuples with j,l != k and m1,m3 != m2;
-    the contracted mode j-k+l is intrinsic (tau vanishes when it is zero), so
-    this form is window-complete by construction and must agree exactly with
-    the engine's enlarged-intermediate bracket.
-    """
-    window = mode_range(M)
-    acc: dict[Monomial, Fraction] = {}
-    for j in window:
-        for k in window:
-            if k == j:
-                continue
-            for l in window:
-                if l == k:
-                    continue
-                t = tau(j, k, l)
-                if t == 0:
-                    continue
-                for m1 in window:
-                    for m2 in window:
-                        if m1 == m2:
-                            continue
-                        m3 = alternating_sum((j, k, l, m1, m2))
-                        if m3 == 0 or abs(m3) > M or m3 == m2:
-                            continue
-                        kernel = -t / 16
-                        mono = Monomial.of((j, l, m2), (k, m1, m3))
-                        acc[mono] = acc.get(mono, Fraction(0)) + kernel
-                        conj = mono.conjugate()
-                        acc[conj] = acc.get(conj, Fraction(0)) + kernel
-    return PolyHamiltonian.from_terms(
-        M, ((mono, ExactCoeff.real(f, pi_power=2)) for mono, f in acc.items())
+def _qf_reading_sum(mono: Monomial) -> Fraction:
+    """pi^2 times the (1/2){Q, F} coefficient: -tau(j, k, l)/16 summed over
+    the readings (j, l, m2 | k, m1, m3) with k not in {j, l} and m2 not in
+    {m1, m3}."""
+    return sum(
+        (
+            -tau(j, k, l) / 16
+            for (j, l, m2), (k, m1, m3) in _readings(mono)
+            if k not in (j, l) and m2 not in (m1, m3)
+        ),
+        Fraction(0),
     )
+
+
+def r6_coefficient(mono: Monomial) -> ExactCoeff:
+    """Closed-form coefficient of R6 = {B, F} + (1/2){Q, F} on one sextic
+    monomial, the oracle for compute_R6 at any truncation."""
+    return ExactCoeff.real(_bf_reading_sum(mono) + _qf_reading_sum(mono), pi_power=2)
 
 
 # -- coefficient audits ---------------------------------------------------------------

@@ -377,14 +377,6 @@ def qtilde0_crosscheck(M: int, n: int, r6: PolyHamiltonian) -> Qtilde0Report:
     )
 
 
-def coefficient_growth_audit_f6(F6: PolyHamiltonian):
-    """Growth audit of the sextic generator against the steep-head shape
-    (j1*)^(-7/2) (j2*...j6*)^(5/2); the constant is a regression value."""
-    from .order4 import coefficient_growth_audit
-
-    return coefficient_growth_audit(F6, Fraction(5, 2), Fraction(7, 2))
-
-
 def tau_bound_check(j: int, k: int, l: int, m: int, n: int) -> bool:
     """|tau(j,n,k)|, |tau(j,n,l)|, |tau(k,n,m)| < 2/|n|, exactly.
 

@@ -88,6 +88,7 @@ class Monomial:
         return sum(j * j for j in self.plus) - sum(j * j for j in self.minus)
 
     def is_normal(self) -> bool:
+        """True iff the monomial depends only on actions |q_j|**2."""
         return self.plus == self.minus
 
     def conjugate(self) -> "Monomial":
@@ -114,11 +115,6 @@ def _multiset_perms(t: tuple[int, ...]) -> int:
         count //= math.factorial(k - i)
         i = k
     return count
-
-
-def is_normal_form(m: Monomial) -> bool:
-    """True iff the monomial depends only on actions |q_j|**2."""
-    return m.is_normal()
 
 
 def _cancels(a: ExactCoeff, b: ExactCoeff) -> bool:
@@ -234,7 +230,7 @@ class PolyHamiltonian:
 
 def split_normal(H: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
     """Split into (action-only part, remainder); the sum reconstructs H."""
-    return H.filtered(is_normal_form), H.filtered(lambda m: not m.is_normal())
+    return H.filtered(Monomial.is_normal), H.filtered(lambda m: not m.is_normal())
 
 
 # -- bracket ----------------------------------------------------------------------

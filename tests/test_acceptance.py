@@ -141,7 +141,6 @@ def test_criterion_7_simulator_correctness():
 
 
 @pytest.mark.slow
-@pytest.mark.slow
 def test_criterion_8_longtime_stability():
     seeds = (1, 2, 3)
     configs = [

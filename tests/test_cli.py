@@ -280,12 +280,15 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
         (SIMULATE + ["--record-interval", "-1"], None, "--record-interval must be greater than 0, got -1.0"),
         (SIMULATE + ["--track-s=-1"], None, "--track-s values must be finite and at least 0, got -1.0"),
         (STABILITY + ["--threshold", "-1"], None, "--threshold must be at least 1, got -1.0"),
+        (STABILITY + ["--r", "nan"], None, "--r must be greater than 0, got nan"),
+        (STABILITY + ["--r", "inf"], None, "--r must be finite, got inf"),
     ],
     ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
          "simulate-dt-config", "stability-dt-config", "stability-dt-config-null",
          "verify-all-modes-config-float", "stability-s-negative", "simulate-track-s-not-a-number",
          "simulate-t-end-nan", "simulate-t-end-inf", "simulate-record-interval-nan",
-         "simulate-record-interval-negative", "simulate-track-s-negative", "stability-threshold-negative"],
+         "simulate-record-interval-negative", "simulate-track-s-negative", "stability-threshold-negative",
+         "stability-r-nan", "stability-r-inf"],
 )
 def test_out_of_range_float_option_is_usage_error(tmp_path, capsys, argv, conf, message):
     if conf is not None:

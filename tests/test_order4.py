@@ -9,8 +9,6 @@ from dnls_nflab.checks import order4_homological
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.order4 import (
     build_F4,
-    closed_form_bf,
-    closed_form_qf_half,
     coefficient_growth_audit,
     compute_R6,
     divisor_bound_check,
@@ -21,18 +19,19 @@ from dnls_nflab.order4 import (
     in_delta,
     iter_delta,
     quad_kernel,
-    r6_parts,
+    r6_coefficient,
     random_divisor_audit,
 )
 from dnls_nflab.poly import (
     Monomial,
     PolyHamiltonian,
     bracket,
+    build_B_closed_form,
     build_lambda,
     build_Q,
     ordered_coefficient,
 )
-from dnls_nflab.states import alternating_sum
+from dnls_nflab.states import alternating_sum, zero_momentum_sextuples
 
 
 def test_delta_membership():
@@ -259,17 +258,57 @@ def test_r6_is_homogeneous_degree6_zero_momentum():
         assert mono.max_abs() <= 4
 
 
-def test_r6_parts_match_closed_forms():
-    for M in (3, 4):
-        bf, qf = r6_parts(M)
-        assert bf == closed_form_bf(M)
-        assert qf == closed_form_qf_half(M)
+def _sextic_monomials(M):
+    """Canonical monomials q_{j1,j3,j5} qbar_{j2,j4,j6} of the zero-momentum
+    sextuples within M."""
+    return {
+        Monomial.of(row[::2], row[1::2])
+        for rows in zero_momentum_sextuples(M)
+        for row in rows.tolist()
+    }
+
+
+@pytest.mark.parametrize("M", [4, 5])
+def test_r6_reading_sums_match_bracket_pieces(M):
+    # each reading sum of r6_coefficient against its own bracket piece, on
+    # every zero-momentum sextic monomial in the window, zeros included
+    bf = bracket(build_B_closed_form(M), build_F4(M))
+    half_q = build_Q(M, 3 * M).scaled(Fraction(1, 2))
+    qf = bracket(half_q, build_F4(M, 3 * M), support_bound=M)
+    monos = _sextic_monomials(M)
+    for piece, reading_sum in ((bf, order4._bf_reading_sum), (qf, order4._qf_reading_sum)):
+        assert {mono for mono, _ in piece.terms()} <= monos
+        mismatches = [
+            mono
+            for mono in monos
+            if piece.coefficient(mono) != ExactCoeff.real(reading_sum(mono), pi_power=2)
+        ]
+        assert mismatches == []
+
+
+def _r6_coefficient_mismatches(r6):
+    return [mono for mono, coeff in r6.terms() if r6_coefficient(mono) != coeff]
+
+
+def test_r6_coefficient_matches_compute_r6(r6_at_8):
+    for r6 in (compute_R6(6), r6_at_8):
+        assert r6.num_terms > 0
+        assert _r6_coefficient_mismatches(r6) == []
+
+
+@pytest.mark.slow
+def test_r6_coefficient_matches_compute_r6_at_10(r6_at_10):
+    assert _r6_coefficient_mismatches(r6_at_10) == []
+
+
+def test_r6_coefficient_vanishes_off_zero_momentum():
+    assert r6_coefficient(Monomial.of((1, 2, 3), (1, 2, 2))).is_zero
 
 
 def test_bf_reducible_coefficient_generic_tuple():
     # canonical coefficient of the {B,F} part on a generic quadruple with
     # |q_m|^2 attached: two orderings of the unbarred pair, kernel -m/divisor
-    bf, _ = r6_parts(4)
+    bf = bracket(build_B_closed_form(4), build_F4(4))
     j, k, l, m = 3, 1, 2, 4
     mono = Monomial.of((j, l, m), (k, m, m))
     d = alternating_sum((j, k, l, m), 2)
@@ -278,8 +317,6 @@ def test_bf_reducible_coefficient_generic_tuple():
 
 
 def test_growth_audit_shapes():
-    from dnls_nflab.poly import build_B_closed_form
-
     B = build_B_closed_form(8)
     rep = coefficient_growth_audit(B, Fraction(1, 2))
     assert 0 < rep.constant_per_r <= 1.0

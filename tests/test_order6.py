@@ -11,12 +11,11 @@ from dnls_nflab import order6
 from dnls_nflab.checks import action_part, order4_homological, order6_homological, resonant_cancellation
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.identities import tau
-from dnls_nflab.order4 import compute_R6
+from dnls_nflab.order4 import coefficient_growth_audit, compute_R6
 from dnls_nflab.order6 import (
     build_F6,
     build_K,
     build_Qtilde0,
-    coefficient_growth_audit_f6,
     enumerate_resonant,
     exhaustive_sextuple_audit,
     iter_resonant_monomials,
@@ -231,7 +230,7 @@ def test_split_r6_is_computed_once_and_equals_split_normal(r6_at_8):
 def test_f6_growth_audit_regression(r6_at_8):
     # empirical minimal constant for the steep-head coefficient shape at M=8,
     # frozen as a regression baseline (the bound only claims existence)
-    rep = coefficient_growth_audit_f6(build_F6(8, r6_at_8))
+    rep = coefficient_growth_audit(build_F6(8, r6_at_8), Fraction(5, 2), Fraction(7, 2))
     assert rep.constant_raw == pytest.approx(0.06478175736883228, rel=1e-9)
 
 

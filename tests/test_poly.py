@@ -19,7 +19,6 @@ from dnls_nflab.poly import (
     build_Q,
     evaluate_poly,
     gradient_vecs,
-    is_normal_form,
     ordered_coefficient,
     poisson_bracket_numeric,
     poly_from_records,
@@ -49,9 +48,9 @@ def test_monomial_zero_mode_rejected():
 
 
 def test_is_normal_form_examples():
-    assert is_normal_form(Monomial.of((1, 3), (1, 3)))
-    assert not is_normal_form(Monomial.of((2, 3), (1, 4)))
-    assert not is_normal_form(Monomial.of((2, 2, 5), (2, 5, 5)))
+    assert Monomial.of((1, 3), (1, 3)).is_normal()
+    assert not Monomial.of((2, 3), (1, 4)).is_normal()
+    assert not Monomial.of((2, 2, 5), (2, 5, 5)).is_normal()
 
 
 def test_arrangements():
