@@ -40,6 +40,7 @@ from .states import (
     MAX_VIOLATIONS,
     alternating_sum,
     fortran_rows,
+    int64_radius,
     leading_stars,
     mode_range,
     random_zero_momentum_rows,
@@ -65,14 +66,17 @@ def quad_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The bound |d| >= sqrt(j1*)^3 / (2 sqrt(j2* j3* j4*)) is compared squared,
     as the integer inequality j1*^3 <= 4 d^2 j2* j3* j4*, so the check carries
-    no floating error; the factorization is d = -2(m-j)(m-l) = -2(m-j)(j-k).
-    Runs on the columns rows.T, contiguous for the chunks of delta_rows.
+    no floating error.  As d != 0 on Delta and j2* j3* j4* is an integer, that
+    inequality is evaluated as ceil(j1*^3 / (4 d^2)) <= j2* j3* j4*, whose
+    largest intermediate is 4 d^2 <= 16 max_abs^4.  The factorization is
+    d = -2(m-j)(m-l) = -2(m-j)(j-k).  Runs on the columns rows.T, contiguous
+    for the chunks of delta_rows.
     """
     cols = rows.T
     j, k, l, m = cols
     d = alternating_sum(cols, 2)
     s1, s2, s3, s4 = leading_stars(cols, 4)
-    holds = s1**3 <= 4 * d * d * s2 * s3 * s4
+    holds = -(-(s1 * s1 * s1) // (4 * d * d)) <= s2 * s3 * s4
     fact_ok = (d == -2 * (m - j) * (m - l)) & (d == -2 * (m - j) * (j - k))
     return d, holds, fact_ok
 
@@ -128,8 +132,10 @@ def iter_delta(max_abs: int):
         yield from map(tuple, rows.tolist())
 
 
-# Largest max_abs whose int64 bound check cannot overflow: |d| <= 2 max_abs^2,
-# so 4 d^2 j2* j3* j4* <= 16 max_abs^7 <= int64 max.
+# Largest radius of the exhaustive audit (and of nf4 --divisor-bound):
+# |d| <= 2 max_abs^2, so even the unreduced product 4 d^2 j2* j3* j4* is at
+# most 16 max_abs^7 <= int64 max.  quad_kernel's reduced comparison stays
+# exact in int64 up to QUAD_RANDOM_INT64_MAX_ABS.
 QUAD_INT64_MAX_ABS = 344
 
 
@@ -147,23 +153,40 @@ def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
     return {"checked": checked, "violations": violations, "max_abs": max_abs}
 
 
+# Largest max_abs whose random audit runs quad_kernel in int64: every
+# intermediate of the kernel is at most 4 d^2 <= 16 max_abs^4.
+QUAD_RANDOM_INT64_MAX_ABS = int64_radius(lambda a: 16 * a**4)
+
+
 def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
-    """Random sampling of Delta at large index sizes; exact integer math."""
+    """Random sampling of Delta at large index sizes; exact integer math.
+
+    The blocks run through quad_kernel in int64 up to max_abs =
+    QUAD_RANDOM_INT64_MAX_ABS (27554) and as Python ints beyond; the report's
+    "arithmetic" says which.
+    """
     if max_abs < 2:
         raise ValueError("Delta has no quadruple with entries bounded by max_abs < 2")
     rng = np.random.default_rng(np.random.Philox(key=seed))
+    int64 = max_abs <= QUAD_RANDOM_INT64_MAX_ABS
 
     def draw(n):
-        rows = random_zero_momentum_rows(rng, n, 4, max_abs)
-        j, k, _, m = rows.T
-        return rows[(j != k) & (j != m)]
+        cols = random_zero_momentum_rows(rng, n, 4, max_abs).T
+        j, k, _, m = cols
+        return fortran_rows(cols, (j != k) & (j != m))
 
     checked = 0
     violations = []
     for rows in rejection_sample(n_samples, draw):
         checked += len(rows)
+        rows = rows if int64 else rows.astype(object)
         violations += _divisor_violations(rows, MAX_VIOLATIONS - len(violations))
-    return {"checked": checked, "violations": violations, "max_abs": max_abs}
+    return {
+        "checked": checked,
+        "violations": violations,
+        "max_abs": max_abs,
+        "arithmetic": "int64" if int64 else "python int",
+    }
 
 
 # -- generator --------------------------------------------------------------------

@@ -22,6 +22,8 @@ from .poly import Monomial, PolyHamiltonian, split_normal
 from .states import (
     MAX_VIOLATIONS,
     alternating_sum,
+    fortran_rows,
+    int64_radius,
     leading_stars,
     mode_range,
     random_zero_momentum_rows,
@@ -187,9 +189,12 @@ def in_delta_tilde(t) -> bool:
     )
 
 
-def sextuple_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sextuple_kernel(
+    rows: np.ndarray, d: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(divisor, stars, excluded, holds) per row (j1, ..., j6) of a
-    zero-momentum sextuple array, int64 or object of Python ints.
+    zero-momentum sextuple array, int64 or object of Python ints; d, when
+    given, is the divisor of each row, which is then not computed again.
 
     stars holds each row's absolute values sorted decreasing.  A row is
     excluded when its leading star is a mode shared, with sign, by the
@@ -200,20 +205,31 @@ def sextuple_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         |divisor| >= j1*^3 / (100 (j2* j3* j4* j5* j6*)^2)
 
     is evaluated exactly in integers; it is asserted only where the row is
-    non-resonant (divisor != 0) and not excluded.  Runs on the columns
-    rows.T, contiguous for the chunks of zero_momentum_sextuples.
+    non-resonant (divisor != 0) and not excluded.  It is compared as
+    min(tail^2, A) 100 |d| >= A, with A = j1*^3 and tail = j2* j3* j4* j5* j6*
+    itself capped at A before it is squared: for integers u, v >= 0 and
+    A >= 1, u v >= A exactly when min(u, A) v >= A.  So no intermediate
+    exceeds max(max_abs^6, 300 max_abs^5), and a resonant row (d = 0) fails
+    with no division.  Runs on the columns rows.T, contiguous for the chunks
+    of zero_momentum_sextuples.
     """
     cols = rows.T
-    d = alternating_sum(cols, 2)
+    if d is None:
+        d = alternating_sum(cols, 2)
     stars = leading_stars(cols, 6)
     top, s2, s3, s4, s5, s6 = stars
     shared = np.zeros(len(rows), dtype=bool)
     for v in (top, -top):
         shared |= _any_equal(cols[0::2], v) & _any_equal(cols[1::2], v)
-    excluded = shared & (top > 100 * s3**2)
-    tail = s2 * s3 * s4 * s5 * s6
-    holds = 100 * np.abs(d) * tail * tail >= top**3
-    return d, stars.T, excluded, holds
+    excluded = shared & (top > 100 * s3 * s3)
+    cube = top * top * top
+    # min(tail^2, A) 100 |d|, built in place: the exhaustive audit's peak
+    # memory is set here
+    capped = np.minimum(s2 * s3 * s4 * s5 * s6, cube)
+    capped *= capped
+    np.minimum(capped, cube, out=capped)
+    capped *= 100 * np.abs(d)
+    return d, stars.T, excluded, capped >= cube
 
 
 def _any_equal(columns, v) -> np.ndarray:
@@ -234,9 +250,12 @@ class SextupleReport:
 
 
 def _sextuple_report(rows, i, d, stars, excluded, holds) -> SextupleReport:
-    """Report on row i of an object array, from its sextuple_kernel output."""
+    """Report in Python ints on row i of an int64 or object array, from its
+    sextuple_kernel output."""
     verdict = None if excluded[i] else bool(holds[i])
-    return SextupleReport(tuple(rows[i]), d[i], tuple(stars[i]), bool(excluded[i]), verdict)
+    return SextupleReport(
+        tuple(rows[i].tolist()), int(d[i]), tuple(stars[i].tolist()), bool(excluded[i]), verdict
+    )
 
 
 def sextuple_bound_check(t) -> SextupleReport:
@@ -278,21 +297,36 @@ def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
     }
 
 
+# Largest max_abs whose random audit runs sextuple_kernel in int64: no
+# intermediate of the kernel exceeds max(max_abs^6, 300 max_abs^5).
+SEXTUPLE_RANDOM_INT64_MAX_ABS = int64_radius(lambda a: max(a**6, 300 * a**5))
+
+
 def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
-    """Random non-resonant sextuples at large sizes; exact integer math."""
+    """Random non-resonant sextuples at large sizes; exact integer math.
+
+    Each block keeps the divisor its draw filters on as a seventh column and
+    hands it to sextuple_kernel.  The blocks run in int64 up to max_abs =
+    SEXTUPLE_RANDOM_INT64_MAX_ABS (1448) and as Python ints beyond; the
+    report's "arithmetic" says which.
+    """
     if max_abs < 2:
         raise ValueError("every sextuple with entries bounded by max_abs < 2 is resonant")
     rng = np.random.default_rng(np.random.Philox(key=seed))
+    int64 = max_abs <= SEXTUPLE_RANDOM_INT64_MAX_ABS
 
     def draw(n):
         rows = random_zero_momentum_rows(rng, n, 6, max_abs)
-        return rows[alternating_sum(rows.T, 2) != 0]
+        cols = rows.T if int64 else rows.T.astype(object)
+        d = alternating_sum(cols, 2)
+        return fortran_rows((*cols, d), d != 0)
 
     checked = 0
     excluded = 0
     violations = []
-    for rows in rejection_sample(n_samples, draw):
-        kernel = sextuple_kernel(rows)
+    for block in rejection_sample(n_samples, draw):
+        rows = block[:, :6]
+        kernel = sextuple_kernel(rows, block[:, 6])
         _, _, excl, holds = kernel
         checked += len(rows)
         excluded += int(excl.sum())
@@ -303,6 +337,7 @@ def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
         "excluded": excluded,
         "violations": violations,
         "max_abs": max_abs,
+        "arithmetic": "int64" if int64 else "python int",
     }
 
 

@@ -29,6 +29,7 @@ from .states import (
     TWO_PI,
     FourierState,
     alternating_sum,
+    int64_radius,
     leading_stars,
     mode_range,
     random_zero_momentum_rows,
@@ -40,28 +41,74 @@ from .states import (
 
 def omega_kernel(rows: np.ndarray, s_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(Omega_s, bound, holds) per row of a (rows, 2r) array of zero-momentum
-    tuples, int64 or object of Python ints, one triple for each s in s_values.
+    tuples of nonzero entries, int64 or object of Python ints, one triple
+    for each s in s_values.
 
     The bound is |Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, with j3* = 0
-    for 2r = 2.  Powers are integer whenever 2s is an even integer, so object
-    rows give exact Python ints; otherwise they are float.  Everything runs on
-    the columns rows.T: the leading stars are found once for all s, and each
-    Omega_s is an alternating sum of columns, j|j|^2s being j^(2s+1) when 2s
-    is even.
+    for 2r = 2.  For an integer s >= 0 everything is integer, so object rows
+    give exact Python ints; otherwise it is float.  Everything runs on the
+    columns rows.T: the leading stars are found once for all s, and each
+    Omega_s is an alternating sum of the columns' j|j|^2s = j (j^2)^s, the
+    integer s values sharing one multiply chain per column (_chained_sums).
+
+    With scale = (2s+1) (2r)^(s+2) (j1* j2*)^s >= 1, holds compares
+    min(scale, |Omega_s|) j3* >= |Omega_s|, which is the bound itself: if
+    scale >= |Omega_s| both sides hold for j3* >= 1 and both ask Omega_s = 0
+    for j3* = 0.  Its largest intermediates are 2r max_abs^(2s+2) and the
+    scale.  bound = scale j3* is formed in the rows' dtype, so on int64 rows
+    it is exact only within the exhaustive audit's guard; the random audit
+    reads value and verdict from int64 rows and takes its reports from
+    object rows.
     """
     cols = rows.T
     width = len(cols)
     stars = leading_stars(cols, 3)
-    j3 = stars[2] if width > 2 else 0
+    pair = stars[0] * stars[1]
+    j3 = stars[2].copy() if width > 2 else 0
+    # the exhaustive audits' peak memory is set here: each temporary goes
+    # as soon as it is used
+    del stars
+    omega = _chained_sums(cols, s_values)
     out = []
     for s in s_values:
-        if float(s).is_integer():
-            value = alternating_sum(cols, int(2 * s + 1))
+        if s in omega:
+            s = int(s)
+            value = omega[s]
         else:
             value = alternating_sum(col * np.abs(col) ** (2 * s) for col in cols)
-        bound = (2 * s + 1) * width ** (s + 2) * stars[0] ** s * stars[1] ** s * j3
-        out.append((value, bound, np.abs(value) <= bound))
+        scale = pair**s
+        scale *= (2 * s + 1) * width ** (s + 2)
+        size = np.abs(value)
+        capped = np.minimum(scale, size)
+        capped *= j3
+        scale *= j3
+        out.append((value, scale, capped >= size))
+        del size, capped
     return out
+
+
+def _chained_sums(cols, s_values) -> dict:
+    """Omega_s for each integer s >= 0 in s_values, from the columns cols:
+    the alternating sum of j (j^2)^s, one multiply chain per column shared
+    by the s values, so at most two column-sized temporaries are alive."""
+    chained = {int(s) for s in s_values if s >= 0 and float(s).is_integer()}
+    omega = {}
+    for i, col in enumerate(cols):
+        power = col  # a fresh array from s = 1 on, then multiplied in place
+        for s in range(max(chained, default=-1) + 1):
+            if s == 1:
+                square = col * col
+                power = col * square
+            elif s > 1:
+                power *= square
+            if s in chained:
+                if i == 0:
+                    omega[s] = power.copy()
+                elif i % 2:
+                    omega[s] -= power
+                else:
+                    omega[s] += power
+    return omega
 
 
 def _omega_row(entries) -> np.ndarray:
@@ -126,6 +173,17 @@ def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
     }
 
 
+def omega_int64_max_abs(width: int, s) -> int:
+    """Largest max_abs at which omega_kernel's value and verdict on int64
+    rows of this width cannot overflow: j1* j2* stays within max_abs^2, the
+    scale within (2s+1) width^(s+2) max_abs^(2s), and the partial sums of
+    Omega_s and the capped product min(scale, |Omega_s|) j3* within
+    width max_abs^(2s+2)."""
+    return int64_radius(
+        lambda a: max(a * a, width * a ** (2 * s + 2), (2 * s + 1) * width ** (s + 2) * a ** (2 * s))
+    )
+
+
 def random_omega_audit(
     n_samples: int,
     max_abs: int = 100,
@@ -133,32 +191,50 @@ def random_omega_audit(
     s_values=(1, 2, 3),
     seed: int = 0,
 ) -> dict:
-    """Random zero-momentum tuples at larger radii; Python ints, exact.
+    """Random zero-momentum tuples at larger radii; exact integer math.
 
     n_samples is split as evenly as possible over r_values, in order (the
     first n_samples % len(r_values) widths take one sample more), and each
     width is drawn through rejection_sample in blocks of one (rows, 2r)
-    array.  Violations are listed by width, then by sample, then by s, up
-    to MAX_VIOLATIONS.
+    array.  The blocks run through omega_kernel in int64 when max_abs is at
+    most omega_int64_max_abs(2r, s) for every r and s (153 at r = 5, s = 3),
+    and as Python ints otherwise; the report's "arithmetic" says which.
+    Violations are listed by width, then by sample, then by s, up to
+    MAX_VIOLATIONS, each reported from object rows, so its value and bound
+    are exact Python ints.
     """
     if max_abs < 1:
         raise ValueError("max_abs must be at least 1")
     rng = np.random.default_rng(np.random.Philox(key=seed))
+    int64 = all(max_abs <= omega_int64_max_abs(2 * r, s) for r in r_values for s in s_values)
     share, extra = divmod(n_samples, len(r_values))
     checked = 0
     violations = []
     for w, r in enumerate(r_values):
         draw = partial(random_zero_momentum_rows, rng, width=2 * r, max_abs=max_abs)
         for rows in rejection_sample(share + (w < extra), draw):
+            rows = rows if int64 else rows.astype(object)
             checked += len(rows)
             room = MAX_VIOLATIONS - len(violations)
-            bad = [
-                (i, OmegaReport(tuple(rows[i]), s, value[i], bound[i], False))
-                for s, (value, bound, holds) in zip(s_values, omega_kernel(rows, s_values))
+            bad = sorted(
+                (i, n)
+                for n, (_, _, holds) in enumerate(omega_kernel(rows, s_values))
                 for i in np.flatnonzero(~holds)[:room]
-            ]
-            violations += [rep for _, rep in sorted(bad, key=lambda b: b[0])][:room]
-    return {"checked": checked, "violations": violations, "max_abs": max_abs}
+            )[:room]
+            if bad:
+                exact = rows[[i for i, _ in bad]].astype(object)
+                kernel = omega_kernel(exact, s_values)
+                for k, (_, n) in enumerate(bad):
+                    value, bound, holds = kernel[n]
+                    violations.append(
+                        OmegaReport(tuple(exact[k].tolist()), s_values[n], value[k], bound[k], bool(holds[k]))
+                    )
+    return {
+        "checked": checked,
+        "violations": violations,
+        "max_abs": max_abs,
+        "arithmetic": "int64" if int64 else "python int",
+    }
 
 
 # -- experiments ------------------------------------------------------------------------

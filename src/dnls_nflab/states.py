@@ -14,6 +14,7 @@ from typing import Mapping
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def mode_range(M: int) -> list[int]:
@@ -61,10 +62,11 @@ def leading_stars(columns, k: int) -> np.ndarray:
 
 def fortran_rows(columns, mask) -> np.ndarray:
     """The entries where mask holds of each of columns (an array as long as
-    mask, or a scalar repeated), as an int64 array of shape (n, width) in
-    Fortran order: each column rows.T[k] is contiguous."""
+    mask, or a scalar repeated), as an array of shape (n, width) in Fortran
+    order: each column rows.T[k] is contiguous.  int64 for int64 columns,
+    object for object columns of Python ints."""
     kept = np.flatnonzero(mask)
-    rows = np.empty((len(columns), len(kept)), dtype=np.int64)
+    rows = np.empty((len(columns), len(kept)), dtype=np.result_type(*columns))
     for out, col in zip(rows, columns):
         if np.ndim(col):
             np.take(col, kept, out=out)
@@ -92,13 +94,31 @@ def zero_momentum_sextuples(max_abs: int):
 
 
 def random_zero_momentum_rows(rng, k: int, width: int, max_abs: int) -> np.ndarray:
-    """The rows, in draw order and as Python ints, among k random candidates
-    of an even width: one rng.integers call draws the heads in [-max_abs,
-    max_abs], zero momentum solves each last entry, and rows with a zero
-    entry or a last entry above max_abs are dropped."""
-    head = rng.integers(-max_abs, max_abs + 1, size=(k, width - 1)).astype(object)
-    rows = np.column_stack([head, alternating_sum(head.T)])
-    return rows[(rows != 0).all(axis=1) & (np.abs(rows[:, -1]) <= max_abs)]
+    """The rows, in draw order, among k random candidates of an even width,
+    as an int64 array in Fortran order (see fortran_rows): one rng.integers
+    call draws the heads in [-max_abs, max_abs], zero momentum solves each
+    last entry, and rows with a zero entry or a last entry above max_abs are
+    dropped.  The last entry is summed in Python ints where its partial sums,
+    up to (width - 1) max_abs, could leave int64."""
+    head = rng.integers(-max_abs, max_abs + 1, size=(k, width - 1)).T
+    if (width - 1) * max_abs > INT64_MAX:
+        head = head.astype(object)
+    last = alternating_sum(head)
+    ok = (head != 0).all(axis=0) & (last != 0) & (np.abs(last) <= max_abs)
+    return fortran_rows((*head, last), ok).astype(np.int64, copy=False)
+
+
+def int64_radius(bound) -> int:
+    """The largest max_abs >= 1 with bound(max_abs) <= INT64_MAX, for a bound
+    on the intermediate values of an int64 kernel that increases with
+    max_abs and fits at max_abs = 1."""
+    lo, hi = 1, 2
+    while bound(hi) <= INT64_MAX:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) <= INT64_MAX else (lo, mid)
+    return lo
 
 
 SAMPLE_BLOCK = 4096

@@ -14,7 +14,7 @@ from dnls_nflab.stability import (
     random_omega_audit,
     stability_ensemble,
 )
-from dnls_nflab.states import FourierState, sobolev_norm, zero_momentum_sextuples
+from dnls_nflab.states import FourierState, random_zero_momentum_rows, sobolev_norm, zero_momentum_sextuples
 
 
 # -- weighted frequency sums ----------------------------------------------------
@@ -167,10 +167,15 @@ def test_random_omega_audit_checks_the_per_candidate_draws(
 def test_random_omega_audit_lists_violations_by_width_then_sample_then_s(monkeypatch):
     drawn = []
 
+    def recording(*args, **kwargs):
+        rows = random_zero_momentum_rows(*args, **kwargs)
+        drawn.extend(tuple(row) for row in rows.tolist())
+        return rows
+
     def failing(rows, s_values):
-        drawn.extend(tuple(row) for row in rows)
         return [(value, bound, holds & False) for value, bound, holds in omega_kernel(rows, s_values)]
 
+    monkeypatch.setattr(stability, "random_zero_momentum_rows", recording)
     monkeypatch.setattr(stability, "omega_kernel", failing)
     rep = random_omega_audit(5, max_abs=9, r_values=(3, 2), s_values=(2, 1), seed=4)
     assert [len(t) for t in drawn] == [6, 6, 6, 4, 4]

@@ -10,6 +10,7 @@ from dnls_nflab.order4 import delta_rows, iter_delta, quad_kernel
 from dnls_nflab.order6 import sextuple_kernel
 from dnls_nflab.stability import omega_kernel
 from dnls_nflab.states import (
+    INT64_MAX,
     MAX_VIOLATIONS,
     SAMPLE_BLOCK,
     FourierState,
@@ -17,6 +18,7 @@ from dnls_nflab.states import (
     eval_physical,
     hamiltonian_coefficients,
     hamiltonian_physical,
+    int64_radius,
     lambda_energy,
     leading_stars,
     mode_range,
@@ -275,7 +277,8 @@ def test_alternating_sum_matches_scalar_formulas(width):
     assert list(alternating_sum(arr.T, 2)) == [divisor(t) for t in big]
 
 
-@pytest.mark.parametrize("width,max_abs", [(2, 3), (4, 1), (6, 4), (10, 1000)])
+# at 2^62 the partial sums of the last entry leave int64; the rows do not
+@pytest.mark.parametrize("width,max_abs", [(2, 3), (4, 1), (6, 4), (10, 1000), (6, 2**62)])
 def test_random_zero_momentum_rows_keeps_the_valid_rows_of_one_draw(width, max_abs):
     rows = random_zero_momentum_rows(np.random.default_rng(np.random.Philox(key=3)), 500, width, max_abs)
     heads = np.random.default_rng(np.random.Philox(key=3)).integers(
@@ -287,9 +290,8 @@ def test_random_zero_momentum_rows_keeps_the_valid_rows_of_one_draw(width, max_a
         last = sum(head[0::2]) - sum(head[1::2])
         if 0 not in head and last != 0 and abs(last) <= max_abs:
             expected.append((*head, last))
-    assert rows.dtype == object and rows.shape == (len(expected), width)
-    assert [tuple(row) for row in rows] == expected
-    assert all(type(v) is int for v in rows.ravel())
+    assert rows.dtype == np.int64 and rows.flags.f_contiguous and rows.shape == (len(expected), width)
+    assert [tuple(row) for row in rows.tolist()] == expected
 
 
 def _six_audits():
@@ -313,8 +315,8 @@ def test_audits_list_only_their_first_violations(monkeypatch):
         d, holds, fact_ok = quad_kernel(rows)
         return d, holds & False, fact_ok
 
-    def sextuple_failing(rows):
-        d, stars, excluded, holds = sextuple_kernel(rows)
+    def sextuple_failing(rows, d=None):
+        d, stars, excluded, holds = sextuple_kernel(rows, d)
         return d, stars, excluded & False, holds & False
 
     def omega_failing(rows, s_values):
@@ -333,3 +335,121 @@ def test_audits_list_only_their_first_violations(monkeypatch):
     omega = failing[5]["violations"]
     assert [v.s for v in omega] == [1, 2] * (n // 2)
     assert all(a.entries == b.entries for a, b in zip(omega[::2], omega[1::2]))
+    # the reports of the int64 random audits hold Python ints and the exact bound
+    assert [r.get("arithmetic") for r in failing] == [None, "int64"] * 3
+    for v in failing[1]["violations"]:
+        assert all(type(x) is int for x in (*v.tuple, v.divisor))
+    for v in failing[3]["violations"]:
+        assert all(type(x) is int for x in (*v.tuple, v.divisor, *v.stars))
+    for v in omega:
+        assert all(type(x) is int for x in (*v.entries, v.value, v.bound))
+        assert (v.value, v.bound) == _omega_value_and_bound(v.entries, v.s)
+
+
+def _omega_value_and_bound(t, s):
+    """Omega_s and its bound for one tuple, in Python ints."""
+    value = sum((1 if i % 2 == 0 else -1) * v * abs(v) ** (2 * s) for i, v in enumerate(t))
+    stars = sorted((abs(v) for v in t), reverse=True)
+    return value, (2 * s + 1) * len(t) ** (s + 2) * stars[0] ** s * stars[1] ** s * stars[2]
+
+
+def test_int64_radius_is_the_largest_fitting_radius():
+    assert int64_radius(lambda a: a * a) == math.isqrt(INT64_MAX)
+    for bound in (lambda a: 16 * a**4, lambda a: max(a**6, 300 * a**5), lambda a: 7 * 10**5 * a**6):
+        radius = int64_radius(bound)
+        assert bound(radius) <= INT64_MAX < bound(radius + 1)
+
+
+def _rows_at_radius(max_abs, width, seed):
+    """Zero-momentum rows at radius max_abs as int tuples: a drawn block,
+    every row of +-max_abs entries, and rows whose square divisor is +-2, the
+    smallest nonzero one (width >= 4)."""
+    L = max_abs
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    drawn = [tuple(t) for t in random_zero_momentum_rows(rng, 2000, width, L).tolist()]
+    extreme = [t for t in itertools.product((L, -L), repeat=width) if alternating_sum(t) == 0]
+    pad = (1,) * (width - 4)
+    small = [(L, L - 1, L - 2, L - 1, *pad)] if width >= 4 else []
+    small += [(L, L, 3, 2, 1, 2, *pad[2:])] if width >= 6 else []
+    small += [tuple(-v for v in t) for t in small]
+    assert all(alternating_sum(t, 2) in (2, -2) for t in small)
+    return drawn + extreme + small
+
+
+def _int64_and_object(kernel, rows, *args):
+    """Each output of kernel on int64 rows and on object rows, as lists."""
+    return [
+        [a.tolist() for a in kernel(np.array(rows, dtype=dtype), *args)] for dtype in (np.int64, object)
+    ]
+
+
+def test_quad_kernel_is_exact_in_int64_at_the_random_audit_limit():
+    L = order4.QUAD_RANDOM_INT64_MAX_ABS
+    assert 16 * L**4 <= INT64_MAX < 16 * (L + 1) ** 4
+    # Delta has no row of four +-L entries; these have the largest divisor
+    rows = _rows_at_radius(L, 4, seed=1) + [(L, 1, -L, -1), (-L, -1, L, 1)]
+    rows = [t for t in rows if order4.in_delta(*t)]
+    assert max(abs(alternating_sum(t, 2)) for t in rows) == 2 * L * L - 2
+    got, want = _int64_and_object(quad_kernel, rows)
+    assert got == want
+
+
+def test_sextuple_kernel_is_exact_in_int64_at_the_random_audit_limit():
+    L = order6.SEXTUPLE_RANDOM_INT64_MAX_ABS
+    assert max(L**6, 300 * L**5) <= INT64_MAX < (L + 1) ** 6
+    got, want = _int64_and_object(sextuple_kernel, _rows_at_radius(L, 6, seed=2))
+    assert got == want
+    _, _, excluded, holds = want
+    assert any(excluded) and not all(holds)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_omega_kernel_verdicts_are_exact_in_int64_at_the_random_audit_limit(r):
+    for s in (1, 2, 3):
+        L = stability.omega_int64_max_abs(2 * r, s)
+
+        def value_and_verdict(rows):
+            # the int64 bound is exact only within the exhaustive audit's guard
+            [(value, _, holds)] = omega_kernel(rows, (s,))
+            return value, holds
+
+        got, want = _int64_and_object(value_and_verdict, _rows_at_radius(L, 2 * r, seed=r))
+        assert got == want
+
+
+def _flag_by_value(kernel):
+    """kernel with its last verdict turned to a violation on the rows whose
+    divisor (Omega_s for omega_kernel) is divisible by 3: the same rows on
+    int64 and on object rows."""
+
+    def flagged(rows, *args):
+        out = kernel(rows, *args)
+        if isinstance(out, list):
+            return [(value, bound, holds & (value % 3 != 0)) for value, bound, holds in out]
+        return (*out[:-1], out[-1] & (out[0] % 3 != 0))
+
+    return flagged
+
+
+@pytest.mark.parametrize("audit", ["quad", "sextuple", "omega"])
+def test_random_audits_one_past_the_int64_limit_give_the_same_report_in_python_ints(monkeypatch, audit):
+    if audit == "quad":
+        module, limit_name, kernel = order4, "QUAD_RANDOM_INT64_MAX_ABS", "quad_kernel"
+        L = order4.QUAD_RANDOM_INT64_MAX_ABS
+        run = partial(order4.random_divisor_audit, 300, L, seed=5)
+    elif audit == "sextuple":
+        module, limit_name, kernel = order6, "SEXTUPLE_RANDOM_INT64_MAX_ABS", "sextuple_kernel"
+        L = order6.SEXTUPLE_RANDOM_INT64_MAX_ABS
+        run = partial(order6.random_sextuple_audit, 300, L, seed=5)
+    else:
+        module, limit_name, kernel = stability, "omega_int64_max_abs", "omega_kernel"
+        L = min(stability.omega_int64_max_abs(2 * r, s) for r in (3, 4) for s in (1, 2))
+        run = partial(stability.random_omega_audit, 300, max_abs=L, r_values=(3, 4), s_values=(1, 2), seed=5)
+    monkeypatch.setattr(module, kernel, _flag_by_value(getattr(module, kernel)))
+    at_limit = run()
+    limit = (lambda width, s: L - 1) if audit == "omega" else L - 1
+    monkeypatch.setattr(module, limit_name, limit)
+    past = run()
+    assert (at_limit["arithmetic"], past["arithmetic"]) == ("int64", "python int")
+    assert at_limit["violations"] and at_limit["checked"] == 300
+    assert {**at_limit, "arithmetic": None} == {**past, "arithmetic": None}
