@@ -268,17 +268,30 @@ def sextuple_bound_check(t) -> SextupleReport:
     return _sextuple_report(rows, 0, *sextuple_kernel(rows))
 
 
+# Largest radius of the exhaustive sextuple audit: where the unreduced
+# product 100 |d| tail^2 <= 300 max_abs^12 fitted int64.  sextuple_kernel no
+# longer forms it and compares exactly in int64 up to
+# SEXTUPLE_RANDOM_INT64_MAX_ABS (1448); what the cap keeps out now is memory,
+# one j1 chunk of up to (2 max_abs)^4 candidate rows of six int64 columns
+# (4.5e6 rows, 36 MB a column, at 23).  It stays until a measured cap
+# replaces it.
+SEXTUPLE_EXHAUSTIVE_MAX_ABS = 23
+
+
 def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
     """Vectorized bound check over all non-resonant sextuples within max_abs.
 
     Runs sextuple_kernel in int64 over zero_momentum_sextuples, one j1 chunk
-    at a time.  At desk scale the excluded case cannot occur (it needs a
-    leading star above 100 j3*^2 >= 100), but the classification is still
-    applied for fidelity.
+    at a time, and raises OverflowError above SEXTUPLE_EXHAUSTIVE_MAX_ABS.
+    At desk scale the excluded case cannot occur (it needs a leading star
+    above 100 j3*^2 >= 100), but the classification is still applied for
+    fidelity.
     """
-    # |d| <= 3 max_abs^2 and tail <= max_abs^5 bound 100 |d| tail^2
-    if 300 * max_abs**12 > np.iinfo(np.int64).max:
-        raise OverflowError(f"max_abs={max_abs} overflows the int64 bound check")
+    if max_abs > SEXTUPLE_EXHAUSTIVE_MAX_ABS:
+        raise OverflowError(
+            f"max_abs={max_abs} exceeds the exhaustive sextuple audit's cap {SEXTUPLE_EXHAUSTIVE_MAX_ABS} "
+            f"(one j1 chunk would hold up to {(2 * max_abs) ** 4} candidate rows)"
+        )
     checked = 0
     excluded_count = 0
     violations = []

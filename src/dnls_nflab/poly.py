@@ -30,17 +30,20 @@ in int numerators over the two common denominators.  For Lambda, w(m) is the
 square divisor of m, which is how {Lambda, F6} = -Qtilde is checked.
 
 The numeric value, vector field and gradients share one product kernel.
-Each compiles a polynomial once per dtype into rows: one per term for the
-value, one per derivative term for the others, each an output component,
-a prefactor and a list of factors, the plus slots then the minus slots.  A
-factor is an index into ext = concatenate(vec, conj(vec)), so a barred slot
-needs no conjugation mask.  Rows of one width share a prefix plan: level k
-holds the distinct length-k factor prefixes, each as (index of its
-length-(k-1) prefix, index of its last factor), and the last level is
-aligned with the rows.  A call takes and multiplies one level at a time,
-so a prefix shared by many rows is multiplied once, in the association
-((f0 f1) f2) ... of a row-wise product; results are bit-identical to
-multiplying every row out in full.
+Each compiles a polynomial into rows: one per term for the value, one per
+derivative term for the others, each an output component, a prefactor and
+a list of factors, the plus slots then the minus slots.  A factor is an
+index into ext = concatenate(vec, conj(vec)), so a barred slot needs no
+conjugation mask.  Rows of one width share a prefix plan: level k holds
+the distinct length-k factor prefixes, each as (index of its length-(k-1)
+prefix, index of its last factor), and the last level is aligned with the
+rows.  A call takes and multiplies one level at a time, so a prefix shared
+by many rows is multiplied once, in the association ((f0 f1) f2) ... of a
+row-wise product; results are bit-identical to multiplying every row out
+in full, in complex128 and in clongdouble.  The plan and the work memory
+are compiled once per polynomial and slot; each dtype adds only its
+prefactors.  The generator flows evaluate their fields in complex128,
+several times faster per product than clongdouble.
 """
 
 from __future__ import annotations
@@ -618,6 +621,24 @@ def _prefix_plan(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return plan
 
 
+def _row_table(poly: PolyHamiltonian, slot: str | None) -> list[list[tuple]]:
+    """Rows (component, coeff, multiplicity, n, factors) of a polynomial's
+    value (slot None) or gradient, one list per width (factor count),
+    widths ascending, each stably sorted by output component."""
+    index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
+    n_modes = len(index)
+    by_width: dict[int, list] = {}
+    for mono, coeff in poly.terms():
+        derivs = _derivatives(mono, slot) if slot else [(None, 1, mono.plus, mono.minus)]
+        for n, mult, plus, minus in derivs:
+            factors = [index[j] for j in plus] + [n_modes + index[j] for j in minus]
+            by_width.setdefault(len(factors), []).append((index[n] if slot else 0, coeff, mult, n, factors))
+    for rows in by_width.values():
+        # sort by output component so the scatter becomes contiguous segments
+        rows.sort(key=lambda r: r[0])
+    return [by_width[width] for width in sorted(by_width)]
+
+
 def _compile_rows(poly: PolyHamiltonian, slot: str | None, weighted: bool, dtype: np.dtype):
     """Rows of a polynomial's value or gradient, grouped by width (factor count).
 
@@ -627,32 +648,41 @@ def _compile_rows(poly: PolyHamiltonian, slot: str | None, weighted: bool, dtype
     weighted=True folds the Hamiltonian weight (-i n) into the prefactor.
     A factor is an index into concatenate(vec, conj(vec)): q_j first, then
     qbar_j.  Each group is (seg_comp, starts, pref, plan, work).
+
+    Only pref depends on the dtype and the weight.  The rest is compiled
+    once per slot and shared: seg_comp, starts, the prefix plan and one
+    allocation of three clongdouble work buffers per group, which a
+    complex128 compile views as its three complex128 buffers and a float64
+    temporary.  So calls in different dtypes share work memory, and a call
+    must be done with one group's values before a call in another dtype
+    on the same polynomial and slot takes them (see _row_values).
     """
     key = (slot, weighted, dtype)
     if key in poly._cache:
         return poly._cache[key]
-    index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
-    n_modes = len(index)
-    by_width: dict[int, list] = {}
-    for mono, coeff in poly.terms():
-        derivs = _derivatives(mono, slot) if slot else [(None, 1, mono.plus, mono.minus)]
-        for n, mult, plus, minus in derivs:
-            pref = _to_dtype_coeff(coeff if mult == 1 else coeff.scaled(mult), dtype)
-            if weighted:
-                pref = pref * (-1j * n)
-            factors = [index[j] for j in plus] + [n_modes + index[j] for j in minus]
-            by_width.setdefault(len(factors), []).append((index[n] if slot else 0, pref, factors))
+    table = _row_table(poly, slot)
+    plan_key = ("plan", slot)
+    if plan_key not in poly._cache:
+        shared = []
+        for rows in table:
+            comp = np.array([r[0] for r in rows], dtype=np.intp)
+            factors = np.array([r[4] for r in rows], dtype=np.intp).reshape(len(rows), -1)
+            starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+            memory = np.empty(3 * len(rows), dtype=LONG_COMPLEX)
+            shared.append((comp[starts], starts, _prefix_plan(factors), memory))
+        poly._cache[plan_key] = shared
     groups = []
-    for width in sorted(by_width):
-        rows = by_width[width]
-        # sort by output component so the scatter becomes contiguous segments
-        rows.sort(key=lambda r: r[0])
-        comp = np.array([r[0] for r in rows], dtype=np.intp)
-        pref = np.array([r[1] for r in rows], dtype=dtype)
-        factors = np.array([r[2] for r in rows], dtype=np.intp).reshape(len(rows), width)
-        starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-        work = tuple(np.empty(len(rows), dtype=dtype) for _ in range(3))
-        groups.append((comp[starts], starts, pref, _prefix_plan(factors), work))
+    for rows, (seg_comp, starts, plan, memory) in zip(table, poly._cache[plan_key]):
+        prefs = []
+        for _, coeff, mult, n, _ in rows:
+            pref = _to_dtype_coeff(coeff if mult == 1 else coeff.scaled(mult), dtype)
+            prefs.append(pref * (-1j * n) if weighted else pref)
+        size = len(rows)
+        buffers = memory.view(dtype)
+        work = tuple(buffers[k * size : (k + 1) * size] for k in range(3))
+        if dtype != LONG_COMPLEX:
+            work += (memory.view(np.float64)[6 * size : 7 * size],)
+        groups.append((seg_comp, starts, np.array(prefs, dtype=dtype), plan, work))
     poly._cache[key] = groups
     return groups
 
@@ -661,42 +691,45 @@ def _prefix_products(plan, ext, work) -> np.ndarray:
     """Row products of a prefix plan, ((f0 f1) f2) ..., the left-to-right
     order of prod(axis=1).
 
-    ext is concatenate(vec, conj(vec)) in clongdouble, or the (real,
-    imaginary) parts of it in complex128: numpy's vectorised complex128
-    multiply rounds differently from the scalar loop prod(axis=1) runs, so
-    those products are formed from float64 parts with that loop's formula.
-    The products land in the group's work buffers (cur, nxt, x): fresh
-    clongdouble arrays of that size cost page faults on every call.
+    ext is concatenate(vec, conj(vec)), and each level takes its parents
+    and its last factors with one take each into the group's work buffers
+    (cur, nxt, x, ...): fresh arrays of that size cost page faults on every
+    call.  In clongdouble the level is one vectorised complex multiply.
+    numpy's vectorised complex128 multiply rounds differently from the
+    scalar loop prod(axis=1) runs, so in complex128 each product is formed
+    in place on the .real/.imag views with that loop's formula,
+    re = a xr - b xi and im = b xr + a xi, and one float64 temporary.
     """
     (_, first), *rest = plan
-    cur, nxt, x = work
-    if isinstance(ext, np.ndarray):
-        # take(out=...) copies through a temporary under the default mode="raise"
-        tab = ext.take(first, out=cur[: len(first)], mode="clip")
-        for parent, last in rest:
-            new = tab.take(parent, out=nxt[: len(last)], mode="clip")
-            new *= ext.take(last, out=x[: len(last)], mode="clip")
-            tab, cur, nxt = new, nxt, cur
-        return tab
-    ext_re, ext_im = ext
-    re, im = ext_re.take(first), ext_im.take(first)
+    cur, nxt, x = work[:3]
+    vectorised = ext.dtype == LONG_COMPLEX
+    # take(out=...) copies through a temporary under the default mode="raise"
+    tab = ext.take(first, out=cur[: len(first)], mode="clip")
     for parent, last in rest:
-        re, im = re.take(parent), im.take(parent)
-        xr, xi = ext_re.take(last), ext_im.take(last)
-        re, im = re * xr - im * xi, re * xi + im * xr
-    tab = cur[: len(re)]
-    tab.real, tab.imag = re, im
+        size = len(last)
+        new = tab.take(parent, out=nxt[:size], mode="clip")
+        factor = ext.take(last, out=x[:size], mode="clip")
+        if vectorised:
+            new *= factor
+        else:
+            a, b, xr, xi = new.real, new.imag, factor.real, factor.imag
+            t = np.multiply(b, xi, out=work[3][:size])
+            xi *= a
+            a *= xr
+            a -= t
+            b *= xr
+            b += xi
+        tab, cur, nxt = new, nxt, cur
     return tab
 
 
 def _row_values(groups, vec: np.ndarray):
     """Yield (seg_comp, starts, values) per width group of a compile, the
     values being each row's prefactor times its factor product.  A group's
-    values live in its work buffers until the next group is taken, so calls
-    on one compile are not reentrant."""
+    values live in its work buffers, which every dtype's compile of the
+    same polynomial and slot shares, until the next group is taken: calls
+    on one polynomial and slot are not reentrant, across dtypes too."""
     ext = np.concatenate((vec, np.conj(vec)))
-    if ext.dtype != LONG_COMPLEX:
-        ext = (ext.real.copy(), ext.imag.copy())
     for seg_comp, starts, pref, plan, work in groups:
         if plan:
             yield seg_comp, starts, np.multiply(pref, _prefix_products(plan, ext, work), out=work[2])

@@ -25,6 +25,7 @@ from .flows import (
     spectral_model,
 )
 from .states import (
+    INT64_MAX,
     MAX_VIOLATIONS,
     TWO_PI,
     FourierState,
@@ -40,25 +41,25 @@ from .states import (
 
 
 def omega_kernel(rows: np.ndarray, s_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(Omega_s, bound, holds) per row of a (rows, 2r) array of zero-momentum
+    """(Omega_s, scale, holds) per row of a (rows, 2r) array of zero-momentum
     tuples of nonzero entries, int64 or object of Python ints, one triple
     for each s in s_values.
 
-    The bound is |Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, with j3* = 0
-    for 2r = 2.  For an integer s >= 0 everything is integer, so object rows
-    give exact Python ints; otherwise it is float.  Everything runs on the
-    columns rows.T: the leading stars are found once for all s, and each
-    Omega_s is an alternating sum of the columns' j|j|^2s = j (j^2)^s, the
-    integer s values sharing one multiply chain per column (_chained_sums).
+    The bound is |Omega_s| <= scale j3*, with
+    scale = (2s+1) (2r)^(s+2) j1*^s j2*^s and j3* = 0 for 2r = 2.  For an
+    integer s >= 0 everything is integer, so object rows give exact Python
+    ints; otherwise it is float.  Everything runs on the columns rows.T: the
+    leading stars are found once for all s, and each Omega_s is an
+    alternating sum of the columns' j|j|^2s = j (j^2)^s, the integer s
+    values sharing one multiply chain per column (_chained_sums).
 
-    With scale = (2s+1) (2r)^(s+2) (j1* j2*)^s >= 1, holds compares
-    min(scale, |Omega_s|) j3* >= |Omega_s|, which is the bound itself: if
-    scale >= |Omega_s| both sides hold for j3* >= 1 and both ask Omega_s = 0
-    for j3* = 0.  Its largest intermediates are 2r max_abs^(2s+2) and the
-    scale.  bound = scale j3* is formed in the rows' dtype, so on int64 rows
-    it is exact only within the exhaustive audit's guard; the random audit
-    reads value and verdict from int64 rows and takes its reports from
-    object rows.
+    As scale >= 1, holds compares min(scale, |Omega_s|) j3* >= |Omega_s|,
+    which is the bound itself: if scale >= |Omega_s| both sides hold for
+    j3* >= 1 and both ask Omega_s = 0 for j3* = 0.  Its largest
+    intermediates are 2r max_abs^(2s+2) and the scale.  The bound scale j3*
+    is not formed here: it can leave int64 where the value and the verdict
+    cannot (7e19 at r = 5, s = 3, |j| <= 100), so the reports form it in
+    Python ints (_omega_report).
     """
     cols = rows.T
     width = len(cols)
@@ -81,7 +82,6 @@ def omega_kernel(rows: np.ndarray, s_values) -> list[tuple[np.ndarray, np.ndarra
         size = np.abs(value)
         capped = np.minimum(scale, size)
         capped *= j3
-        scale *= j3
         out.append((value, scale, capped >= size))
         del size, capped
     return out
@@ -140,24 +140,45 @@ class OmegaReport:
     holds: bool
 
 
+def _omega_report(entries: tuple, s: float, value, scale, holds) -> OmegaReport:
+    """Report of one tuple from its omega_kernel output on an object row,
+    with the bound scale j3* formed in Python ints."""
+    stars = sorted((abs(v) for v in entries), reverse=True)
+    j3 = stars[2] if len(stars) > 2 else 0
+    return OmegaReport(entries, s, value, scale * j3, bool(holds))
+
+
 def omega_bound_check(entries, s: float) -> OmegaReport:
     """|Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, zero-momentum tuples, s >= 1."""
     if s < 1:
         raise ValueError("bound requires s >= 1")
-    [(value, bound, holds)] = omega_kernel(_omega_row(entries), (s,))
-    return OmegaReport(tuple(entries), s, value[0], bound[0], bool(holds[0]))
+    [(value, scale, holds)] = omega_kernel(_omega_row(entries), (s,))
+    return _omega_report(tuple(entries), s, value[0], scale[0], holds[0])
 
 
 def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
     """All zero-momentum 6-tuples within max_abs, through omega_kernel in
     int64, one call per zero_momentum_sextuples chunk for all s.
 
-    Raises OverflowError where the value or the bound could leave int64.
+    Raises OverflowError above the audit's cap on max_abs for some s.
     """
     for s in s_values:
-        # both |Omega_s| <= 6 max_abs^(2s+1) and the bound stay below this
-        if (2 * s + 1) * 6 ** (s + 2) * max_abs ** (2 * s + 1) > np.iinfo(np.int64).max:
-            raise OverflowError(f"max_abs={max_abs}, s={s} overflows the int64 audit")
+        # The cap per s is the radius at which the bound (2s+1) 6^(s+2)
+        # max_abs^(2s+1) fitted int64 (242347, 1073 and 107 at s = 1, 2, 3).
+        # omega_kernel no longer forms that product: its value and verdict
+        # are exact in int64 up to omega_int64_max_abs(6, s) (35211, 1074 and
+        # 187).  The cap stays until a measured one replaces it; what bounds
+        # the audit long before either radius is one j1 chunk, which holds
+        # up to (2 max_abs)^4 candidate rows of six int64 columns.
+        def unreduced(a):
+            return (2 * s + 1) * 6 ** (s + 2) * a ** (2 * s + 1)
+
+        if unreduced(max_abs) > INT64_MAX:
+            cap = int64_radius(unreduced)
+            raise OverflowError(
+                f"max_abs={max_abs} exceeds the exhaustive Omega audit's cap {cap} at s={s} "
+                f"(one j1 chunk would hold up to {(2 * max_abs) ** 4} candidate rows)"
+            )
     checked = 0
     violations: dict = {s: [] for s in s_values}
     for arr in zero_momentum_sextuples(max_abs):
@@ -225,10 +246,9 @@ def random_omega_audit(
                 exact = rows[[i for i, _ in bad]].astype(object)
                 kernel = omega_kernel(exact, s_values)
                 for k, (_, n) in enumerate(bad):
-                    value, bound, holds = kernel[n]
-                    violations.append(
-                        OmegaReport(tuple(exact[k].tolist()), s_values[n], value[k], bound[k], bool(holds[k]))
-                    )
+                    value, scale, holds = kernel[n]
+                    entries = tuple(exact[k].tolist())
+                    violations.append(_omega_report(entries, s_values[n], value[k], scale[k], holds[k]))
     return {
         "checked": checked,
         "violations": violations,

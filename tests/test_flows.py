@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +272,41 @@ def test_residual_scaling_two_rungs(bundle8):
         cfg=FlowConfig(dt=0.02, tolerance=1e-15, max_refinements=8),
     )
     assert 5.7 <= rep["slopes"][4] <= 6.3
+
+
+def test_ladder_residuals_match_the_extended_precision_field(monkeypatch):
+    """Criterion 6's ladder at M = 6 with the benchmark's settings, pinned.
+
+    tests/golden/ladder_m6.json holds the ten residuals and both slopes as
+    computed at commit 116d240, where the generator fields were evaluated in
+    clongdouble; they are now evaluated in complex128 under a clongdouble
+    state.  The two agree to 3.1e-12 relative at most (seven of the ten
+    residuals to every float64 digit).  rtol 1e-8 leaves room for another
+    platform's rounding of the complex128 field, while a change to the
+    generators, the flow or the normal form moves a residual by far more:
+    neighbouring rungs differ by factors of 64 to 256.  Every time-1 map
+    must still stop at its first doubling, n = 100 -> 200 steps.
+    """
+    from dnls_nflab import flows
+
+    golden = json.loads((Path(__file__).parent / "golden" / "ladder_m6.json").read_text())
+    steps = []
+    rk4 = flows._rk4_poly
+
+    def recording(F, vec, t_end, n_steps):
+        steps.append(n_steps)
+        return rk4(F, vec, t_end, n_steps)
+
+    monkeypatch.setattr(flows, "_rk4_poly", recording)
+    cfg = FlowConfig(dt=golden["flow_dt"], tolerance=golden["flow_tolerance"],
+                     max_refinements=golden["max_refinements"])
+    rep = residual_scaling(golden["M"], orders=(4, 6), lambdas=tuple(golden["lambdas"]),
+                           cfg=cfg, seed=golden["seed"])
+    assert [(r["order"], r["lambda"]) for r in rep["rows"]] == [
+        (r["order"], r["lambda"]) for r in golden["rows"]
+    ]
+    for got, want in zip(rep["rows"], golden["rows"]):
+        assert got["residual"] == pytest.approx(want["residual"], rel=1e-8, abs=0)
+    assert 5.7 <= rep["slopes"][4] <= 6.3 and 7.6 <= rep["slopes"][6] <= 8.4
+    # one map per order-4 rung, two (F6, then F4) per order-6 rung
+    assert steps == [100, 200] * 15

@@ -33,7 +33,7 @@ from dnls_nflab.poly import (
     poly_to_records,
     split_normal,
 )
-from dnls_nflab.states import alternating_sum, zero_momentum_sextuples
+from dnls_nflab.states import alternating_sum, int64_radius, zero_momentum_sextuples
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,7 +266,9 @@ def test_exhaustive_sextuple_bound_small():
 
 
 def test_exhaustive_sextuple_audit_overflow_guard():
-    with pytest.raises(OverflowError):
+    # the cap is where the unreduced product 300 max_abs^12 fitted int64
+    assert order6.SEXTUPLE_EXHAUSTIVE_MAX_ABS == int64_radius(lambda a: 300 * a**12)
+    with pytest.raises(OverflowError, match="cap 23"):
         exhaustive_sextuple_audit(30)
 
 

@@ -595,6 +595,38 @@ def test_row_kernel_matches_per_term_reference(name, dtype):
     assert np.array_equal(gqbar, _reference_rows(P, vec, "minus", False))
 
 
+def test_dtypes_share_one_plan_and_work_memory_without_leaking():
+    # every dtype's compile of one slot reuses the slot's prefix plan and
+    # work memory; calls alternating between the dtypes, on different
+    # states, must each still match their own per-term reference bit for bit
+    from dnls_nflab.poly import _compile_rows
+
+    P = _kernel_poly("F6")
+    rng = np.random.default_rng(23)
+    n = len(mode_range(P.truncation))
+    states = {}
+    for dtype in (np.clongdouble, np.complex128):
+        base = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        states[dtype] = base.astype(dtype) / np.dtype(dtype).type(3)
+    for _ in range(2):
+        for dtype, vec in states.items():
+            assert np.array_equal(vector_field_vec(P, vec), _reference_rows(P, vec, "minus", True))
+        for dtype, vec in states.items():
+            gq, gqbar = gradient_vecs(P, vec)
+            assert np.array_equal(gq, _reference_rows(P, vec, "plus", False))
+            assert np.array_equal(gqbar, _reference_rows(P, vec, "minus", False))
+        for dtype, vec in states.items():
+            assert evaluate_poly(P, vec) == _reference_value(P, vec)
+    for slot, weighted in ((None, False), ("minus", True), ("plus", False), ("minus", False)):
+        lo = _compile_rows(P, slot, weighted, np.dtype(np.complex128))
+        hi = _compile_rows(P, slot, weighted, LONG_COMPLEX)
+        assert len(lo) == len(hi)
+        for g, h in zip(lo, hi):
+            assert g[3] is h[3]  # the prefix plan
+            assert np.shares_memory(g[4][0], h[4][0])
+            assert g[2].dtype == np.complex128 and h[2].dtype == LONG_COMPLEX
+
+
 def test_gradient_vecs_keeps_extended_precision():
     P = _kernel_poly("F4")
     rng = np.random.default_rng(22)

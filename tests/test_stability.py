@@ -93,19 +93,23 @@ def test_omega_kernel_matches_scalar_reference():
     tuples = [tuple(int(v) for v in row) for row in rows]
     # wider tuples and entries past int64, object dtype only
     wide = [(10**9, 1, 2, 3, 4, 5, 6, 10**9 + 3), (3, 1, 2, 4, 7, 7, 5, 5, 9, 9)]
+    # the kernel returns the scale; the bound is scale j3*, formed in Python ints
+    j3 = [sorted(map(abs, t), reverse=True)[2] for t in tuples]
     for s in (1, 2, 3):
         expected = [_omega_reference(t, s) for t in tuples]
         for dtype in (np.int64, object):
-            [(value, bound, holds)] = omega_kernel(rows.astype(dtype), (s,))
-            got = [(int(a), int(b), bool(c)) for a, b, c in zip(value, bound, holds)]
+            [(value, scale, holds)] = omega_kernel(rows.astype(dtype), (s,))
+            got = [(int(a), int(b) * c, bool(h)) for a, b, c, h in zip(value, scale, j3, holds)]
             assert got == expected
         for t in wide:
-            [(value, bound, holds)] = omega_kernel(np.array([t], dtype=object), (s,))
-            assert (value[0], bound[0], bool(holds[0])) == _omega_reference(t, s)
+            [(value, scale, holds)] = omega_kernel(np.array([t], dtype=object), (s,))
+            j3_wide = sorted(map(abs, t), reverse=True)[2]
+            assert (value[0], scale[0] * j3_wide, bool(holds[0])) == _omega_reference(t, s)
 
 
 def test_exhaustive_omega_audit_overflow_guard():
-    with pytest.raises(OverflowError):
+    # the cap at s = 3 is where the unreduced bound 7 6^5 max_abs^7 fitted int64
+    with pytest.raises(OverflowError, match="cap 107 at s=3"):
         exhaustive_omega_audit(1000, (3,))
 
 

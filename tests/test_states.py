@@ -408,12 +408,11 @@ def test_omega_kernel_verdicts_are_exact_in_int64_at_the_random_audit_limit(r):
     for s in (1, 2, 3):
         L = stability.omega_int64_max_abs(2 * r, s)
 
-        def value_and_verdict(rows):
-            # the int64 bound is exact only within the exhaustive audit's guard
-            [(value, _, holds)] = omega_kernel(rows, (s,))
-            return value, holds
+        def kernel(rows):
+            [out] = omega_kernel(rows, (s,))
+            return out
 
-        got, want = _int64_and_object(value_and_verdict, _rows_at_radius(L, 2 * r, seed=r))
+        got, want = _int64_and_object(kernel, _rows_at_radius(L, 2 * r, seed=r))
         assert got == want
 
 
