@@ -11,9 +11,10 @@ smallest grid of at least 4M+1 points whose size has no prime factor above
 coefficients exact (alias images of a 3M-band product land outside the
 window) and the trapezoid sum of |u|^4, a 4M-band integrand, exact too.
 
-A generator flow keeps its state in the caller's dtype and evaluates the
-vector field in complex128: a clongdouble state accumulates every RK4 stage
-and step in clongdouble, while its field costs complex128 multiplies.  A
+A generator flow keeps its state in the caller's dtype, and
+vector_field_vec casts the state to complex128 and returns a complex128
+field: a clongdouble state accumulates every RK4 stage and step in
+clongdouble, while its field costs complex128 multiplies.  A
 field rounded to eps64 relative moves the state by about eps64 |X_F| h per
 stage, so the time-1 map carries an error of about eps64 |displacement|;
 on the scaling ladder that changes H by far less than the smallest
@@ -72,10 +73,16 @@ class FlowConfig:
     record_interval: float | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # each test is written so that NaN fails it
+        for name in ("dt", "tolerance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
+        if not self.max_refinements >= 1:
+            raise ValueError("max_refinements must be at least 1")
+        if self.record_interval is not None and not 0 < self.record_interval < math.inf:
+            raise ValueError("record_interval must be finite and positive")
 
 
 # -- polynomial generator flows ------------------------------------------------------
@@ -91,13 +98,14 @@ def _rk4_step(f, v: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rk4_poly(F: PolyHamiltonian, vec: np.ndarray, t_end: float, n_steps: int) -> np.ndarray:
-    """n_steps RK4 steps of F's flow; the field is evaluated in complex128
-    and each stage and step is combined in the state's (complex) dtype."""
+    """n_steps RK4 steps of F's flow; vector_field_vec evaluates the field
+    in complex128 and each stage and step is combined in the state's
+    (complex) dtype."""
     h = t_end / n_steps
     dtype = np.result_type(vec.dtype, np.complex128)
 
     def field(v):
-        return vector_field_vec(F, v.astype(np.complex128, copy=False)).astype(dtype, copy=False)
+        return vector_field_vec(F, v).astype(dtype, copy=False)
 
     v = vec
     for _ in range(n_steps):
@@ -112,8 +120,8 @@ def flow_time_one_vec(
 
     Classic RK4 with step doubling until two successive refinements agree to
     cfg.tolerance in l2.  The state keeps the dtype of vec, so a clongdouble
-    state accumulates in extended precision, while the vector field is
-    always evaluated in complex128 (for a complex128 state nothing is cast).
+    state accumulates in extended precision, while vector_field_vec always
+    evaluates the field in complex128 (it casts a clongdouble state itself).
     The step-doubling error therefore has a floor of about
     eps64 |displacement| (eps64 = 2**-52), next to the state's own rounding
     of about eps |v| per step: a cfg.tolerance below it raises
@@ -230,21 +238,22 @@ def evolve_vec(
     (n_records, *batch) and snapshots holds a copy of the state at each
     record point.  Raises BlowupError if the l2 norm exceeds 1000x its
     initial value or is not finite, and StepBudgetError if the step count
-    exceeds MAX_STEPS.
+    exceeds MAX_STEPS.  At t_end = 0 no step is taken: the t = 0 record is
+    the only one and q_final is a copy of q0.
     """
     model = spectral_model(M)
     q = np.array(q0, dtype=complex)
     t_end = cfg.t_end
-    n_steps = max(1, round(abs(t_end) / cfg.dt))
+    n_steps = max(1, round(abs(t_end) / cfg.dt)) if t_end else 0
     if n_steps > MAX_STEPS:
         raise StepBudgetError(
             f"{n_steps} steps needed, budget is {MAX_STEPS}"
         )
-    h = t_end / n_steps
+    h = t_end / max(1, n_steps)
     interval = cfg.record_interval
     if interval is None:
         interval = max(abs(h), abs(t_end) / 1024)
-    stride = max(1, round(interval / abs(h)))
+    stride = max(1, round(interval / abs(h))) if h else 1
 
     E = np.exp(-1j * model.jsq * h)
     Eh = np.exp(-1j * model.jsq * (h / 2))

@@ -40,10 +40,11 @@ prefix, index of its last factor), and the last level is aligned with the
 rows.  A call takes and multiplies one level at a time, so a prefix shared
 by many rows is multiplied once, in the association ((f0 f1) f2) ... of a
 row-wise product; results are bit-identical to multiplying every row out
-in full, in complex128 and in clongdouble.  The plan and the work memory
-are compiled once per polynomial and slot; each dtype adds only its
-prefactors.  The generator flows evaluate their fields in complex128,
-several times faster per product than clongdouble.
+in full.  Each numeric form has one dtype, fixed by its role and compiled
+once per polynomial and slot: the value is evaluated in clongdouble, where
+the residual ladder's cancellation needs extended precision, and the
+gradients in complex128, several times faster per product.  The vector
+field is -i j times the qbar gradient, so it shares that compile.
 """
 
 from __future__ import annotations
@@ -577,10 +578,6 @@ def poly_from_records(records: list[dict], truncation: int) -> PolyHamiltonian:
 LONG_COMPLEX = np.dtype(np.clongdouble)
 
 
-def _eval_dtype(vec: np.ndarray) -> np.dtype:
-    return vec.dtype if vec.dtype == LONG_COMPLEX else np.dtype(np.complex128)
-
-
 def _to_dtype_coeff(coeff: ExactCoeff, dtype):
     if np.dtype(dtype) == LONG_COMPLEX:
         scale = np.longdouble(math.pi) ** (-coeff.pi_power)
@@ -590,13 +587,17 @@ def _to_dtype_coeff(coeff: ExactCoeff, dtype):
     return coeff.to_complex()
 
 
-def evaluate_poly(poly: PolyHamiltonian, vec: np.ndarray) -> complex:
-    """Numeric value at a dense state vector over mode_range(truncation)."""
-    vec = np.asarray(vec)
-    dtype = _eval_dtype(vec)
-    vec = vec.astype(dtype, copy=False)
-    total = dtype.type(0)
-    for _, _, vals in _row_values(_compile_rows(poly, None, False, dtype), vec):
+def _extended(vec, dtype) -> np.ndarray:
+    """concatenate(vec, conj(vec)) in dtype: q_j, then qbar_j."""
+    vec = np.asarray(vec, dtype=dtype)
+    return np.concatenate((vec, np.conj(vec)))
+
+
+def evaluate_poly(poly: PolyHamiltonian, vec: np.ndarray) -> np.clongdouble:
+    """Numeric value at a dense state vector over mode_range(truncation),
+    evaluated in clongdouble."""
+    total = LONG_COMPLEX.type(0)
+    for _, _, vals in _row_values(_compile_rows(poly, None), _extended(vec, LONG_COMPLEX)):
         total += np.sum(vals)
     return total
 
@@ -621,10 +622,24 @@ def _prefix_plan(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return plan
 
 
-def _row_table(poly: PolyHamiltonian, slot: str | None) -> list[list[tuple]]:
-    """Rows (component, coeff, multiplicity, n, factors) of a polynomial's
-    value (slot None) or gradient, one list per width (factor count),
-    widths ascending, each stably sorted by output component."""
+def _compile_rows(poly: PolyHamiltonian, slot: str | None):
+    """Rows of a polynomial's value or gradient, grouped by width (factor
+    count), widths ascending, compiled once per polynomial and slot.
+
+    slot=None:    one row per term, all in component 0 (the value), in
+                  clongdouble;
+    slot='minus': rows for dP/dqbar_n (the vector-field direction), in
+                  complex128;
+    slot='plus':  rows for dP/dq_n, in complex128.
+    A factor is an index into concatenate(vec, conj(vec)): q_j first, then
+    qbar_j.  Each group is (seg_comp, starts, pref, plan, work), its rows
+    sorted by output component so the scatter is contiguous segments; work
+    holds three buffers of the dtype and one of its real part.
+    """
+    key = ("rows", slot)
+    if key in poly._cache:
+        return poly._cache[key]
+    dtype, real = (LONG_COMPLEX, np.longdouble) if slot is None else (np.dtype(np.complex128), np.float64)
     index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
     n_modes = len(index)
     by_width: dict[int, list] = {}
@@ -632,57 +647,17 @@ def _row_table(poly: PolyHamiltonian, slot: str | None) -> list[list[tuple]]:
         derivs = _derivatives(mono, slot) if slot else [(None, 1, mono.plus, mono.minus)]
         for n, mult, plus, minus in derivs:
             factors = [index[j] for j in plus] + [n_modes + index[j] for j in minus]
-            by_width.setdefault(len(factors), []).append((index[n] if slot else 0, coeff, mult, n, factors))
-    for rows in by_width.values():
-        # sort by output component so the scatter becomes contiguous segments
-        rows.sort(key=lambda r: r[0])
-    return [by_width[width] for width in sorted(by_width)]
-
-
-def _compile_rows(poly: PolyHamiltonian, slot: str | None, weighted: bool, dtype: np.dtype):
-    """Rows of a polynomial's value or gradient, grouped by width (factor count).
-
-    slot=None:    one row per term, all in component 0 (the value);
-    slot='minus': rows for dP/dqbar_n (vector-field direction);
-    slot='plus':  rows for dP/dq_n.
-    weighted=True folds the Hamiltonian weight (-i n) into the prefactor.
-    A factor is an index into concatenate(vec, conj(vec)): q_j first, then
-    qbar_j.  Each group is (seg_comp, starts, pref, plan, work).
-
-    Only pref depends on the dtype and the weight.  The rest is compiled
-    once per slot and shared: seg_comp, starts, the prefix plan and one
-    allocation of three clongdouble work buffers per group, which a
-    complex128 compile views as its three complex128 buffers and a float64
-    temporary.  So calls in different dtypes share work memory, and a call
-    must be done with one group's values before a call in another dtype
-    on the same polynomial and slot takes them (see _row_values).
-    """
-    key = (slot, weighted, dtype)
-    if key in poly._cache:
-        return poly._cache[key]
-    table = _row_table(poly, slot)
-    plan_key = ("plan", slot)
-    if plan_key not in poly._cache:
-        shared = []
-        for rows in table:
-            comp = np.array([r[0] for r in rows], dtype=np.intp)
-            factors = np.array([r[4] for r in rows], dtype=np.intp).reshape(len(rows), -1)
-            starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-            memory = np.empty(3 * len(rows), dtype=LONG_COMPLEX)
-            shared.append((comp[starts], starts, _prefix_plan(factors), memory))
-        poly._cache[plan_key] = shared
-    groups = []
-    for rows, (seg_comp, starts, plan, memory) in zip(table, poly._cache[plan_key]):
-        prefs = []
-        for _, coeff, mult, n, _ in rows:
             pref = _to_dtype_coeff(coeff if mult == 1 else coeff.scaled(mult), dtype)
-            prefs.append(pref * (-1j * n) if weighted else pref)
-        size = len(rows)
-        buffers = memory.view(dtype)
-        work = tuple(buffers[k * size : (k + 1) * size] for k in range(3))
-        if dtype != LONG_COMPLEX:
-            work += (memory.view(np.float64)[6 * size : 7 * size],)
-        groups.append((seg_comp, starts, np.array(prefs, dtype=dtype), plan, work))
+            by_width.setdefault(len(factors), []).append((index[n] if slot else 0, pref, factors))
+    groups = []
+    for width in sorted(by_width):
+        rows = sorted(by_width[width], key=lambda r: r[0])
+        comp = np.array([r[0] for r in rows], dtype=np.intp)
+        factors = np.array([r[2] for r in rows], dtype=np.intp).reshape(len(rows), width)
+        starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+        work = (*np.empty((3, len(rows)), dtype=dtype), np.empty(len(rows), dtype=real))
+        prefs = np.array([r[1] for r in rows], dtype=dtype)
+        groups.append((comp[starts], starts, prefs, _prefix_plan(factors), work))
     poly._cache[key] = groups
     return groups
 
@@ -693,43 +668,36 @@ def _prefix_products(plan, ext, work) -> np.ndarray:
 
     ext is concatenate(vec, conj(vec)), and each level takes its parents
     and its last factors with one take each into the group's work buffers
-    (cur, nxt, x, ...): fresh arrays of that size cost page faults on every
-    call.  In clongdouble the level is one vectorised complex multiply.
-    numpy's vectorised complex128 multiply rounds differently from the
-    scalar loop prod(axis=1) runs, so in complex128 each product is formed
-    in place on the .real/.imag views with that loop's formula,
-    re = a xr - b xi and im = b xr + a xi, and one float64 temporary.
+    (cur, nxt, x, t): fresh arrays of that size cost page faults on every
+    call.  numpy's vectorised complex multiply rounds differently from the
+    scalar loop prod(axis=1) runs, so each product is formed in place on
+    the .real/.imag views with that loop's formula, re = a xr - b xi and
+    im = b xr + a xi, and the real temporary t.
     """
     (_, first), *rest = plan
-    cur, nxt, x = work[:3]
-    vectorised = ext.dtype == LONG_COMPLEX
+    cur, nxt, x, tmp = work
     # take(out=...) copies through a temporary under the default mode="raise"
     tab = ext.take(first, out=cur[: len(first)], mode="clip")
     for parent, last in rest:
         size = len(last)
         new = tab.take(parent, out=nxt[:size], mode="clip")
         factor = ext.take(last, out=x[:size], mode="clip")
-        if vectorised:
-            new *= factor
-        else:
-            a, b, xr, xi = new.real, new.imag, factor.real, factor.imag
-            t = np.multiply(b, xi, out=work[3][:size])
-            xi *= a
-            a *= xr
-            a -= t
-            b *= xr
-            b += xi
+        a, b, xr, xi = new.real, new.imag, factor.real, factor.imag
+        t = np.multiply(b, xi, out=tmp[:size])
+        xi *= a
+        a *= xr
+        a -= t
+        b *= xr
+        b += xi
         tab, cur, nxt = new, nxt, cur
     return tab
 
 
-def _row_values(groups, vec: np.ndarray):
+def _row_values(groups, ext: np.ndarray):
     """Yield (seg_comp, starts, values) per width group of a compile, the
     values being each row's prefactor times its factor product.  A group's
-    values live in its work buffers, which every dtype's compile of the
-    same polynomial and slot shares, until the next group is taken: calls
-    on one polynomial and slot are not reentrant, across dtypes too."""
-    ext = np.concatenate((vec, np.conj(vec)))
+    values live in its work buffers until the next group is taken: calls
+    on one polynomial and slot are not reentrant."""
     for seg_comp, starts, pref, plan, work in groups:
         if plan:
             yield seg_comp, starts, np.multiply(pref, _prefix_products(plan, ext, work), out=work[2])
@@ -737,32 +705,30 @@ def _row_values(groups, vec: np.ndarray):
             yield seg_comp, starts, pref
 
 
-def _rows_apply(groups, vec: np.ndarray, out: np.ndarray):
-    """out[n] += sum of the rows of component n."""
-    for seg_comp, starts, vals in _row_values(groups, vec):
+def _gradient(P: PolyHamiltonian, slot: str, ext: np.ndarray) -> np.ndarray:
+    """dP/dq_n (slot 'plus') or dP/dqbar_n (slot 'minus') in complex128:
+    out[n] is the sum of the rows of component n."""
+    out = np.zeros(len(ext) // 2, dtype=np.complex128)
+    for seg_comp, starts, vals in _row_values(_compile_rows(P, slot), ext):
         out[seg_comp] += np.add.reduceat(vals, starts)
+    return out
 
 
 def vector_field_vec(F: PolyHamiltonian, vec: np.ndarray) -> np.ndarray:
-    """Components -i j dF/dqbar_j as a dense vector; dtype follows vec."""
-    vec = np.asarray(vec)
-    dtype = _eval_dtype(vec)
-    vec = vec.astype(dtype, copy=False)
-    out = np.zeros(vec.shape, dtype=dtype)
-    _rows_apply(_compile_rows(F, "minus", True, dtype), vec, out)
+    """Components -i j dF/dqbar_j as a dense complex128 vector, whatever
+    the dtype of vec: -i j times the qbar gradient of gradient_vecs."""
+    weight = F._cache.get("field_weight")
+    if weight is None:
+        weight = F._cache["field_weight"] = -1j * np.array(mode_range(F.truncation))
+    out = _gradient(F, "minus", _extended(vec, np.complex128))
+    out *= weight
     return out
 
 
 def gradient_vecs(P: PolyHamiltonian, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dP/dq_j, dP/dqbar_j) as dense vectors at vec."""
-    vec = np.asarray(vec)
-    dtype = _eval_dtype(vec)
-    vec = vec.astype(dtype, copy=False)
-    gq = np.zeros(vec.shape, dtype=dtype)
-    gqbar = np.zeros(vec.shape, dtype=dtype)
-    _rows_apply(_compile_rows(P, "plus", False, dtype), vec, gq)
-    _rows_apply(_compile_rows(P, "minus", False, dtype), vec, gqbar)
-    return gq, gqbar
+    """(dP/dq_j, dP/dqbar_j) as dense complex128 vectors at vec."""
+    ext = _extended(vec, np.complex128)
+    return _gradient(P, "plus", ext), _gradient(P, "minus", ext)
 
 
 def poisson_bracket_numeric(

@@ -25,7 +25,6 @@ from .flows import (
     spectral_model,
 )
 from .states import (
-    INT64_MAX,
     MAX_VIOLATIONS,
     TWO_PI,
     FourierState,
@@ -163,18 +162,18 @@ def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
     Raises OverflowError above the audit's cap on max_abs for some s.
     """
     for s in s_values:
-        # The cap per s is the radius at which the bound (2s+1) 6^(s+2)
-        # max_abs^(2s+1) fitted int64 (242347, 1073 and 107 at s = 1, 2, 3).
-        # omega_kernel no longer forms that product: its value and verdict
-        # are exact in int64 up to omega_int64_max_abs(6, s) (35211, 1074 and
-        # 187).  The cap stays until a measured one replaces it; what bounds
-        # the audit long before either radius is one j1 chunk, which holds
-        # up to (2 max_abs)^4 candidate rows of six int64 columns.
-        def unreduced(a):
-            return (2 * s + 1) * 6 ** (s + 2) * a ** (2 * s + 1)
-
-        if unreduced(max_abs) > INT64_MAX:
-            cap = int64_radius(unreduced)
+        # The cap per s is the smaller of the radius at which the bound
+        # (2s+1) 6^(s+2) max_abs^(2s+1) fitted int64 (242347, 1073 and 107
+        # at s = 1, 2, 3) and omega_int64_max_abs(6, s) (35211, 1074 and
+        # 187), up to which omega_kernel's value and verdict are exact in
+        # int64: 35211, 1073 and 107.  What bounds the audit long before
+        # the cap is one j1 chunk, which holds up to (2 max_abs)^4 candidate
+        # rows of six int64 columns.
+        cap = min(
+            int64_radius(lambda a: (2 * s + 1) * 6 ** (s + 2) * a ** (2 * s + 1)),
+            omega_int64_max_abs(6, s),
+        )
+        if max_abs > cap:
             raise OverflowError(
                 f"max_abs={max_abs} exceeds the exhaustive Omega audit's cap {cap} at s={s} "
                 f"(one j1 chunk would hold up to {(2 * max_abs) ** 4} candidate rows)"

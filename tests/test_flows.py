@@ -28,6 +28,44 @@ def test_config_validation():
         FlowConfig(dt=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dt", 0.0),
+        ("dt", math.nan),
+        ("dt", math.inf),
+        ("dt", -math.inf),
+        ("tolerance", 0.0),
+        ("tolerance", -1e-12),
+        ("tolerance", math.nan),
+        ("tolerance", math.inf),
+        ("t_end", math.nan),
+        ("t_end", math.inf),
+        ("t_end", -math.inf),
+        ("max_refinements", 0),
+        ("max_refinements", -1),
+        ("record_interval", 0.0),
+        ("record_interval", -0.5),
+        ("record_interval", math.nan),
+        ("record_interval", math.inf),
+    ],
+)
+def test_config_rejects_invalid_values(field, value):
+    # NaN, which fails every comparison, was accepted for dt and tolerance;
+    # max_refinements = 0 ended flow_time_one_vec in an UnboundLocalError
+    with pytest.raises(ValueError, match=field):
+        FlowConfig(**{field: value})
+
+
+def test_evolve_vec_at_t_end_zero_returns_the_initial_record():
+    q0 = FourierState({1: 0.3, -2: 0.1j}, 3).to_vector()
+    times, channels, q_final, snapshots = evolve_vec(q0, 3, FlowConfig(t_end=0.0), track_s=(1.0,))
+    assert times.tolist() == [0.0]
+    assert all(values.shape == (1,) for values in channels.values())
+    assert np.array_equal(q_final, q0) and q_final is not q0
+    assert len(snapshots) == 1 and np.array_equal(snapshots[0], q0)
+
+
 def test_zero_generator_is_identity():
     vec = FourierState({1: 0.3, -2: 0.1j}, 3).to_vector()
     assert np.array_equal(flow_time_one_vec(PolyHamiltonian.zero(3), vec, CFG), vec)

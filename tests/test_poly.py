@@ -487,9 +487,9 @@ def test_vector_field_matches_finite_differences():
             assert abs(analytic[idx] - expect) <= 1e-7 * max(1.0, abs(expect))
 
 
-def _reference_rows(P, vec, slot, weighted):
-    """Per-term reference for the numeric row kernel of vector_field_vec
-    (slot 'minus', weighted) and gradient_vecs (unweighted).
+def _reference_rows(P, vec, slot):
+    """Per-term complex128 reference for the numeric row kernel of
+    gradient_vecs (slot 'plus' or 'minus').
 
     Each derivative of each term multiplies its factors left to right as
     scalars, q_j for the plus slots and then conj(q_j) for the minus slots,
@@ -499,8 +499,6 @@ def _reference_rows(P, vec, slot, weighted):
     """
     from dnls_nflab.poly import _to_dtype_coeff
 
-    dtype = vec.dtype
-    scalar = dtype.type if dtype == LONG_COMPLEX else complex
     index = {j: i for i, j in enumerate(mode_range(P.truncation))}
     rows: dict[tuple[int, int], list] = {}
     for mono, coeff in P.terms():
@@ -509,24 +507,22 @@ def _reference_rows(P, vec, slot, weighted):
             rest = list(entries)
             rest.remove(n)
             plus, minus = (rest, mono.minus) if slot == "plus" else (mono.plus, rest)
-            factors = [scalar(vec[index[j]]) for j in plus]
-            factors += [scalar(vec[index[j]]).conjugate() for j in minus]
-            pref = _to_dtype_coeff(coeff.scaled(entries.count(n)), dtype)
-            if weighted:
-                pref = pref * (-1j * n)
+            factors = [complex(vec[index[j]]) for j in plus]
+            factors += [complex(vec[index[j]]).conjugate() for j in minus]
+            pref = _to_dtype_coeff(coeff.scaled(entries.count(n)), np.complex128)
             product = reduce(mul, factors) if factors else None
             rows.setdefault((len(factors), index[n]), []).append((pref, product))
-    out = np.zeros(len(vec), dtype=dtype)
+    out = np.zeros(len(vec), dtype=np.complex128)
     for (width, comp), terms in sorted(rows.items()):
-        vals = np.array([t[0] for t in terms], dtype=dtype)
+        vals = np.array([t[0] for t in terms], dtype=np.complex128)
         if width:
-            vals = vals * np.array([t[1] for t in terms], dtype=dtype)
+            vals = vals * np.array([t[1] for t in terms], dtype=np.complex128)
         out[comp] += np.add.reduceat(vals, [0])[0]
     return out
 
 
 def _reference_value(P, vec):
-    """Per-term reference for evaluate_poly.
+    """Per-term clongdouble reference for evaluate_poly.
 
     Each term multiplies its factors left to right as scalars, q_j for the
     plus slots and then conj(q_j) for the minus slots; the terms of one
@@ -535,18 +531,16 @@ def _reference_value(P, vec):
     """
     from dnls_nflab.poly import _to_dtype_coeff
 
-    dtype = vec.dtype
-    scalar = dtype.type if dtype == LONG_COMPLEX else complex
     index = {j: i for i, j in enumerate(mode_range(P.truncation))}
     rows: dict[int, list] = {}
     for mono, coeff in P.terms():
-        factors = [scalar(vec[index[j]]) for j in mono.plus]
-        factors += [scalar(vec[index[j]]).conjugate() for j in mono.minus]
-        rows.setdefault(len(factors), []).append((_to_dtype_coeff(coeff, dtype), reduce(mul, factors)))
-    total = dtype.type(0)
+        factors = [LONG_COMPLEX.type(vec[index[j]]) for j in mono.plus]
+        factors += [LONG_COMPLEX.type(vec[index[j]]).conjugate() for j in mono.minus]
+        rows.setdefault(len(factors), []).append((_to_dtype_coeff(coeff, LONG_COMPLEX), reduce(mul, factors)))
+    total = LONG_COMPLEX.type(0)
     for _, terms in sorted(rows.items()):
-        pref = np.array([t[0] for t in terms], dtype=dtype)
-        total += np.sum(pref * np.array([t[1] for t in terms], dtype=dtype))
+        pref = np.array([t[0] for t in terms], dtype=LONG_COMPLEX)
+        total += np.sum(pref * np.array([t[1] for t in terms], dtype=LONG_COMPLEX))
     return total
 
 
@@ -578,7 +572,9 @@ def _kernel_poly(name):
 @pytest.mark.parametrize("name", ["degree1", "lambda", "F4", "F6", "mixed"])
 def test_row_kernel_matches_per_term_reference(name, dtype):
     # the prefix-shared kernel keeps the per-term association, so the
-    # result is bit-identical, not merely close
+    # result is bit-identical, not merely close.  Whatever the state's
+    # dtype, the field and gradients are complex128, taken at the state
+    # rounded to complex128, and the value is clongdouble.
     P = _kernel_poly(name)
     rng = np.random.default_rng(21)
     n = len(mode_range(P.truncation))
@@ -587,54 +583,15 @@ def test_row_kernel_matches_per_term_reference(name, dtype):
     field = vector_field_vec(P, vec)
     gq, gqbar = gradient_vecs(P, vec)
     value = evaluate_poly(P, vec)
-    for got in (field, gq, gqbar, value):
-        assert got.dtype == np.dtype(dtype)
-    assert value == _reference_value(P, vec)
-    assert np.array_equal(field, _reference_rows(P, vec, "minus", True))
-    assert np.array_equal(gq, _reference_rows(P, vec, "plus", False))
-    assert np.array_equal(gqbar, _reference_rows(P, vec, "minus", False))
-
-
-def test_dtypes_share_one_plan_and_work_memory_without_leaking():
-    # every dtype's compile of one slot reuses the slot's prefix plan and
-    # work memory; calls alternating between the dtypes, on different
-    # states, must each still match their own per-term reference bit for bit
-    from dnls_nflab.poly import _compile_rows
-
-    P = _kernel_poly("F6")
-    rng = np.random.default_rng(23)
-    n = len(mode_range(P.truncation))
-    states = {}
-    for dtype in (np.clongdouble, np.complex128):
-        base = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        states[dtype] = base.astype(dtype) / np.dtype(dtype).type(3)
-    for _ in range(2):
-        for dtype, vec in states.items():
-            assert np.array_equal(vector_field_vec(P, vec), _reference_rows(P, vec, "minus", True))
-        for dtype, vec in states.items():
-            gq, gqbar = gradient_vecs(P, vec)
-            assert np.array_equal(gq, _reference_rows(P, vec, "plus", False))
-            assert np.array_equal(gqbar, _reference_rows(P, vec, "minus", False))
-        for dtype, vec in states.items():
-            assert evaluate_poly(P, vec) == _reference_value(P, vec)
-    for slot, weighted in ((None, False), ("minus", True), ("plus", False), ("minus", False)):
-        lo = _compile_rows(P, slot, weighted, np.dtype(np.complex128))
-        hi = _compile_rows(P, slot, weighted, LONG_COMPLEX)
-        assert len(lo) == len(hi)
-        for g, h in zip(lo, hi):
-            assert g[3] is h[3]  # the prefix plan
-            assert np.shares_memory(g[4][0], h[4][0])
-            assert g[2].dtype == np.complex128 and h[2].dtype == LONG_COMPLEX
-
-
-def test_gradient_vecs_keeps_extended_precision():
-    P = _kernel_poly("F4")
-    rng = np.random.default_rng(22)
-    n = len(mode_range(P.truncation))
-    vec = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    for lo, hi in zip(gradient_vecs(P, vec), gradient_vecs(P, vec.astype(np.clongdouble))):
-        assert lo.dtype == np.complex128 and hi.dtype == LONG_COMPLEX
-        assert np.max(np.abs(hi.astype(np.complex128) - lo)) <= 1e-12 * np.max(np.abs(lo))
+    for got in (field, gq, gqbar):
+        assert got.dtype == np.complex128
+    assert value.dtype == LONG_COMPLEX
+    assert value == _reference_value(P, vec.astype(LONG_COMPLEX))
+    low = vec.astype(np.complex128)
+    ref_qbar = _reference_rows(P, low, "minus")
+    assert np.array_equal(gq, _reference_rows(P, low, "plus"))
+    assert np.array_equal(gqbar, ref_qbar)
+    assert np.array_equal(field, -1j * np.array(mode_range(P.truncation)) * ref_qbar)
 
 
 def test_poisson_bracket_numeric_antisymmetry_and_match():

@@ -9,6 +9,7 @@ from dnls_nflab.stability import (
     hs_random_state,
     norm_derivative_audit,
     omega_bound_check,
+    omega_int64_max_abs,
     omega_kernel,
     omega_s,
     random_omega_audit,
@@ -111,6 +112,19 @@ def test_exhaustive_omega_audit_overflow_guard():
     # the cap at s = 3 is where the unreduced bound 7 6^5 max_abs^7 fitted int64
     with pytest.raises(OverflowError, match="cap 107 at s=3"):
         exhaustive_omega_audit(1000, (3,))
+
+
+def test_exhaustive_omega_audit_guard_keeps_the_kernel_in_int64(monkeypatch):
+    # at s = 1 the unreduced bound would allow 242347, past the radius
+    # omega_int64_max_abs(6, 1) = 35211 where omega_kernel's verdict stays
+    # exact in int64; the guard fires before any chunk is enumerated
+    def refuse(max_abs):
+        raise AssertionError("zero_momentum_sextuples called")
+
+    monkeypatch.setattr(stability, "zero_momentum_sextuples", refuse)
+    assert omega_int64_max_abs(6, 1) == 35211
+    with pytest.raises(OverflowError, match="cap 35211 at s=1"):
+        exhaustive_omega_audit(35212, (1,))
 
 
 def test_exhaustive_omega_audit_calls_the_kernel_once_per_chunk(monkeypatch):
