@@ -12,6 +12,7 @@ by the given seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -56,12 +57,24 @@ def make_manifest(args: argparse.Namespace, outcome: str) -> dict:
     }
 
 
-def _check_writable(path: str) -> None:
-    """Raise UsageError up front if the directory of a report path is
-    missing or not writable; creates nothing."""
-    parent = os.path.dirname(path) or "."
-    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-        raise UsageError(f"cannot write report to {path}: {parent} is not a writable directory")
+# the options that name a report file, on whichever subcommand takes them
+REPORT_PATHS = ("out", "dump_final", "dump_f4", "divisor_csv", "dump_k", "resonant_csv", "report")
+
+
+def _check_writable(args: argparse.Namespace) -> argparse.Namespace:
+    """Raise UsageError up front if any report path among the parsed options
+    is a directory, or its directory is missing or not writable; creates
+    nothing."""
+    for name in REPORT_PATHS:
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write report to {path}: it is a directory")
+        parent = os.path.dirname(path) or "."
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise UsageError(f"cannot write report to {path}: {parent} is not a writable directory")
+    return args
 
 
 def write_text(path: str, text: str) -> None:
@@ -190,7 +203,6 @@ def cmd_identities(args) -> int:
 
 def _parse_init(spec: str, M: int):
     from .states import FourierState, state_from_json
-    import math as _math
 
     try:
         if spec.startswith("planewave:"):
@@ -198,7 +210,9 @@ def _parse_init(spec: str, M: int):
             k_str, a_str = body.split(",")
             k = int(k_str)
             A = complex(a_str)
-            return FourierState({k: A * _math.sqrt(2 * _math.pi)}, M)
+            if not cmath.isfinite(A):
+                raise ValueError(f"amplitude {a_str} is not finite")
+            return FourierState({k: A * math.sqrt(2 * math.pi)}, M)
         with open(spec) as fh:
             return state_from_json(fh.read(), M)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -218,9 +232,6 @@ def cmd_simulate(args) -> int:
         if not 0 <= s < math.inf:
             raise UsageError(f"--track-s values must be finite and at least 0, got {s}")
     q0 = _parse_init(args.init, M)
-    for path in (args.out, args.dump_final):
-        if path:
-            _check_writable(path)
     cfg = FlowConfig(dt=args.dt, t_end=args.t_end, record_interval=args.record_interval)
     times, channels, q_final, _ = evolve_vec(q0.to_vector(), M, cfg, track_s=track)
     manifest = make_manifest(args, "report-only")
@@ -361,20 +372,20 @@ def _load_config(path: str) -> dict:
 def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
     """(low, high, closed) range of each bounded numeric option, per
     subcommand; high None is unbounded.  The integer ranges are closed: the
-    lows are the smallest values the library calls accept, a divisor bound
-    above QUAD_INT64_MAX_ABS would overflow the int64 audit, and a seed is a
-    Philox key, below 2**128.  A Sobolev index is at least 0 and a norm-ratio
-    threshold at least 1, the ratio at t = 0; the other float ranges are
-    open: a time step, a horizon, the exponent r of the horizon eps^-r and a
-    record interval must be positive and an amplitude lies strictly between
-    0 and 1."""
-    from .order4 import QUAD_INT64_MAX_ABS
+    lows are the smallest values the library calls accept, the exhaustive
+    audit's enumerator refuses a divisor bound above zero_momentum_max_abs(4)
+    (1058), and a seed is a Philox key, below 2**128.  A Sobolev index is at
+    least 0 and a norm-ratio threshold at least 1, the ratio at t = 0; the
+    other float ranges are open: a time step, a horizon, the exponent r of
+    the horizon eps^-r and a record interval must be positive and an
+    amplitude lies strictly between 0 and 1."""
+    from .states import zero_momentum_max_abs
 
     seed = (0, 2**128 - 1, True)
     modes = (1, None, True)
     positive = (0.0, None, False)
     return {
-        "nf4": {"modes": modes, "divisor_bound": (1, QUAD_INT64_MAX_ABS, True)},
+        "nf4": {"modes": modes, "divisor_bound": (1, zero_momentum_max_abs(4), True)},
         "nf6": {"modes": (2, None, True)},
         "identities": {"bound": (1, None, True), "random": (0, None, True), "seed": seed},
         "simulate": {"modes": modes, "dt": positive, "t_end": positive, "record_interval": positive},
@@ -409,8 +420,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line.  A --config file supplies defaults for the
     subcommand's options, so every flag given on the command line wins and
     a required option may come from the file instead.  A config value its
-    option's type rejects, or a numeric option outside its range, is a
-    UsageError."""
+    option's type rejects, a numeric option outside its range, or a report
+    path in a directory that cannot be written, is a UsageError."""
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     # the first parse only finds the subcommand and --config, so it must not
@@ -451,7 +462,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     for action in required:
         action.required = conf.get(action.dest) is None
     sub.set_defaults(**conf)
-    return _check_ranges(parser.parse_args(argv))
+    return _check_writable(_check_ranges(parser.parse_args(argv)))
 
 
 def main(argv=None) -> int:

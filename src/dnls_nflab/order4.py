@@ -42,9 +42,9 @@ from .states import (
     fortran_rows,
     int64_radius,
     leading_stars,
-    mode_range,
     random_zero_momentum_rows,
     rejection_sample,
+    zero_momentum_rows,
 )
 
 
@@ -103,27 +103,21 @@ def divisor_bound_check(t: tuple[int, int, int, int]) -> DivisorReport:
     return DivisorReport(t, d[0], bool(holds[0]), bool(fact_ok[0]))
 
 
-def _divisor_violations(rows: np.ndarray, limit: int) -> list[DivisorReport]:
-    """Reports, in Python ints, for the first `limit` rows of an array of
-    Delta quadruples that fail the bound or the factorization."""
-    d, holds, fact_ok = quad_kernel(rows)
-    return [
-        DivisorReport(tuple(rows[i].tolist()), int(d[i]), bool(holds[i]), bool(fact_ok[i]))
-        for i in np.flatnonzero(~(holds & fact_ok))[:limit]
-    ]
+def _delta_only(rows: np.ndarray) -> np.ndarray:
+    """The rows (j, k, l, m) of a zero-momentum array that lie in Delta:
+    k != j and m != j."""
+    cols = rows.T
+    j, k, _, m = cols
+    return fortran_rows(cols, (k != j) & (m != j))
 
 
 def delta_rows(max_abs: int):
     """All quadruples in Delta with entries bounded by max_abs: one int64
     array of rows (j, k, l, m) per j ascending, in Fortran order (see
     fortran_rows), each in lexicographic order of (k, l), m being solved
-    from zero momentum."""
-    values = np.array(mode_range(max_abs), dtype=np.int64)
-    k, l = (g.ravel() for g in np.meshgrid(values, values, indexing="ij"))
-    for j in values:
-        m = alternating_sum((j, k, l))
-        ok = (k != j) & (m != 0) & (m != j) & (np.abs(m) <= max_abs)
-        yield fortran_rows((j, k, l, m), ok)
+    from zero momentum.  max_abs runs from 1 to zero_momentum_max_abs(4)
+    (1058)."""
+    return map(_delta_only, zero_momentum_rows(4, max_abs))
 
 
 def iter_delta(max_abs: int):
@@ -132,25 +126,33 @@ def iter_delta(max_abs: int):
         yield from map(tuple, rows.tolist())
 
 
-# Largest radius of the exhaustive audit (and of nf4 --divisor-bound):
-# |d| <= 2 max_abs^2, so even the unreduced product 4 d^2 j2* j3* j4* is at
-# most 16 max_abs^7 <= int64 max.  quad_kernel's reduced comparison stays
-# exact in int64 up to QUAD_RANDOM_INT64_MAX_ABS.
-QUAD_INT64_MAX_ABS = 344
+def _divisor_audit(blocks, max_abs: int, int64: bool) -> dict:
+    """Report of the bound and factorization over blocks of Delta rows, run
+    through quad_kernel in int64 or as Python ints, listing the first
+    violations in Python ints."""
+    checked = 0
+    violations = []
+    for rows in blocks:
+        checked += len(rows)
+        rows = rows if int64 else rows.astype(object)
+        d, holds, fact_ok = quad_kernel(rows)
+        violations += [
+            DivisorReport(tuple(rows[i].tolist()), int(d[i]), bool(holds[i]), bool(fact_ok[i]))
+            for i in np.flatnonzero(~(holds & fact_ok))[: MAX_VIOLATIONS - len(violations)]
+        ]
+    return {
+        "checked": checked,
+        "violations": violations,
+        "max_abs": max_abs,
+        "arithmetic": "int64" if int64 else "python int",
+    }
 
 
 def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
-    """Bound and factorization over all of Delta within max_abs, checked in
-    int64, one chunk of delta_rows per j.  Raises OverflowError beyond
-    QUAD_INT64_MAX_ABS."""
-    if max_abs > QUAD_INT64_MAX_ABS:
-        raise OverflowError(f"max_abs={max_abs} overflows the int64 bound check")
-    checked = 0
-    violations = []
-    for rows in delta_rows(max_abs):
-        checked += len(rows)
-        violations += _divisor_violations(rows, MAX_VIOLATIONS - len(violations))
-    return {"checked": checked, "violations": violations, "max_abs": max_abs}
+    """Bound and factorization over all of Delta within max_abs, one chunk
+    of delta_rows per j, in int64: delta_rows stops at 1058, far inside
+    QUAD_RANDOM_INT64_MAX_ABS."""
+    return _divisor_audit(delta_rows(max_abs), max_abs, True)
 
 
 # Largest max_abs whose random audit runs quad_kernel in int64: every
@@ -168,25 +170,12 @@ def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
     if max_abs < 2:
         raise ValueError("Delta has no quadruple with entries bounded by max_abs < 2")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    int64 = max_abs <= QUAD_RANDOM_INT64_MAX_ABS
 
     def draw(n):
-        cols = random_zero_momentum_rows(rng, n, 4, max_abs).T
-        j, k, _, m = cols
-        return fortran_rows(cols, (j != k) & (j != m))
+        return _delta_only(random_zero_momentum_rows(rng, n, 4, max_abs))
 
-    checked = 0
-    violations = []
-    for rows in rejection_sample(n_samples, draw):
-        checked += len(rows)
-        rows = rows if int64 else rows.astype(object)
-        violations += _divisor_violations(rows, MAX_VIOLATIONS - len(violations))
-    return {
-        "checked": checked,
-        "violations": violations,
-        "max_abs": max_abs,
-        "arithmetic": "int64" if int64 else "python int",
-    }
+    blocks = rejection_sample(n_samples, draw)
+    return _divisor_audit(blocks, max_abs, max_abs <= QUAD_RANDOM_INT64_MAX_ABS)
 
 
 # -- generator --------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .states import (
     mode_range,
     random_zero_momentum_rows,
     rejection_sample,
-    zero_momentum_sextuples,
+    zero_momentum_rows,
 )
 
 
@@ -211,7 +211,7 @@ def sextuple_kernel(
     A >= 1, u v >= A exactly when min(u, A) v >= A.  So no intermediate
     exceeds max(max_abs^6, 300 max_abs^5), and a resonant row (d = 0) fails
     with no division.  Runs on the columns rows.T, contiguous for the chunks
-    of zero_momentum_sextuples.
+    of zero_momentum_rows.
     """
     cols = rows.T
     if d is None:
@@ -268,46 +268,42 @@ def sextuple_bound_check(t) -> SextupleReport:
     return _sextuple_report(rows, 0, *sextuple_kernel(rows))
 
 
-# Largest radius of the exhaustive sextuple audit: where the unreduced
-# product 100 |d| tail^2 <= 300 max_abs^12 fitted int64.  sextuple_kernel no
-# longer forms it and compares exactly in int64 up to
-# SEXTUPLE_RANDOM_INT64_MAX_ABS (1448); what the cap keeps out now is memory,
-# one j1 chunk of up to (2 max_abs)^4 candidate rows of six int64 columns
-# (4.5e6 rows, 36 MB a column, at 23).  It stays until a measured cap
-# replaces it.
-SEXTUPLE_EXHAUSTIVE_MAX_ABS = 23
+def _sextuple_audit(blocks, max_abs: int, int64: bool) -> dict:
+    """Report of the bound over blocks (rows, d) of zero-momentum sextuples,
+    int64 or object of Python ints as the arithmetic says, and their
+    divisors: the non-resonant rows (d != 0) are checked, and the first
+    violations listed as SextupleReports."""
+    checked = 0
+    excluded = 0
+    violations = []
+    for rows, d in blocks:
+        kernel = sextuple_kernel(rows, d)
+        _, _, excl, holds = kernel
+        nonresonant = d != 0
+        checked += int(nonresonant.sum())
+        excluded += int((excl & nonresonant).sum())
+        bad = np.flatnonzero(nonresonant & ~holds & ~excl)[: MAX_VIOLATIONS - len(violations)]
+        violations += [_sextuple_report(rows, i, *kernel) for i in bad]
+    return {
+        "checked": checked,
+        "excluded": excluded,
+        "violations": violations,
+        "max_abs": max_abs,
+        "arithmetic": "int64" if int64 else "python int",
+    }
 
 
 def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
     """Vectorized bound check over all non-resonant sextuples within max_abs.
 
-    Runs sextuple_kernel in int64 over zero_momentum_sextuples, one j1 chunk
-    at a time, and raises OverflowError above SEXTUPLE_EXHAUSTIVE_MAX_ABS.
-    At desk scale the excluded case cannot occur (it needs a leading star
-    above 100 j3*^2 >= 100), but the classification is still applied for
-    fidelity.
+    Runs sextuple_kernel over the chunks of zero_momentum_rows, one j1 at a
+    time, in int64: the enumerator stops at 23, far inside
+    SEXTUPLE_RANDOM_INT64_MAX_ABS.  At desk scale the excluded case cannot
+    occur (it needs a leading star above 100 j3*^2 >= 100), but the
+    classification is still applied for fidelity.
     """
-    if max_abs > SEXTUPLE_EXHAUSTIVE_MAX_ABS:
-        raise OverflowError(
-            f"max_abs={max_abs} exceeds the exhaustive sextuple audit's cap {SEXTUPLE_EXHAUSTIVE_MAX_ABS} "
-            f"(one j1 chunk would hold up to {(2 * max_abs) ** 4} candidate rows)"
-        )
-    checked = 0
-    excluded_count = 0
-    violations = []
-    for arr in zero_momentum_sextuples(max_abs):
-        d, _, excluded, holds = sextuple_kernel(arr)
-        nz = d != 0
-        checked += int(nz.sum())
-        excluded_count += int((excluded & nz).sum())
-        bad = np.flatnonzero(nz & ~holds & ~excluded)[: MAX_VIOLATIONS - len(violations)]
-        violations += [tuple(int(v) for v in arr[i]) for i in bad]
-    return {
-        "checked": checked,
-        "excluded": excluded_count,
-        "violations": violations,
-        "max_abs": max_abs,
-    }
+    blocks = ((rows, alternating_sum(rows.T, 2)) for rows in zero_momentum_rows(6, max_abs))
+    return _sextuple_audit(blocks, max_abs, True)
 
 
 # Largest max_abs whose random audit runs sextuple_kernel in int64: no
@@ -334,24 +330,8 @@ def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
         d = alternating_sum(cols, 2)
         return fortran_rows((*cols, d), d != 0)
 
-    checked = 0
-    excluded = 0
-    violations = []
-    for block in rejection_sample(n_samples, draw):
-        rows = block[:, :6]
-        kernel = sextuple_kernel(rows, block[:, 6])
-        _, _, excl, holds = kernel
-        checked += len(rows)
-        excluded += int(excl.sum())
-        bad = np.flatnonzero(~holds & ~excl)[: MAX_VIOLATIONS - len(violations)]
-        violations += [_sextuple_report(rows, i, *kernel) for i in bad]
-    return {
-        "checked": checked,
-        "excluded": excluded,
-        "violations": violations,
-        "max_abs": max_abs,
-        "arithmetic": "int64" if int64 else "python int",
-    }
+    blocks = ((block[:, :6], block[:, 6]) for block in rejection_sample(n_samples, draw))
+    return _sextuple_audit(blocks, max_abs, int64)
 
 
 # -- reducible closed-form cross-check --------------------------------------------------

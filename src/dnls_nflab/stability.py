@@ -35,7 +35,7 @@ from .states import (
     random_zero_momentum_rows,
     rejection_sample,
     sobolev_norm,
-    zero_momentum_sextuples,
+    zero_momentum_rows,
 )
 
 
@@ -155,42 +155,51 @@ def omega_bound_check(entries, s: float) -> OmegaReport:
     return _omega_report(tuple(entries), s, value[0], scale[0], holds[0])
 
 
-def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
-    """All zero-momentum 6-tuples within max_abs, through omega_kernel in
-    int64, one call per zero_momentum_sextuples chunk for all s.
-
-    Raises OverflowError above the audit's cap on max_abs for some s.
-    """
-    for s in s_values:
-        # The cap per s is the smaller of the radius at which the bound
-        # (2s+1) 6^(s+2) max_abs^(2s+1) fitted int64 (242347, 1073 and 107
-        # at s = 1, 2, 3) and omega_int64_max_abs(6, s) (35211, 1074 and
-        # 187), up to which omega_kernel's value and verdict are exact in
-        # int64: 35211, 1073 and 107.  What bounds the audit long before
-        # the cap is one j1 chunk, which holds up to (2 max_abs)^4 candidate
-        # rows of six int64 columns.
-        cap = min(
-            int64_radius(lambda a: (2 * s + 1) * 6 ** (s + 2) * a ** (2 * s + 1)),
-            omega_int64_max_abs(6, s),
-        )
-        if max_abs > cap:
-            raise OverflowError(
-                f"max_abs={max_abs} exceeds the exhaustive Omega audit's cap {cap} at s={s} "
-                f"(one j1 chunk would hold up to {(2 * max_abs) ** 4} candidate rows)"
-            )
+def _omega_audit(blocks, s_values, max_abs: int, int64: bool) -> dict:
+    """Report of the bound for each s in s_values over blocks of int64 rows,
+    run through omega_kernel in int64 or as Python ints.  Violations are
+    listed in row order and by s within a row, up to MAX_VIOLATIONS, each
+    reported from object rows, so its value and bound are exact Python
+    ints.  checked counts the rows."""
     checked = 0
-    violations: dict = {s: [] for s in s_values}
-    for arr in zero_momentum_sextuples(max_abs):
-        for s, (_, _, holds) in zip(s_values, omega_kernel(arr, s_values)):
-            checked += len(arr)
-            found = violations[s]
-            bad = np.flatnonzero(~holds)[: MAX_VIOLATIONS - len(found)]
-            found += [(tuple(int(v) for v in arr[i]), s) for i in bad]
+    violations = []
+    for rows in blocks:
+        rows = rows if int64 else rows.astype(object)
+        checked += len(rows)
+        room = MAX_VIOLATIONS - len(violations)
+        bad = sorted(
+            (i, n)
+            for n, (_, _, holds) in enumerate(omega_kernel(rows, s_values))
+            for i in np.flatnonzero(~holds)[:room]
+        )[:room]
+        if bad:
+            exact = rows[[i for i, _ in bad]].astype(object)
+            kernel = omega_kernel(exact, s_values)
+            for k, (_, n) in enumerate(bad):
+                value, scale, holds = kernel[n]
+                entries = tuple(exact[k].tolist())
+                violations.append(_omega_report(entries, s_values[n], value[k], scale[k], holds[k]))
     return {
         "checked": checked,
-        "violations": [v for s in s_values for v in violations[s]],
+        "violations": violations,
         "max_abs": max_abs,
+        "arithmetic": "int64" if int64 else "python int",
     }
+
+
+def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
+    """All zero-momentum 6-tuples within max_abs (the chunks of
+    zero_momentum_rows, up to 23), through omega_kernel, one call per chunk
+    for all s; checked counts each row once per s.
+
+    The chunks run in int64 when max_abs is at most omega_int64_max_abs(6, s)
+    for every s (17 at s = 5), and as Python ints otherwise; the report's
+    "arithmetic" says which.
+    """
+    int64 = all(max_abs <= omega_int64_max_abs(6, s) for s in s_values)
+    report = _omega_audit(zero_momentum_rows(6, max_abs), s_values, max_abs, int64)
+    report["checked"] *= len(s_values)
+    return report
 
 
 def omega_int64_max_abs(width: int, s) -> int:
@@ -219,41 +228,21 @@ def random_omega_audit(
     array.  The blocks run through omega_kernel in int64 when max_abs is at
     most omega_int64_max_abs(2r, s) for every r and s (153 at r = 5, s = 3),
     and as Python ints otherwise; the report's "arithmetic" says which.
-    Violations are listed by width, then by sample, then by s, up to
-    MAX_VIOLATIONS, each reported from object rows, so its value and bound
-    are exact Python ints.
+    Violations are listed by width, then by sample, then by s.
     """
     if max_abs < 1:
         raise ValueError("max_abs must be at least 1")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     int64 = all(max_abs <= omega_int64_max_abs(2 * r, s) for r in r_values for s in s_values)
     share, extra = divmod(n_samples, len(r_values))
-    checked = 0
-    violations = []
-    for w, r in enumerate(r_values):
-        draw = partial(random_zero_momentum_rows, rng, width=2 * r, max_abs=max_abs)
-        for rows in rejection_sample(share + (w < extra), draw):
-            rows = rows if int64 else rows.astype(object)
-            checked += len(rows)
-            room = MAX_VIOLATIONS - len(violations)
-            bad = sorted(
-                (i, n)
-                for n, (_, _, holds) in enumerate(omega_kernel(rows, s_values))
-                for i in np.flatnonzero(~holds)[:room]
-            )[:room]
-            if bad:
-                exact = rows[[i for i, _ in bad]].astype(object)
-                kernel = omega_kernel(exact, s_values)
-                for k, (_, n) in enumerate(bad):
-                    value, scale, holds = kernel[n]
-                    entries = tuple(exact[k].tolist())
-                    violations.append(_omega_report(entries, s_values[n], value[k], scale[k], holds[k]))
-    return {
-        "checked": checked,
-        "violations": violations,
-        "max_abs": max_abs,
-        "arithmetic": "int64" if int64 else "python int",
-    }
+    blocks = (
+        rows
+        for w, r in enumerate(r_values)
+        for rows in rejection_sample(
+            share + (w < extra), partial(random_zero_momentum_rows, rng, width=2 * r, max_abs=max_abs)
+        )
+    )
+    return _omega_audit(blocks, s_values, max_abs, int64)
 
 
 # -- experiments ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ space consists of zero-mean functions on the circle.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from typing import Mapping
@@ -75,22 +76,48 @@ def fortran_rows(columns, mask) -> np.ndarray:
     return rows.T
 
 
-def zero_momentum_sextuples(max_abs: int):
-    """All zero-momentum 6-tuples j1 - j2 + j3 - j4 + j5 - j6 = 0 of modes
-    with 1 <= |j| <= max_abs, in chunks of one j1 each.
+# One chunk of zero_momentum_rows holds at most this many candidate rows, as
+# many as a sextuple chunk at radius 23, where the exhaustive sextuple
+# audit's tracemalloc peak, about 155 B per candidate row, is some 700 MB.
+MAX_CHUNK_ROWS = 46**4
 
-    Yields int64 arrays of shape (n, 6) in Fortran order, so each column
-    rows.T[k] is contiguous; rows run in lexicographic order of (j1, ..., j5),
-    j6 being solved from zero momentum.  A chunk holds at most (2 max_abs)^4
-    rows, so memory stays bounded at any radius.
+
+def zero_momentum_max_abs(width: int) -> int:
+    """The largest max_abs zero_momentum_rows takes at this width, where a
+    chunk holds (2 max_abs)^(width - 2) candidate rows: 1058 at width 4 and
+    23 at width 6."""
+    side = round(MAX_CHUNK_ROWS ** (1 / (width - 2)))
+    side -= side ** (width - 2) > MAX_CHUNK_ROWS
+    return side // 2
+
+
+def zero_momentum_rows(width: int, max_abs: int):
+    """All zero-momentum tuples j1 - j2 + j3 - ... - j_width = 0 of an even
+    width >= 4 with 1 <= |j| <= max_abs, in chunks of one j1 each.
+
+    Returns an iterator of int64 arrays of shape (n, width) in Fortran order
+    (see fortran_rows), the rows of each in lexicographic order of all but
+    the last entry, which is solved from zero momentum.  One grid of the
+    middle entries serves every chunk.  Raises ValueError, before the grid
+    is built, for max_abs < 1 or above zero_momentum_max_abs(width).
     """
+    if max_abs < 1:
+        raise ValueError(f"max_abs must be at least 1, got {max_abs}")
+    if max_abs > zero_momentum_max_abs(width):
+        raise ValueError(
+            f"max_abs={max_abs}: one chunk of width {width} would hold "
+            f"{(2 * max_abs) ** (width - 2)} candidate rows, over {MAX_CHUNK_ROWS}"
+        )
     values = np.array(mode_range(max_abs), dtype=np.int64)
-    j2, j3, j4, j5 = (g.ravel() for g in np.meshgrid(values, values, values, values, indexing="ij"))
-    rest = alternating_sum((j2, j3, j4, j5))
-    for j1 in values:
-        j6 = j1 - rest
-        ok = (j6 != 0) & (np.abs(j6) <= max_abs)
-        yield fortran_rows((j1, j2, j3, j4, j5, j6), ok)
+    middle = [g.ravel() for g in np.meshgrid(*[values] * (width - 2), indexing="ij")]
+    rest = alternating_sum(middle)
+
+    def chunks():
+        for first in values:
+            last = first - rest
+            yield fortran_rows((first, *middle, last), (last != 0) & (np.abs(last) <= max_abs))
+
+    return chunks()
 
 
 def random_zero_momentum_rows(rng, k: int, width: int, max_abs: int) -> np.ndarray:
@@ -123,8 +150,8 @@ def int64_radius(bound) -> int:
 
 SAMPLE_BLOCK = 4096
 
-# A small-divisor audit lists its first MAX_VIOLATIONS violations only (the
-# exhaustive Omega audit that many per s); its `checked` counts every row.
+# A small-divisor audit lists its first MAX_VIOLATIONS violations only, in
+# row order and by s within a row; its `checked` counts every row it checks.
 MAX_VIOLATIONS = 20
 
 
@@ -312,4 +339,6 @@ def state_from_json(text: str, truncation: int) -> FourierState:
         if j in amp:
             raise ValueError(f"duplicate mode {j}")
         amp[j] = complex(float(row["re"]), float(row["im"]))
+        if not cmath.isfinite(amp[j]):
+            raise ValueError(f"mode {j} has a non-finite amplitude {amp[j]}")
     return FourierState(amp, truncation)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -24,3 +25,14 @@ def bundle8():
     from dnls_nflab.flows import normal_form_bundle
 
     return normal_form_bundle(8)
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """np.meshgrid refuses to run: an enumerator that raises under this
+    fixture has built no grid."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)

@@ -234,8 +234,8 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, message):
         (["nf6", "--modes", "1"], "--modes must be at least 2, got 1"),
         (["stability", "--s", "3", "--eps", "0.3", "--modes", "0"], "--modes must be at least 1, got 0"),
         (["simulate", "--modes", "0", "--init", "planewave:1,0.1"], "--modes must be at least 1, got 0"),
-        (["nf4", "--audit", "--divisor-bound", "-3"], "--divisor-bound must be between 1 and 344, got -3"),
-        (["nf4", "--audit", "--divisor-bound", "345"], "--divisor-bound must be between 1 and 344, got 345"),
+        (["nf4", "--audit", "--divisor-bound", "-3"], "--divisor-bound must be between 1 and 1058, got -3"),
+        (["nf4", "--audit", "--divisor-bound", "1059"], "--divisor-bound must be between 1 and 1058, got 1059"),
         (["identities", "--bound", "-1"], "--bound must be at least 1, got -1"),
         (["identities", "--random", "-1"], "--random must be at least 0, got -1"),
         (["identities", "--random", "3", "--seed", "-1"],
@@ -244,7 +244,7 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, message):
         (["verify-all", "--identities-bound", "-5"], "--identities-bound must be at least 1, got -5"),
     ],
     ids=["verify-all-modes", "nf4-modes", "nf6-modes", "stability-modes", "simulate-modes",
-         "divisor-bound-low", "divisor-bound-int64", "identities-bound", "identities-random",
+         "divisor-bound-low", "divisor-bound-high", "identities-bound", "identities-random",
          "identities-seed", "verify-all-seed", "verify-all-identities-bound"],
 )
 def test_out_of_range_integer_option_is_usage_error(capsys, argv, message):
@@ -282,15 +282,24 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
         (STABILITY + ["--threshold", "-1"], None, "--threshold must be at least 1, got -1.0"),
         (STABILITY + ["--r", "nan"], None, "--r must be greater than 0, got nan"),
         (STABILITY + ["--r", "inf"], None, "--r must be finite, got inf"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "planewave:1,nan"], None,
+         "bad --init 'planewave:1,nan': amplitude nan is not finite"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "planewave:1,inf"], None,
+         "bad --init 'planewave:1,inf': amplitude inf is not finite"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "nan_state.json"], None,
+         "bad --init 'nan_state.json': mode 1 has a non-finite amplitude (nan+0j)"),
     ],
     ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
          "simulate-dt-config", "stability-dt-config", "stability-dt-config-null",
          "verify-all-modes-config-float", "stability-s-negative", "simulate-track-s-not-a-number",
          "simulate-t-end-nan", "simulate-t-end-inf", "simulate-record-interval-nan",
          "simulate-record-interval-negative", "simulate-track-s-negative", "stability-threshold-negative",
-         "stability-r-nan", "stability-r-inf"],
+         "stability-r-nan", "stability-r-inf", "simulate-init-nan", "simulate-init-inf",
+         "simulate-init-json-nan"],
 )
-def test_out_of_range_float_option_is_usage_error(tmp_path, capsys, argv, conf, message):
+def test_out_of_range_float_option_is_usage_error(tmp_path, monkeypatch, capsys, argv, conf, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan_state.json").write_text('[{"j": 1, "re": NaN, "im": 0.0}]')
     if conf is not None:
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(conf))
@@ -303,9 +312,7 @@ def test_out_of_range_float_option_is_usage_error(tmp_path, capsys, argv, conf, 
 
 
 def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
-    from dnls_nflab.order4 import QUAD_INT64_MAX_ABS
-
-    assert parse_args(["nf4", "--divisor-bound", str(QUAD_INT64_MAX_ABS)]).divisor_bound == 344
+    assert parse_args(["nf4", "--divisor-bound", "1058"]).divisor_bound == 1058
     assert parse_args(["verify-all", "--modes", "2"]).modes == 2
     assert parse_args(STABILITY + ["--eps", "0.999", "--dt", "1e-9"]).eps == 0.999
     assert parse_args(["stability", "--s", "0", "--eps", "0.3"]).s == 0
@@ -381,6 +388,37 @@ def test_unwritable_simulate_output_fails_before_integrating(tmp_path, monkeypat
     assert main(argv) == 2
     assert f"cannot write report to {bad}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["nf4", "--modes", "4", "--audit", "--dump-f4", "{bad}"], "checks.order4_homological"),
+        (["nf4", "--modes", "4", "--divisor-csv", "{bad}"], "checks.order4_homological"),
+        (["nf6", "--modes", "6", "--verify-ktilde", "--dump-k", "{bad}"], "order4.compute_R6"),
+        (["nf6", "--modes", "6", "--resonant-csv", "{bad}"], "order4.compute_R6"),
+        (["identities", "--bound", "3", "--report", "{bad}"], "identities.enumerate_triple_pairs"),
+        (["identities", "--bound", "3", "--report", "{dir}"], "identities.enumerate_triple_pairs"),
+        (["stability", "--s", "3", "--eps", "0.3", "--modes", "4", "--out", "{bad}"],
+         "stability.stability_ensemble"),
+    ],
+    ids=["nf4-dump-f4", "nf4-divisor-csv", "nf6-dump-k", "nf6-resonant-csv", "identities-report",
+         "identities-report-is-a-directory", "stability-out"],
+)
+def test_unwritable_report_path_fails_before_any_work(tmp_path, monkeypatch, capsys, argv, work):
+    import importlib
+
+    def never(*args, **kwargs):
+        raise AssertionError("worked before checking the report paths")
+
+    module, name = work.split(".")
+    monkeypatch.setattr(importlib.import_module(f"dnls_nflab.{module}"), name, never)
+    bad = tmp_path if "{dir}" in argv else tmp_path / "no-such-dir" / "file"
+    assert main([str(bad) if arg in ("{bad}", "{dir}") else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "it is a directory" if bad == tmp_path else f"{bad.parent} is not a writable directory"
+    assert captured.err == f"usage error: cannot write report to {bad}: {reason}\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -12,7 +12,7 @@ from dnls_nflab.order4 import (
     coefficient_growth_audit,
     compute_R6,
     divisor_bound_check,
-    QUAD_INT64_MAX_ABS,
+    QUAD_RANDOM_INT64_MAX_ABS,
     delta_rows,
     exhaustive_divisor_audit,
     f4_coefficient_bound_audit,
@@ -31,7 +31,7 @@ from dnls_nflab.poly import (
     build_Q,
     ordered_coefficient,
 )
-from dnls_nflab.states import alternating_sum, zero_momentum_sextuples
+from dnls_nflab.states import alternating_sum, zero_momentum_rows
 
 
 def test_delta_membership():
@@ -118,16 +118,13 @@ def test_exhaustive_divisor_violations_hold_python_ints(monkeypatch):
         assert not v.holds and v.factorization_ok
 
 
-def test_exhaustive_divisor_audit_int64_guard():
-    int64_max = np.iinfo(np.int64).max
-    assert 16 * QUAD_INT64_MAX_ABS**7 <= int64_max < 16 * (QUAD_INT64_MAX_ABS + 1) ** 7
-    with pytest.raises(OverflowError):
-        exhaustive_divisor_audit(QUAD_INT64_MAX_ABS + 1)
-    # rows at the guard radius compute in int64 what Python ints give
-    rows = next(delta_rows(QUAD_INT64_MAX_ABS))[-50:]
-    got = quad_kernel(rows)
-    want = quad_kernel(rows.astype(object))
-    assert all(np.array_equal(a.astype(object), b) for a, b in zip(got, want))
+def test_exhaustive_divisor_audit_int64_guard(no_grid):
+    # the enumerator refuses a radius whose chunk of one j would hold more
+    # than 46^4 = 2116^2 candidate rows, before it builds its grid; every
+    # radius it takes lies inside the kernel's int64 radius
+    with pytest.raises(ValueError, match="max_abs=1059: one chunk of width 4 would hold 4485924 candidate rows"):
+        exhaustive_divisor_audit(1059)
+    assert 1058 < QUAD_RANDOM_INT64_MAX_ABS
 
 
 def test_random_divisor_audit():
@@ -263,7 +260,7 @@ def _sextic_monomials(M):
     sextuples within M."""
     return {
         Monomial.of(row[::2], row[1::2])
-        for rows in zero_momentum_sextuples(M)
+        for rows in zero_momentum_rows(6, M)
         for row in rows.tolist()
     }
 

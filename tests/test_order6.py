@@ -33,7 +33,7 @@ from dnls_nflab.poly import (
     poly_to_records,
     split_normal,
 )
-from dnls_nflab.states import alternating_sum, int64_radius, zero_momentum_sextuples
+from dnls_nflab.states import alternating_sum, zero_momentum_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -265,11 +265,11 @@ def test_exhaustive_sextuple_bound_small():
     assert rep["checked"] == 111324
 
 
-def test_exhaustive_sextuple_audit_overflow_guard():
-    # the cap is where the unreduced product 300 max_abs^12 fitted int64
-    assert order6.SEXTUPLE_EXHAUSTIVE_MAX_ABS == int64_radius(lambda a: 300 * a**12)
-    with pytest.raises(OverflowError, match="cap 23"):
-        exhaustive_sextuple_audit(30)
+def test_exhaustive_sextuple_audit_overflow_guard(no_grid):
+    # the enumerator refuses a radius whose chunk of one j1 would hold more
+    # than 46^4 candidate rows, before it builds its grid
+    with pytest.raises(ValueError, match="max_abs=24: one chunk of width 6 would hold 5308416 candidate rows"):
+        exhaustive_sextuple_audit(24)
 
 
 def test_random_sextuple_bound():
@@ -306,7 +306,7 @@ def _kernel_rows(kernel):
 
 
 def test_sextuple_kernel_matches_scalar_reference():
-    rows = np.concatenate(list(zero_momentum_sextuples(5)))
+    rows = np.concatenate(list(zero_momentum_rows(6, 5)))
     expected = [_sextuple_reference(tuple(int(v) for v in row)) for row in rows]
     assert _kernel_rows(sextuple_kernel(rows)) == expected
     assert _kernel_rows(sextuple_kernel(rows.astype(object))) == expected

@@ -15,7 +15,7 @@ from dnls_nflab.stability import (
     random_omega_audit,
     stability_ensemble,
 )
-from dnls_nflab.states import FourierState, random_zero_momentum_rows, sobolev_norm, zero_momentum_sextuples
+from dnls_nflab.states import FourierState, random_zero_momentum_rows, sobolev_norm, zero_momentum_rows
 
 
 # -- weighted frequency sums ----------------------------------------------------
@@ -90,7 +90,7 @@ def _omega_reference(t, s):
 
 
 def test_omega_kernel_matches_scalar_reference():
-    rows = np.concatenate(list(zero_momentum_sextuples(5)))
+    rows = np.concatenate(list(zero_momentum_rows(6, 5)))
     tuples = [tuple(int(v) for v in row) for row in rows]
     # wider tuples and entries past int64, object dtype only
     wide = [(10**9, 1, 2, 3, 4, 5, 6, 10**9 + 3), (3, 1, 2, 4, 7, 7, 5, 5, 9, 9)]
@@ -108,23 +108,32 @@ def test_omega_kernel_matches_scalar_reference():
             assert (value[0], scale[0] * j3_wide, bool(holds[0])) == _omega_reference(t, s)
 
 
-def test_exhaustive_omega_audit_overflow_guard():
-    # the cap at s = 3 is where the unreduced bound 7 6^5 max_abs^7 fitted int64
-    with pytest.raises(OverflowError, match="cap 107 at s=3"):
-        exhaustive_omega_audit(1000, (3,))
+def test_exhaustive_omega_audit_overflow_guard(no_grid):
+    # the enumerator refuses a radius whose chunk of one j1 would hold more
+    # than 46^4 candidate rows, at every s, before it builds its grid
+    for s_values in ((1,), (3,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="max_abs=24: one chunk of width 6 would hold 5308416 candidate rows"):
+            exhaustive_omega_audit(24, s_values)
 
 
 def test_exhaustive_omega_audit_guard_keeps_the_kernel_in_int64(monkeypatch):
-    # at s = 1 the unreduced bound would allow 242347, past the radius
-    # omega_int64_max_abs(6, 1) = 35211 where omega_kernel's verdict stays
-    # exact in int64; the guard fires before any chunk is enumerated
-    def refuse(max_abs):
-        raise AssertionError("zero_momentum_sextuples called")
+    # omega_kernel runs in int64 up to omega_int64_max_abs(6, s) for every s
+    # and in Python ints past it: at s = 5 that radius, 17, lies inside the
+    # enumerator's 23.  The enumerator is replaced by one small chunk.
+    dtypes = []
 
-    monkeypatch.setattr(stability, "zero_momentum_sextuples", refuse)
-    assert omega_int64_max_abs(6, 1) == 35211
-    with pytest.raises(OverflowError, match="cap 35211 at s=1"):
-        exhaustive_omega_audit(35212, (1,))
+    def recording(rows, s_values):
+        dtypes.append(rows.dtype)
+        return omega_kernel(rows, s_values)
+
+    chunk = np.asfortranarray(np.concatenate(list(zero_momentum_rows(6, 2))))
+    monkeypatch.setattr(stability, "zero_momentum_rows", lambda width, max_abs: [chunk])
+    monkeypatch.setattr(stability, "omega_kernel", recording)
+    assert omega_int64_max_abs(6, 5) == 17
+    reports = [exhaustive_omega_audit(a, s_values) for a, s_values in ((17, (1, 5)), (18, (1, 5)), (18, (1, 4)))]
+    assert [r["arithmetic"] for r in reports] == ["int64", "python int", "int64"]
+    assert dtypes == [np.int64, object, np.int64]
+    assert all(r["checked"] == reports[0]["checked"] and r["violations"] == [] for r in reports)
 
 
 def test_exhaustive_omega_audit_calls_the_kernel_once_per_chunk(monkeypatch):
@@ -136,7 +145,7 @@ def test_exhaustive_omega_audit_calls_the_kernel_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(stability, "omega_kernel", recording)
     rep = exhaustive_omega_audit(4, (1, 2, 3))
-    chunks = [len(chunk) for chunk in zero_momentum_sextuples(4)]
+    chunks = [len(chunk) for chunk in zero_momentum_rows(6, 4)]
     assert calls == [(n, (1, 2, 3)) for n in chunks]
     assert rep["checked"] == 3 * sum(chunks)
 

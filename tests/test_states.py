@@ -27,7 +27,8 @@ from dnls_nflab.states import (
     sobolev_norm,
     state_from_json,
     state_to_json,
-    zero_momentum_sextuples,
+    zero_momentum_max_abs,
+    zero_momentum_rows,
 )
 
 TWO_PI = 2 * math.pi
@@ -156,20 +157,41 @@ def test_vector_roundtrip():
 # -- index sets and sampling ------------------------------------------------------------
 
 
-def test_zero_momentum_sextuples_match_brute_force():
+@pytest.mark.parametrize("width", [4, 6])
+def test_zero_momentum_rows_match_brute_force(width):
     modes = mode_range(2)
     expected = [
-        t + (t[0] - t[1] + t[2] - t[3] + t[4],)
-        for t in itertools.product(modes, repeat=5)
-        if t[0] - t[1] + t[2] - t[3] + t[4] in modes
+        t + (alternating_sum(t),)
+        for t in itertools.product(modes, repeat=width - 1)
+        if alternating_sum(t) in modes
     ]
-    chunks = list(zero_momentum_sextuples(2))
+    chunks = list(zero_momentum_rows(width, 2))
     assert len(chunks) == len(modes)
     got = [tuple(int(v) for v in row) for chunk in chunks for row in chunk]
     assert got == expected
     # one chunk per j1, each int64 in Fortran order: the columns are contiguous
     assert [chunk[0, 0] for chunk in chunks] == modes
     assert all(chunk.dtype == np.int64 and chunk.flags.f_contiguous for chunk in chunks)
+
+
+def test_zero_momentum_radii_keep_the_exhaustive_kernels_in_int64():
+    # a chunk holds (2 max_abs)^(width - 2) candidate rows, at most 46^4
+    assert (zero_momentum_max_abs(4), zero_momentum_max_abs(6)) == (1058, 23)
+    for width in (4, 6, 8):
+        L = zero_momentum_max_abs(width)
+        assert (2 * L) ** (width - 2) <= 46**4 < (2 * L + 2) ** (width - 2)
+    assert zero_momentum_max_abs(4) <= order4.QUAD_RANDOM_INT64_MAX_ABS
+    assert zero_momentum_max_abs(6) <= order6.SEXTUPLE_RANDOM_INT64_MAX_ABS
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [order4.exhaustive_divisor_audit, order6.exhaustive_sextuple_audit, stability.exhaustive_omega_audit],
+    ids=["quad", "sextuple", "omega"],
+)
+def test_exhaustive_audits_refuse_a_radius_below_1(audit):
+    with pytest.raises(ValueError, match="max_abs must be at least 1, got 0"):
+        audit(0)
 
 
 def test_leading_stars_match_sorted_absolute_values():
@@ -189,8 +211,8 @@ def test_leading_stars_match_sorted_absolute_values():
     "kernel, chunks",
     [
         (quad_kernel, partial(delta_rows, 7)),
-        (sextuple_kernel, partial(zero_momentum_sextuples, 4)),
-        (partial(omega_kernel, s_values=(1, 2, 3, 1.5)), partial(zero_momentum_sextuples, 4)),
+        (sextuple_kernel, partial(zero_momentum_rows, 6, 4)),
+        (partial(omega_kernel, s_values=(1, 2, 3, 1.5)), partial(zero_momentum_rows, 6, 4)),
     ],
     ids=["quad", "sextuple", "omega"],
 )
@@ -307,8 +329,8 @@ def _six_audits():
 
 def test_audits_list_only_their_first_violations(monkeypatch):
     # every kernel fails every row: each audit still checks every row but
-    # lists only its first MAX_VIOLATIONS violations (the exhaustive Omega
-    # audit that many per s), in its usual order
+    # lists only its first MAX_VIOLATIONS violations, in row order and by s
+    # within a row, as one record type per kernel
     passing = _six_audits()
 
     def quad_failing(rows):
@@ -329,21 +351,28 @@ def test_audits_list_only_their_first_violations(monkeypatch):
     assert [r["checked"] for r in failing] == [r["checked"] for r in passing]
     assert all(r["violations"] == [] for r in passing)
     n = MAX_VIOLATIONS
-    assert [len(r["violations"]) for r in failing] == [n, n, n, n, 2 * n, n]
-    assert [v.tuple for v in failing[0]["violations"]] == list(iter_delta(6))[:n]
-    assert [s for _, s in failing[4]["violations"]] == [1] * n + [2] * n
-    omega = failing[5]["violations"]
-    assert [v.s for v in omega] == [1, 2] * (n // 2)
-    assert all(a.entries == b.entries for a, b in zip(omega[::2], omega[1::2]))
-    # the reports of the int64 random audits hold Python ints and the exact bound
-    assert [r.get("arithmetic") for r in failing] == [None, "int64"] * 3
-    for v in failing[1]["violations"]:
+    assert [len(r["violations"]) for r in failing] == [n] * 6
+    assert [r["arithmetic"] for r in failing] == ["int64"] * 6
+    assert all({"checked", "violations", "max_abs", "arithmetic"} <= set(r) for r in failing)
+    quad, sextuple, omega = failing[0:2], failing[2:4], failing[4:6]
+    sextuples = [t for rows in zero_momentum_rows(6, 3) for t in map(tuple, rows.tolist())]
+    assert [v.tuple for v in quad[0]["violations"]] == list(iter_delta(6))[:n]
+    assert [v.tuple for v in sextuple[0]["violations"]] == [t for t in sextuples if alternating_sum(t, 2)][:n]
+    assert [v.entries for v in omega[0]["violations"]] == [t for t in sextuples[: n // 2] for _ in (1, 2)]
+    # the reports hold Python ints and the exact bound
+    for v in (v for r in quad for v in r["violations"]):
+        assert type(v) is order4.DivisorReport
         assert all(type(x) is int for x in (*v.tuple, v.divisor))
-    for v in failing[3]["violations"]:
+    for v in (v for r in sextuple for v in r["violations"]):
+        assert type(v) is order6.SextupleReport
         assert all(type(x) is int for x in (*v.tuple, v.divisor, *v.stars))
-    for v in omega:
-        assert all(type(x) is int for x in (*v.entries, v.value, v.bound))
-        assert (v.value, v.bound) == _omega_value_and_bound(v.entries, v.s)
+    for r in omega:
+        assert [v.s for v in r["violations"]] == [1, 2] * (n // 2)
+        assert [v.entries for v in r["violations"][::2]] == [v.entries for v in r["violations"][1::2]]
+        for v in r["violations"]:
+            assert type(v) is stability.OmegaReport
+            assert all(type(x) is int for x in (*v.entries, v.value, v.bound))
+            assert (v.value, v.bound) == _omega_value_and_bound(v.entries, v.s)
 
 
 def _omega_value_and_bound(t, s):
@@ -430,8 +459,9 @@ def _flag_by_value(kernel):
     return flagged
 
 
-@pytest.mark.parametrize("audit", ["quad", "sextuple", "omega"])
+@pytest.mark.parametrize("audit", ["quad", "sextuple", "omega", "omega-exhaustive"])
 def test_random_audits_one_past_the_int64_limit_give_the_same_report_in_python_ints(monkeypatch, audit):
+    checked = 300
     if audit == "quad":
         module, limit_name, kernel = order4, "QUAD_RANDOM_INT64_MAX_ABS", "quad_kernel"
         L = order4.QUAD_RANDOM_INT64_MAX_ABS
@@ -440,15 +470,23 @@ def test_random_audits_one_past_the_int64_limit_give_the_same_report_in_python_i
         module, limit_name, kernel = order6, "SEXTUPLE_RANDOM_INT64_MAX_ABS", "sextuple_kernel"
         L = order6.SEXTUPLE_RANDOM_INT64_MAX_ABS
         run = partial(order6.random_sextuple_audit, 300, L, seed=5)
-    else:
+    elif audit == "omega":
         module, limit_name, kernel = stability, "omega_int64_max_abs", "omega_kernel"
         L = min(stability.omega_int64_max_abs(2 * r, s) for r in (3, 4) for s in (1, 2))
         run = partial(stability.random_omega_audit, 300, max_abs=L, r_values=(3, 4), s_values=(1, 2), seed=5)
+    else:
+        # the exhaustive radii stop far inside the int64 limit, so the limit
+        # is moved to the radius instead
+        module, limit_name, kernel = stability, "omega_int64_max_abs", "omega_kernel"
+        L = 3
+        monkeypatch.setattr(module, limit_name, lambda width, s: L)
+        run = partial(stability.exhaustive_omega_audit, L, (1, 2))
+        checked = 2 * sum(len(rows) for rows in zero_momentum_rows(6, L))
     monkeypatch.setattr(module, kernel, _flag_by_value(getattr(module, kernel)))
     at_limit = run()
-    limit = (lambda width, s: L - 1) if audit == "omega" else L - 1
+    limit = (lambda width, s: L - 1) if module is stability else L - 1
     monkeypatch.setattr(module, limit_name, limit)
     past = run()
     assert (at_limit["arithmetic"], past["arithmetic"]) == ("int64", "python int")
-    assert at_limit["violations"] and at_limit["checked"] == 300
+    assert at_limit["violations"] and at_limit["checked"] == checked
     assert {**at_limit, "arithmetic": None} == {**past, "arithmetic": None}
