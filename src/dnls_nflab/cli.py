@@ -212,11 +212,17 @@ def _parse_init(spec: str, M: int):
             A = complex(a_str)
             if not cmath.isfinite(A):
                 raise ValueError(f"amplitude {a_str} is not finite")
-            return FourierState({k: A * math.sqrt(2 * math.pi)}, M)
-        with open(spec) as fh:
-            return state_from_json(fh.read(), M)
+            state = FourierState({k: A * math.sqrt(2 * math.pi)}, M)
+        else:
+            with open(spec) as fh:
+                state = state_from_json(fh.read(), M)
+        # a product, not **, which raises OverflowError where this is inf
+        mass = sum(abs(v) * abs(v) for _, v in state.items())
+        if not math.isfinite(mass):
+            raise ValueError(f"initial mass {mass} is not finite")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad --init {spec!r}: {exc}") from exc
+    return state
 
 
 def cmd_simulate(args) -> int:

@@ -113,10 +113,8 @@ def _rk4_poly(F: PolyHamiltonian, vec: np.ndarray, t_end: float, n_steps: int) -
     return v
 
 
-def flow_time_one_vec(
-    F: PolyHamiltonian, vec: np.ndarray, cfg: FlowConfig, t_end: float | None = None
-) -> np.ndarray:
-    """Flow of the Hamiltonian vector field of F, on a dense state vector.
+def flow_time_one_vec(F: PolyHamiltonian, vec: np.ndarray, cfg: FlowConfig) -> np.ndarray:
+    """Time-cfg.t_end map of the Hamiltonian flow of F, on a dense vector.
 
     Classic RK4 with step doubling until two successive refinements agree to
     cfg.tolerance in l2.  The state keeps the dtype of vec, so a clongdouble
@@ -127,7 +125,7 @@ def flow_time_one_vec(
     of about eps |v| per step: a cfg.tolerance below it raises
     FlowConvergenceError rather than returning an unconverged map.
     """
-    t = cfg.t_end if t_end is None else t_end
+    t = cfg.t_end
     if t == 0 or F.is_zero:
         return vec.copy()
     n = max(1, round(abs(t) / cfg.dt))
@@ -215,10 +213,12 @@ def spectral_model(M: int) -> SpectralModel:
 
 
 def _channel_values(model, q, track_s):
+    sq = np.abs(q) ** 2
+    momentum = np.sum(model.modes * sq, axis=-1)
     out = {
-        "mass": np.sum(np.abs(q) ** 2, axis=-1),
-        "momentum": np.sum(model.modes * np.abs(q) ** 2, axis=-1),
-        "energy": np.sum(model.modes * np.abs(q) ** 2, axis=-1) + model.quartic_energy(q),
+        "mass": np.sum(sq, axis=-1),
+        "momentum": momentum,
+        "energy": momentum + model.quartic_energy(q),
     }
     for s in track_s:
         out[f"norm_s{s:g}"] = np.sqrt(model.sobolev_sq(q, s))
@@ -284,22 +284,23 @@ def evolve_vec(
         x += Eq
         return x
 
-    initial_l2 = np.sqrt(np.max(np.sum(np.abs(q) ** 2, axis=-1)))
     times = [0.0]
     recs = [_channel_values(model, q, track_s)]
     snapshots = [q.copy()]
+    initial_l2 = np.sqrt(np.max(recs[0]["mass"]))
     for i in range(1, n_steps + 1):
         q = step(q)
         if i % stride == 0 or i == n_steps:
             t = i * h
-            l2 = np.sqrt(np.max(np.sum(np.abs(q) ** 2, axis=-1)))
+            rec = _channel_values(model, q, track_s)
+            l2 = np.sqrt(np.max(rec["mass"]))
             if not l2 <= 1e3 * max(initial_l2, 1e-300):
                 raise BlowupError(
                     f"norm grew to {l2:.3e} at t={t:.6g} "
                     f"(initial {initial_l2:.3e}); aborting"
                 )
             times.append(t)
-            recs.append(_channel_values(model, q, track_s))
+            recs.append(rec)
             snapshots.append(q.copy())
     channels = {
         name: np.array([r[name] for r in recs]) for name in recs[0]
@@ -369,36 +370,39 @@ def normal_form_bundle(M: int) -> NormalFormBundle:
 # -- transformed-Hamiltonian residuals ---------------------------------------------------------
 
 
-def transformed_hamiltonian_residual(
-    q0: FourierState,
-    order: int,
-    cfg: FlowConfig,
-    bundle: NormalFormBundle | None = None,
-) -> float:
-    """|H(transformed state) - normal form at q0|.
-
-    Order 4 evaluates H after the quartic generator's time-1 map and
-    subtracts Lambda + B; order 6 applies the sextic map first, then the
-    quartic one, and subtracts Lambda + B + K.  The state and both
-    evaluations of H and of the normal form are in clongdouble, which keeps
-    the cancellation floor below the smallest residuals on the scaling
-    ladder; the generator fields are evaluated in complex128 (see
-    flow_time_one_vec), whose error in H, about eps64 |X_F| |v| (|X_F|/|v|
-    at most lambda**2 for F4 and lambda**4 for F6, so ~1e-22 at
-    lambda = 2**-6), stays far below those residuals too.
+def coordinate_change(
+    vec: np.ndarray, order: int, cfg: FlowConfig, bundle: NormalFormBundle
+) -> np.ndarray:
+    """Phi(vec): the time-cfg.t_end map of F4 at order 4, of F6 and then F4
+    at order 6.  At replace(cfg, t_end=-cfg.t_end) the flows run backwards
+    in reverse order, which is Phi^-1.  Raises ValueError for other orders.
     """
     if order not in (4, 6):
         raise ValueError("order must be 4 or 6")
-    M = q0.truncation
-    nf = bundle or normal_form_bundle(M)
-    vec = q0.to_vector().astype(np.clongdouble)
-    moved = vec
-    if order == 6:
-        moved = flow_time_one_vec(nf.F6, moved, cfg)
-    moved = flow_time_one_vec(nf.F4, moved, cfg)
-    h_val = evaluate_poly(nf.H, moved)
-    ref_poly = nf.lam_B if order == 4 else nf.lam_B_K
-    ref = evaluate_poly(ref_poly, vec)
+    generators = (bundle.F4,) if order == 4 else (bundle.F6, bundle.F4)
+    if cfg.t_end < 0:
+        generators = generators[::-1]
+    for F in generators:
+        vec = flow_time_one_vec(F, vec, cfg)
+    return vec
+
+
+def transformed_hamiltonian_residual(
+    vec: np.ndarray, order: int, cfg: FlowConfig, bundle: NormalFormBundle
+) -> float:
+    """|H(Phi(vec)) - normal form at vec| for the coordinate change Phi of
+    this order: Lambda + B at order 4, Lambda + B + K at order 6.
+
+    The state and both evaluations of H and of the normal form are in
+    clongdouble, which keeps the cancellation floor below the smallest
+    residuals on the scaling ladder; the generator fields are evaluated in
+    complex128 (see flow_time_one_vec), whose error in H, about
+    eps64 |X_F| |v| (|X_F|/|v| at most lambda**2 for F4 and lambda**4 for
+    F6, so ~1e-22 at lambda = 2**-6), stays far below those residuals too.
+    """
+    vec = np.asarray(vec, dtype=np.clongdouble)
+    h_val = evaluate_poly(bundle.H, coordinate_change(vec, order, cfg, bundle))
+    ref = evaluate_poly(bundle.lam_B if order == 4 else bundle.lam_B_K, vec)
     return float(abs(complex(h_val - ref)))
 
 
@@ -452,8 +456,7 @@ def residual_scaling(
     for order in orders:
         residuals = []
         for lam in lambdas:
-            state = FourierState.from_vector(lam * base_vec, M)
-            r = transformed_hamiltonian_residual(state, order, cfg, nf)
+            r = transformed_hamiltonian_residual(lam * base_vec, order, cfg, nf)
             residuals.append(r)
             rows.append({"order": order, "lambda": lam, "residual": r})
         logs = np.log2(np.array(residuals))

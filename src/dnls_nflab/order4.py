@@ -10,7 +10,10 @@ remainder
 is assembled by the symbolic bracket engine.  A window-M coefficient of R6
 involves contraction modes up to 3M (the contracted mode of a quartic pair
 is a signed sum of three window modes), so the brackets run on a mode set of
-radius 3M and the result is restricted to the window.  Without the enlarged
+radius 3M and the result is restricted to the window.  In a product whose
+result lies in the window, only the contracted mode may leave it, so Q and
+F enter with every term that has at most one mode outside [1, M] (the
+non-normal members of poly.quartets(M, 3M)).  Without the enlarged
 intermediate set the resonant cancellations and the closed-form action part
 would fail near the truncation edge.  r6_coefficient evaluates the known
 closed form of one R6 coefficient with no window at all, the oracle the
@@ -31,10 +34,10 @@ from .identities import tau
 from .poly import (
     Monomial,
     PolyHamiltonian,
-    _nonnormal_quartets,
     bracket,
     build_B_closed_form,
     build_Q,
+    quartets,
 )
 from .states import (
     MAX_VIOLATIONS,
@@ -185,12 +188,13 @@ def build_F4(M: int, Mx: int | None = None) -> PolyHamiltonian:
     """Quartic generator solving the homological equation at truncation M.
 
     With Mx > M it also carries the generator terms with one mode in
-    M < |n| <= Mx, the ones a window-supported sextic bracket can contract.
+    M < |n| <= Mx (see quartets), on a polynomial of truncation Mx.
     """
     Mx = M if Mx is None else Mx
     items = [
         (mono, ExactCoeff.imag(Fraction(arr, 4) / mono.square_divisor(), pi_power=1))
-        for mono, arr in _nonnormal_quartets(M, Mx)
+        for mono, arr in quartets(M, Mx)
+        if not mono.is_normal()
     ]
     return PolyHamiltonian.from_terms(Mx, items)
 
@@ -206,10 +210,12 @@ def compute_R6(M: int) -> PolyHamiltonian:
     """
     if M < 2:
         raise ValueError("need M >= 2")
-    bf = bracket(build_B_closed_form(M), build_F4(M))
-    # the 1/2 scales Q's terms, far fewer than the bracket's
+    # past the enumerator's radius the 3M builders raise before any bracket
+    # runs; the 1/2 scales Q's terms, far fewer than the bracket's
     half_q = build_Q(M, 3 * M).scaled(Fraction(1, 2))
-    return bf + bracket(half_q, build_F4(M, 3 * M), support_bound=M)
+    f4x = build_F4(M, 3 * M)
+    bf = bracket(build_B_closed_form(M), f4x.with_truncation(M))
+    return bf + bracket(half_q, f4x, support_bound=M)
 
 
 # -- closed form of R6, one monomial at a time --------------------------------------

@@ -59,7 +59,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .coeffs import ExactCoeff, ZERO
-from .states import FourierState, mode_range
+from .states import FourierState, mode_range, zero_momentum_rows
 
 
 def _sorted_tuple(entries: Iterable[int]) -> tuple[int, ...]:
@@ -443,44 +443,26 @@ def build_lambda(M: int) -> PolyHamiltonian:
     )
 
 
-def _zero_momentum_quartets(modes: list[int]):
-    """Canonical pairs (plus multiset, minus multiset) with equal sums."""
-    by_sum: dict[int, list[tuple[int, int]]] = {}
-    for i, a in enumerate(modes):
-        for b in modes[i:]:
-            by_sum.setdefault(a + b, []).append((a, b))
-    for s, pairs in by_sum.items():
-        for plus in pairs:
-            for minus in pairs:
-                yield plus, minus
+def quartets(M: int, Mx: int) -> Iterator[tuple[Monomial, int]]:
+    """Every canonical zero-momentum quartic monomial with all modes within
+    Mx and at most one outside the window [1, M], with its arrangement
+    count, in (plus, minus) order: at Mx = M, the terms of G.
 
-
-def _nonnormal_quartets(M: int, Mx: int):
-    """Canonical non-normal quartic monomials with at most one mode outside
-    the window [1, M] in absolute value, all modes within Mx.
-
-    Yields (monomial, arrangement count).  This is exactly the set of quartic
-    terms that can contribute to a window-supported sextic bracket product:
-    the out-of-window mode, if any, must be the contracted one.  At Mx = M
-    these are the window's non-normal quartets.
+    A row (j, k, l, m) of zero_momentum_rows(4, Mx) is q_j q_l qbar_k qbar_m;
+    sorted within each slot, the rows of one monomial are its arrangements,
+    which np.unique counts.  A normal monomial has an even number of modes
+    outside the window, so every normal one lies inside it.  Raises
+    ValueError for Mx < M and, before any grid is built, for Mx over 1058.
     """
-    window = mode_range(M)
-    seen = set()
-    for plus, minus in _zero_momentum_quartets(window):
-        mono = Monomial.of(plus, minus)
-        if not mono.is_normal():
-            seen.add(mono)
-            yield mono, mono.arrangements()
-    for p in window:
-        for i, m1 in enumerate(window):
-            for m2 in window[i:]:
-                n = m1 + m2 - p
-                if M < abs(n) <= Mx:
-                    # the big mode in the plain slots, then mirrored
-                    for mono in (Monomial.of((p, n), (m1, m2)), Monomial.of((m1, m2), (p, n))):
-                        if mono not in seen:
-                            seen.add(mono)
-                            yield mono, mono.arrangements()
+    if not 1 <= M <= Mx:
+        raise ValueError(f"need 1 <= M <= Mx, got M={M}, Mx={Mx}")
+    canonical = []
+    for rows in zero_momentum_rows(4, Mx):
+        rows = rows[(np.abs(rows) > M).sum(axis=1) <= 1]
+        canonical.append(np.hstack((np.sort(rows[:, 0::2], axis=1), np.sort(rows[:, 1::2], axis=1))))
+    monos, counts = np.unique(np.concatenate(canonical), axis=0, return_counts=True)
+    for (a, b, c, d), arr in zip(monos.tolist(), counts.tolist()):
+        yield Monomial((a, b), (c, d)), arr
 
 
 def build_G(M: int) -> PolyHamiltonian:
@@ -489,12 +471,9 @@ def build_G(M: int) -> PolyHamiltonian:
     Ordered-tuple sums are aggregated onto canonical monomials with their
     arrangement counts, so scalar evaluations match the physical integral.
     """
-    quarter = Fraction(1, 4)
-    items = []
-    for plus, minus in _zero_momentum_quartets(mode_range(M)):
-        mono = Monomial.of(plus, minus)
-        items.append((mono, ExactCoeff.real(quarter * mono.arrangements(), pi_power=1)))
-    return PolyHamiltonian.from_terms(M, items)
+    return PolyHamiltonian.from_terms(
+        M, ((mono, ExactCoeff.real(Fraction(arr, 4), pi_power=1)) for mono, arr in quartets(M, M))
+    )
 
 
 def build_B_closed_form(M: int) -> PolyHamiltonian:
@@ -520,12 +499,13 @@ def build_Q(M: int, Mx: int | None = None) -> PolyHamiltonian:
     """Non-normal quartic part: zero momentum with plus != minus.
 
     With Mx > M the terms with one mode in M < |n| <= Mx are included too
-    (see _nonnormal_quartets), on a polynomial of truncation Mx.
+    (see quartets), on a polynomial of truncation Mx.
     """
     Mx = M if Mx is None else Mx
     items = [
         (mono, ExactCoeff.real(Fraction(arr, 4), pi_power=1))
-        for mono, arr in _nonnormal_quartets(M, Mx)
+        for mono, arr in quartets(M, Mx)
+        if not mono.is_normal()
     ]
     return PolyHamiltonian.from_terms(Mx, items)
 

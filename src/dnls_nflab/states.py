@@ -106,7 +106,8 @@ def zero_momentum_rows(width: int, max_abs: int):
     if max_abs > zero_momentum_max_abs(width):
         raise ValueError(
             f"max_abs={max_abs}: one chunk of width {width} would hold "
-            f"{(2 * max_abs) ** (width - 2)} candidate rows, over {MAX_CHUNK_ROWS}"
+            f"{(2 * max_abs) ** (width - 2)} candidate rows, over {MAX_CHUNK_ROWS}; "
+            f"the limit at width {width} is {zero_momentum_max_abs(width)}"
         )
     values = np.array(mode_range(max_abs), dtype=np.int64)
     middle = [g.ravel() for g in np.meshgrid(*[values] * (width - 2), indexing="ij")]

@@ -288,6 +288,13 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
          "bad --init 'planewave:1,inf': amplitude inf is not finite"),
         (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "nan_state.json"], None,
          "bad --init 'nan_state.json': mode 1 has a non-finite amplitude (nan+0j)"),
+        # finite amplitudes whose state is not: the mass, or A sqrt(2 pi) too, overflows
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "planewave:1,1e200"], None,
+         "bad --init 'planewave:1,1e200': initial mass inf is not finite"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "planewave:1,1e308"], None,
+         "bad --init 'planewave:1,1e308': initial mass inf is not finite"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "big_state.json"], None,
+         "bad --init 'big_state.json': initial mass inf is not finite"),
     ],
     ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
          "simulate-dt-config", "stability-dt-config", "stability-dt-config-null",
@@ -295,11 +302,13 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
          "simulate-t-end-nan", "simulate-t-end-inf", "simulate-record-interval-nan",
          "simulate-record-interval-negative", "simulate-track-s-negative", "stability-threshold-negative",
          "stability-r-nan", "stability-r-inf", "simulate-init-nan", "simulate-init-inf",
-         "simulate-init-json-nan"],
+         "simulate-init-json-nan", "simulate-init-mass-overflow", "simulate-init-state-overflow",
+         "simulate-init-json-mass-overflow"],
 )
 def test_out_of_range_float_option_is_usage_error(tmp_path, monkeypatch, capsys, argv, conf, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan_state.json").write_text('[{"j": 1, "re": NaN, "im": 0.0}]')
+    (tmp_path / "big_state.json").write_text('[{"j": 1, "re": 1e200, "im": 0.0}]')
     if conf is not None:
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(conf))
@@ -309,6 +318,7 @@ def test_out_of_range_float_option_is_usage_error(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert message in captured.err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from dnls_nflab.flows import (
     FlowConfig,
     FlowConvergenceError,
     StepBudgetError,
+    coordinate_change,
     evolve_vec,
     flow_time_one_vec,
     residual_scaling,
@@ -79,12 +81,14 @@ def test_lambda_flow_is_linear_rotation():
         assert out.amplitude(j) == pytest.approx(v * np.exp(-1j * j * j), abs=1e-11)
 
 
-def test_flow_group_property(bundle8):
+@pytest.mark.parametrize("order", [4, 6])
+def test_flow_group_property(bundle8, order):
+    # Phi^-1 is the same call at t_end = -1, the flows backwards in reverse order
     vec = scaling_base_state(8, seed=3, norm=0.4).to_vector()
-    fwd = flow_time_one_vec(bundle8.F4, vec, CFG)
-    back = flow_time_one_vec(bundle8.F4, fwd, CFG, t_end=-1.0)
-    err = np.linalg.norm(back - vec)
-    assert err < 10 * CFG.tolerance
+    fwd = coordinate_change(vec, order, CFG, bundle8)
+    back = coordinate_change(fwd, order, replace(CFG, t_end=-CFG.t_end), bundle8)
+    assert np.linalg.norm(fwd - vec) > 1e3 * CFG.tolerance
+    assert np.linalg.norm(back - vec) < 10 * CFG.tolerance
 
 
 def test_action_preservation_under_action_only_flow(bundle8):
@@ -292,14 +296,17 @@ def test_step_budget():
 
 def test_residual_zero_state(bundle8):
     cfg = FlowConfig(dt=0.05, tolerance=1e-12)
-    st = FourierState.zero(8)
-    assert transformed_hamiltonian_residual(st, 4, cfg, bundle8) == 0.0
-    assert transformed_hamiltonian_residual(st, 6, cfg, bundle8) == 0.0
+    vec = FourierState.zero(8).to_vector()
+    assert transformed_hamiltonian_residual(vec, 4, cfg, bundle8) == 0.0
+    assert transformed_hamiltonian_residual(vec, 6, cfg, bundle8) == 0.0
 
 
 def test_residual_rejects_bad_order(bundle8):
-    with pytest.raises(ValueError):
-        transformed_hamiltonian_residual(FourierState.zero(8), 5, CFG, bundle8)
+    vec = FourierState.zero(8).to_vector()
+    with pytest.raises(ValueError, match="order must be 4 or 6"):
+        transformed_hamiltonian_residual(vec, 5, CFG, bundle8)
+    with pytest.raises(ValueError, match="order must be 4 or 6"):
+        coordinate_change(vec, 2, CFG, bundle8)
 
 
 def test_residual_scaling_two_rungs(bundle8):

@@ -220,6 +220,12 @@ def test_window_builders_are_restricted_extended_builders(M):
     assert Qx.num_terms > build_Q(M).num_terms
 
 
+def test_compute_r6_refuses_a_window_past_the_enumerator(no_grid):
+    # build_Q(353, 1059) needs a radius over 1058; it raises before any bracket
+    with pytest.raises(ValueError, match="the limit at width 4 is 1058"):
+        compute_R6(353)
+
+
 def test_f4_coefficient_bound_exact():
     rep = f4_coefficient_bound_audit(build_F4(8))
     assert rep["violations"] == []

@@ -11,7 +11,7 @@ from dnls_nflab import order6
 from dnls_nflab.checks import action_part, order4_homological, order6_homological, resonant_cancellation
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.identities import tau
-from dnls_nflab.order4 import coefficient_growth_audit, compute_R6
+from dnls_nflab.order4 import build_F4, coefficient_growth_audit, compute_R6
 from dnls_nflab.order6 import (
     build_F6,
     build_K,
@@ -30,6 +30,8 @@ from dnls_nflab.order6 import (
 from dnls_nflab.poly import (
     Monomial,
     PolyHamiltonian,
+    build_G,
+    build_Q,
     poly_to_records,
     split_normal,
 )
@@ -47,11 +49,20 @@ def test_exact_records_match_golden_digests(r6_at_8):
     golden = json.loads((GOLDEN / "exact_m6_sha256.json").read_text())
     M = golden["M"]
     r6 = compute_R6(M)
-    assert _records_digest(r6) == golden["compute_R6"]
-    assert _records_digest(build_F6(M, r6)) == golden["build_F6"]
-    assert _records_digest(build_K(M)) == golden["build_K"]
-    assert _records_digest(r6_at_8) == golden["compute_R6_M8"]
-    assert _records_digest(build_F6(8, r6_at_8)) == golden["build_F6_M8"]
+    built = {
+        "compute_R6": r6,
+        "build_F6": build_F6(M, r6),
+        "build_K": build_K(M),
+        "compute_R6_M8": r6_at_8,
+        "build_F6_M8": build_F6(8, r6_at_8),
+        "build_G": build_G(M),
+        "build_Q": build_Q(M),
+        "build_Q_3M": build_Q(M, 3 * M),
+        "build_F4": build_F4(M),
+        "build_F4_3M": build_F4(M, 3 * M),
+    }
+    assert set(built) == set(golden) - {"M", "digest"}
+    assert {name: _records_digest(P) for name, P in built.items()} == {name: golden[name] for name in built}
 
 
 # -- tau -------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
@@ -23,6 +25,7 @@ from dnls_nflab.poly import (
     poisson_bracket_numeric,
     poly_from_records,
     poly_to_records,
+    quartets,
     split_normal,
     vector_field_vec,
 )
@@ -77,6 +80,31 @@ def test_build_G_ordering_count():
 def test_build_G_zero_momentum():
     for mono, _ in build_G(3).terms():
         assert mono.momentum() == 0
+
+
+@pytest.mark.parametrize("Mx", [3, 9])
+def test_quartets_match_brute_force(Mx):
+    # the definition: nonzero entries within Mx, zero momentum, at most one
+    # |entry| above the window M; each ordered tuple is one arrangement
+    M = 3
+    values = [v for v in range(-Mx, Mx + 1) if v != 0]
+    expected = Counter(
+        Monomial.of((j, l), (k, m))
+        for j, k, l, m in itertools.product(values, repeat=4)
+        if j - k + l - m == 0 and sum(abs(v) > M for v in (j, k, l, m)) <= 1
+    )
+    got = list(quartets(M, Mx))
+    assert [mono for mono, _ in got] == sorted(expected, key=lambda m: (m.plus, m.minus))
+    assert dict(got) == expected
+    assert all(arr == mono.arrangements() and type(arr) is int for mono, arr in got)
+    assert all(type(v) is int for mono, _ in got for v in mono.plus + mono.minus)
+
+
+def test_quartets_refuse_a_window_past_the_enumerator(no_grid):
+    with pytest.raises(ValueError, match="got M=4, Mx=3"):
+        list(quartets(4, 3))
+    with pytest.raises(ValueError, match="the limit at width 4 is 1058"):
+        build_Q(3, 1059)
 
 
 def test_split_normal_reconstructs():
