@@ -10,6 +10,10 @@ smallest grid of at least 4M+1 points whose size has no prime factor above
 5 (a fast FFT size; 135 at M = 32).  At least 4M+1 points make its window
 coefficients exact (alias images of a 3M-band product land outside the
 window) and the trapezoid sum of |u|^4, a 4M-band integrand, exact too.
+The Lawson step is grid-resident: the state stays in the grid's bins, zero
+outside the window, and every stage, product and FFT writes into buffers
+allocated once per evolve_vec call, so only the records are gathered back
+to the window.
 
 A generator flow keeps its state in the caller's dtype, and
 vector_field_vec casts the state to complex128 and returns a complex128
@@ -163,39 +167,49 @@ class SpectralModel:
 
     The grid holds S = sqrt(2 pi) u, the unscaled inverse DFT of the window
     (modes -M..-1 in the top M bins, 1..M in bins 1..M), so that
-    -i j (|u|^2 u)^_j = -i j / (2 pi n) DFT(|S|^2 S)_j.
+    -i j (|u|^2 u)^_j = -i j / (2 pi n) DFT(|S|^2 S)_j.  A state in grid
+    layout holds its window in those bins and zeros in the others.
     """
 
     def __init__(self, M: int):
         self.M = M
         self.modes = np.array(mode_range(M), dtype=np.int64)
         self.n_grid = _five_smooth_at_least(4 * M + 1)
-        self.weight = -1j * self.modes / (TWO_PI * self.n_grid)
+        self.bins = np.mod(self.modes, self.n_grid)
         self.jsq = (self.modes**2).astype(float)
-        self._scatter = np.zeros(0, dtype=complex)
+        self.grid_weight = self.to_grid(-1j * self.modes / (TWO_PI * self.n_grid))
 
-    def grid_sums(self, q: np.ndarray) -> np.ndarray:
-        # one zero buffer per batch shape: only the window bins are ever written
-        M = self.M
-        shape = q.shape[:-1] + (self.n_grid,)
-        if self._scatter.shape != shape:
-            self._scatter = np.zeros(shape, dtype=complex)
-        self._scatter[..., -M:] = q[..., :M]
-        self._scatter[..., 1 : M + 1] = q[..., M:]
-        return np.fft.ifft(self._scatter, axis=-1, norm="forward")
+    def to_grid(self, q: np.ndarray) -> np.ndarray:
+        """A fresh grid-layout copy Q of window-layout q; Q[..., bins]
+        gathers it back."""
+        grid = np.zeros(q.shape[:-1] + (self.n_grid,), dtype=complex)
+        grid[..., self.bins] = q
+        return grid
+
+    def grid_work(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for grid_nonlinear on grid-layout states of this shape:
+        S and the two squares of |S|^2."""
+        return np.empty(shape, dtype=complex), np.empty((2, *shape))
+
+    def grid_nonlinear(self, Q: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+        """The nonlinearity of grid-layout Q, written into out in grid
+        layout (out may be Q): S = ifft(Q), S |S|^2, its fft, times the
+        grid weight -i j / (2 pi n), zero outside the window."""
+        S, sq = work
+        np.fft.ifft(Q, axis=-1, norm="forward", out=S)
+        S *= np.add(np.square(S.real, out=sq[0]), np.square(S.imag, out=sq[1]), out=sq[0])
+        np.fft.fft(S, axis=-1, out=out)
+        out *= self.grid_weight
+        return out
 
     def nonlinear(self, q: np.ndarray) -> np.ndarray:
         """Derivative nonlinearity in mode coordinates: -i j (|u|^2 u)^_j."""
-        S = self.grid_sums(q)
-        S *= S.real**2 + S.imag**2
-        F = np.fft.fft(S, axis=-1)
-        out = np.concatenate((F[..., -self.M :], F[..., 1 : self.M + 1]), axis=-1)
-        out *= self.weight
-        return out
+        Q = self.to_grid(q)
+        return self.grid_nonlinear(Q, Q, self.grid_work(Q.shape))[..., self.bins]
 
     def quartic_energy(self, q: np.ndarray) -> np.ndarray:
         """(1/2) int |u|^4 by the trapezoid rule, exact on 4M+1 or more points."""
-        S = self.grid_sums(q)
+        S = np.fft.ifft(self.to_grid(q), axis=-1, norm="forward")
         sq = S.real**2 + S.imag**2
         return np.sum(sq * sq, axis=-1) / (2 * TWO_PI * self.n_grid)
 
@@ -255,29 +269,33 @@ def evolve_vec(
         interval = max(abs(h), abs(t_end) / 1024)
     stride = max(1, round(interval / abs(h))) if h else 1
 
-    E = np.exp(-1j * model.jsq * h)
-    Eh = np.exp(-1j * model.jsq * (h / 2))
+    # E and Eh are zero outside the window, which keeps the state zero there
+    E = model.to_grid(np.exp(-1j * model.jsq * h))
+    Eh = model.to_grid(np.exp(-1j * model.jsq * (h / 2)))
     h_Eh, two_Eh = h * Eh, 2 * Eh
+    Q = model.to_grid(q)
+    x, Eq, k1, k2, k3, k4 = np.empty((6, *Q.shape), dtype=complex)
+    N, work = model.grid_nonlinear, model.grid_work(Q.shape)
 
-    def step(q):
-        # E q + (h/6)(E k1 + 2 Eh (k2 + k3) + k4) with the stages
+    def step(q, x):
+        # x = E q + (h/6)(E k1 + 2 Eh (k2 + k3) + k4) with the stages
         #   k2 = N(Eh (q + (h/2) k1)), k3 = N(Eh q + (h/2) k2),
-        #   k4 = N(E q + h Eh k3),
-        # reusing temporaries.  Only additions are swapped: the complex
-        # products keep their operand order, which can set the last bit.
-        Eq = E * q
-        k1 = model.nonlinear(q)
-        x = (h / 2) * k1
+        #   k4 = N(E q + h Eh k3).
+        # Only additions are swapped: the complex products keep their
+        # operand order, which can set the last bit.
+        np.multiply(E, q, out=Eq)
+        N(q, k1, work)
+        np.multiply(h / 2, k1, out=x)
         x += q
-        k2 = model.nonlinear(np.multiply(Eh, x, out=x))
-        x = Eh * q
-        x += (h / 2) * k2
-        k3 = model.nonlinear(x)
-        x = h_Eh * k3
+        N(np.multiply(Eh, x, out=x), k2, work)
+        np.multiply(Eh, q, out=x)
+        x += np.multiply(h / 2, k2, out=k4)
+        N(x, k3, work)
+        np.multiply(h_Eh, k3, out=x)
         x += Eq
-        k4 = model.nonlinear(x)
-        k2 += k3
-        x = E * k1
+        N(x, k4, work)
+        np.add(k2, k3, out=k2)
+        np.multiply(E, k1, out=x)
         x += np.multiply(two_Eh, k2, out=k2)
         x += k4
         np.multiply(h / 6, x, out=x)
@@ -289,9 +307,10 @@ def evolve_vec(
     snapshots = [q.copy()]
     initial_l2 = np.sqrt(np.max(recs[0]["mass"]))
     for i in range(1, n_steps + 1):
-        q = step(q)
+        Q, x = step(Q, x), Q
         if i % stride == 0 or i == n_steps:
             t = i * h
+            q = Q[..., model.bins]
             rec = _channel_values(model, q, track_s)
             l2 = np.sqrt(np.max(rec["mass"]))
             if not l2 <= 1e3 * max(initial_l2, 1e-300):
@@ -301,11 +320,11 @@ def evolve_vec(
                 )
             times.append(t)
             recs.append(rec)
-            snapshots.append(q.copy())
+            snapshots.append(q)
     channels = {
         name: np.array([r[name] for r in recs]) for name in recs[0]
     }
-    return np.array(times), channels, q, snapshots
+    return np.array(times), channels, Q[..., model.bins], snapshots
 
 
 # -- normal-form machinery bundle ----------------------------------------------------------

@@ -448,16 +448,18 @@ def quartets(M: int, Mx: int) -> Iterator[tuple[Monomial, int]]:
     Mx and at most one outside the window [1, M], with its arrangement
     count, in (plus, minus) order: at Mx = M, the terms of G.
 
-    A row (j, k, l, m) of zero_momentum_rows(4, Mx) is q_j q_l qbar_k qbar_m;
-    sorted within each slot, the rows of one monomial are its arrangements,
-    which np.unique counts.  A normal monomial has an even number of modes
-    outside the window, so every normal one lies inside it.  Raises
-    ValueError for Mx < M and, before any grid is built, for Mx over 1058.
+    A row (j, k, l, m) of zero_momentum_rows(4, min(Mx, 3M)) is
+    q_j q_l qbar_k qbar_m: the one mode outside the window is a signed sum
+    of three inside it, so no row past 3M is kept.  Sorted within each
+    slot, the rows of one monomial are its arrangements, which np.unique
+    counts.  A normal monomial has an even number of modes outside the
+    window, so every normal one lies inside it.  Raises ValueError for
+    Mx < M and, before any grid is built, for min(Mx, 3M) over 1058.
     """
     if not 1 <= M <= Mx:
         raise ValueError(f"need 1 <= M <= Mx, got M={M}, Mx={Mx}")
     canonical = []
-    for rows in zero_momentum_rows(4, Mx):
+    for rows in zero_momentum_rows(4, min(Mx, 3 * M)):
         rows = rows[(np.abs(rows) > M).sum(axis=1) <= 1]
         canonical.append(np.hstack((np.sort(rows[:, 0::2], axis=1), np.sort(rows[:, 1::2], axis=1))))
     monos, counts = np.unique(np.concatenate(canonical), axis=0, return_counts=True)
@@ -614,12 +616,12 @@ def _compile_rows(poly: PolyHamiltonian, slot: str | None):
     A factor is an index into concatenate(vec, conj(vec)): q_j first, then
     qbar_j.  Each group is (seg_comp, starts, pref, plan, work), its rows
     sorted by output component so the scatter is contiguous segments; work
-    holds three buffers of the dtype and one of its real part.
+    holds three buffers of the dtype.
     """
     key = ("rows", slot)
     if key in poly._cache:
         return poly._cache[key]
-    dtype, real = (LONG_COMPLEX, np.longdouble) if slot is None else (np.dtype(np.complex128), np.float64)
+    dtype = LONG_COMPLEX if slot is None else np.dtype(np.complex128)
     index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
     n_modes = len(index)
     by_width: dict[int, list] = {}
@@ -635,7 +637,7 @@ def _compile_rows(poly: PolyHamiltonian, slot: str | None):
         comp = np.array([r[0] for r in rows], dtype=np.intp)
         factors = np.array([r[2] for r in rows], dtype=np.intp).reshape(len(rows), width)
         starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-        work = (*np.empty((3, len(rows)), dtype=dtype), np.empty(len(rows), dtype=real))
+        work = tuple(np.empty((3, len(rows)), dtype=dtype))
         prefs = np.array([r[1] for r in rows], dtype=dtype)
         groups.append((comp[starts], starts, prefs, _prefix_plan(factors), work))
     poly._cache[key] = groups
@@ -644,31 +646,21 @@ def _compile_rows(poly: PolyHamiltonian, slot: str | None):
 
 def _prefix_products(plan, ext, work) -> np.ndarray:
     """Row products of a prefix plan, ((f0 f1) f2) ..., the left-to-right
-    order of prod(axis=1).
+    order of a row-wise product.
 
     ext is concatenate(vec, conj(vec)), and each level takes its parents
     and its last factors with one take each into the group's work buffers
-    (cur, nxt, x, t): fresh arrays of that size cost page faults on every
-    call.  numpy's vectorised complex multiply rounds differently from the
-    scalar loop prod(axis=1) runs, so each product is formed in place on
-    the .real/.imag views with that loop's formula, re = a xr - b xi and
-    im = b xr + a xi, and the real temporary t.
+    (cur, nxt, x): fresh arrays of that size cost page faults on every
+    call.  Each level's products are one native complex multiply in place.
     """
     (_, first), *rest = plan
-    cur, nxt, x, tmp = work
+    cur, nxt, x = work
     # take(out=...) copies through a temporary under the default mode="raise"
     tab = ext.take(first, out=cur[: len(first)], mode="clip")
     for parent, last in rest:
         size = len(last)
         new = tab.take(parent, out=nxt[:size], mode="clip")
-        factor = ext.take(last, out=x[:size], mode="clip")
-        a, b, xr, xi = new.real, new.imag, factor.real, factor.imag
-        t = np.multiply(b, xi, out=tmp[:size])
-        xi *= a
-        a *= xr
-        a -= t
-        b *= xr
-        b += xi
+        np.multiply(new, ext.take(last, out=x[:size], mode="clip"), out=new)
         tab, cur, nxt = new, nxt, cur
     return tab
 

@@ -206,6 +206,51 @@ def test_lawson_step_matches_the_power_of_two_grid_formula():
     assert rel.shape == (3,) and np.all(rel <= 1e-13)
 
 
+@pytest.mark.parametrize("M", [1, 6, 32])
+def test_nonlinear_is_bit_identical_to_the_plain_formula(M):
+    # nonlinear(q) is the stepper's grid-layout kernel between a scatter
+    # and a gather, so the two share one definition
+    plain = _plain_nonlinear(M)
+    model = spectral_model(M)
+    for q in (_criterion_8_batch(M, M), _criterion_8_batch(M, M + 1)[0]):
+        got = model.nonlinear(q)
+        assert got.shape == q.shape and np.array_equal(got, plain(q))
+
+
+def test_evolve_vec_buffers_carry_nothing_from_one_call_to_the_next(monkeypatch):
+    # batch 3, then 1, then 3 on one model, each against a fresh model
+    from dnls_nflab import flows
+
+    M = 8
+    cfg = FlowConfig(dt=1e-3, t_end=0.05, record_interval=0.01)
+    batches = [_criterion_8_batch(M, 5), _criterion_8_batch(M, 6)[:1], _criterion_8_batch(M, 7)]
+    runs = [evolve_vec(q0, M, cfg, track_s=(2.0,)) for q0 in batches]
+    for q0, (times, channels, q_final, snapshots) in zip(batches, runs):
+        monkeypatch.setattr(flows, "_models", {})
+        fresh_times, fresh_channels, fresh_final, fresh_snapshots = evolve_vec(q0, M, cfg, track_s=(2.0,))
+        assert np.array_equal(times, fresh_times)
+        assert all(np.array_equal(channels[k], fresh_channels[k]) for k in fresh_channels)
+        assert q_final.shape == q0.shape and np.array_equal(q_final, fresh_final)
+        assert len(snapshots) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(snapshots, fresh_snapshots))
+
+
+def test_mutating_returned_states_leaves_a_second_run_unchanged():
+    M = 8
+    cfg = FlowConfig(dt=1e-3, t_end=0.02, record_interval=0.01)
+    q0 = _criterion_8_batch(M, 3)
+    kept = q0.copy()
+    _, _, q_final, snapshots = evolve_vec(q0, M, cfg)
+    want_final, want_snapshots = q_final.copy(), [s.copy() for s in snapshots]
+    q_final[...] = np.nan
+    for s in snapshots:
+        s[...] = np.nan
+    _, _, again_final, again_snapshots = evolve_vec(q0, M, cfg)
+    assert np.array_equal(q0, kept)
+    assert np.array_equal(again_final, want_final)
+    assert all(np.array_equal(a, b) for a, b in zip(again_snapshots, want_snapshots))
+
+
 def _direct_nonlinear(q, M):
     """-i j / (2 pi) * sum over a - b + c = j of q_a conj(q_b) q_c, in mode space."""
     modes = np.array(mode_range(M))

@@ -82,7 +82,7 @@ def test_build_G_zero_momentum():
         assert mono.momentum() == 0
 
 
-@pytest.mark.parametrize("Mx", [3, 9])
+@pytest.mark.parametrize("Mx", [3, 9, 12])
 def test_quartets_match_brute_force(Mx):
     # the definition: nonzero entries within Mx, zero momentum, at most one
     # |entry| above the window M; each ordered tuple is one arrangement
@@ -103,8 +103,20 @@ def test_quartets_match_brute_force(Mx):
 def test_quartets_refuse_a_window_past_the_enumerator(no_grid):
     with pytest.raises(ValueError, match="got M=4, Mx=3"):
         list(quartets(4, 3))
+    # the enumerated radius is min(Mx, 3M): 1059 at M = 353
     with pytest.raises(ValueError, match="the limit at width 4 is 1058"):
-        build_Q(3, 1059)
+        build_Q(353, 1059)
+
+
+@pytest.mark.parametrize("M, Mx", [(10, 100), (3, 1059)])
+def test_quartets_past_3m_add_no_terms(M, Mx):
+    # the one mode outside the window is a signed sum of three inside it,
+    # so a window past 3M only raises the truncation
+    want = build_Q(M, 3 * M)
+    got = build_Q(M, Mx)
+    assert got.truncation == Mx
+    assert dict(got.terms()) == dict(want.terms())
+    assert got.num_terms == {10: 4090, 3: 114}[M]
 
 
 def test_split_normal_reconstructs():
@@ -515,15 +527,18 @@ def test_vector_field_matches_finite_differences():
             assert abs(analytic[idx] - expect) <= 1e-7 * max(1.0, abs(expect))
 
 
-def _reference_rows(P, vec, slot):
+def _reference_rows(P, vec, slot, scalar=False):
     """Per-term complex128 reference for the numeric row kernel of
     gradient_vecs (slot 'plus' or 'minus').
 
-    Each derivative of each term multiplies its factors left to right as
-    scalars, q_j for the plus slots and then conj(q_j) for the minus slots,
-    and takes its prefactor last.  The rows of one component and factor
-    count are summed by np.add.reduceat, whose pairwise order numpy fixes,
-    factor counts ascending.
+    Each derivative of each term takes its factors, q_j for the plus slots
+    and then conj(q_j) for the minus slots.  The rows of one component and
+    factor count multiply their factor columns left to right as complex128
+    arrays, with numpy's native complex multiply as the kernel does, and
+    take their prefactors last; with scalar=True each row's factors are
+    multiplied left to right as Python complex scalars instead.  The rows
+    are summed by np.add.reduceat, whose pairwise order numpy fixes, factor
+    counts ascending.
     """
     from dnls_nflab.poly import _to_dtype_coeff
 
@@ -538,13 +553,15 @@ def _reference_rows(P, vec, slot):
             factors = [complex(vec[index[j]]) for j in plus]
             factors += [complex(vec[index[j]]).conjugate() for j in minus]
             pref = _to_dtype_coeff(coeff.scaled(entries.count(n)), np.complex128)
-            product = reduce(mul, factors) if factors else None
-            rows.setdefault((len(factors), index[n]), []).append((pref, product))
+            rows.setdefault((len(factors), index[n]), []).append((pref, factors))
     out = np.zeros(len(vec), dtype=np.complex128)
     for (width, comp), terms in sorted(rows.items()):
         vals = np.array([t[0] for t in terms], dtype=np.complex128)
-        if width:
-            vals = vals * np.array([t[1] for t in terms], dtype=np.complex128)
+        if width and scalar:
+            vals = vals * np.array([reduce(mul, t[1]) for t in terms], dtype=np.complex128)
+        elif width:
+            columns = np.array([t[1] for t in terms], dtype=np.complex128).T
+            vals = vals * reduce(np.multiply, columns)
         out[comp] += np.add.reduceat(vals, [0])[0]
     return out
 
@@ -600,9 +617,10 @@ def _kernel_poly(name):
 @pytest.mark.parametrize("name", ["degree1", "lambda", "F4", "F6", "mixed"])
 def test_row_kernel_matches_per_term_reference(name, dtype):
     # the prefix-shared kernel keeps the per-term association, so the
-    # result is bit-identical, not merely close.  Whatever the state's
-    # dtype, the field and gradients are complex128, taken at the state
-    # rounded to complex128, and the value is clongdouble.
+    # result is bit-identical to the column-wise reference, not merely
+    # close.  Whatever the state's dtype, the field and gradients are
+    # complex128, taken at the state rounded to complex128, and the value
+    # is clongdouble.
     P = _kernel_poly(name)
     rng = np.random.default_rng(21)
     n = len(mode_range(P.truncation))
@@ -620,6 +638,11 @@ def test_row_kernel_matches_per_term_reference(name, dtype):
     assert np.array_equal(gq, _reference_rows(P, low, "plus"))
     assert np.array_equal(gqbar, ref_qbar)
     assert np.array_equal(field, -1j * np.array(mode_range(P.truncation)) * ref_qbar)
+    # the row products against Python's scalar complex multiply, whose
+    # rounding numpy's loop need not share (it may fuse multiply-adds)
+    for got, slot in ((gq, "plus"), (gqbar, "minus")):
+        want = _reference_rows(P, low, slot, scalar=True)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_poisson_bracket_numeric_antisymmetry_and_match():
