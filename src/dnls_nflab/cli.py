@@ -57,24 +57,52 @@ def make_manifest(args: argparse.Namespace, outcome: str) -> dict:
     }
 
 
-# the options that name a report file, on whichever subcommand takes them
-REPORT_PATHS = ("out", "dump_final", "dump_f4", "divisor_csv", "dump_k", "resonant_csv", "report")
+class Ranged:
+    """Type of a numeric option: converts its text with kind and carries the
+    range the value must lie in, [low, high] if closed, else (low, high),
+    high None unbounded; NaN is outside every range and an unbounded range
+    excludes infinity.  cap is a further upper limit, one that the library's
+    enumerator sets rather than the option's meaning.  The __name__ is
+    kind's, so argparse and --config name the kind in their messages."""
+
+    def __init__(self, kind, low, high=None, closed=True, cap=None):
+        self.kind, self.low, self.high, self.closed, self.cap = kind, low, high, closed, cap
+        self.__name__ = kind.__name__
+
+    def __call__(self, text: str):
+        return self.kind(text)
+
+    def check(self, flag: str, value) -> None:
+        """Raise UsageError if value lies outside the range or over the cap."""
+        low, high = self.low, self.high
+        if value == math.inf:
+            raise UsageError(f"{flag} must be finite, got {value}")
+        if self.closed:
+            inside = low <= value and (high is None or value <= high)
+            span = f"at least {low}" if high is None else f"between {low} and {high}"
+        else:
+            inside = low < value and (high is None or value < high)
+            span = f"greater than {low:g}" if high is None else f"strictly between {low:g} and {high:g}"
+        if not inside:
+            raise UsageError(f"{flag} must be {span}, got {value}")
+        if self.cap is not None and value > self.cap:
+            raise UsageError(f"{flag} must be at most {self.cap}, got {value}")
 
 
-def _check_writable(args: argparse.Namespace) -> argparse.Namespace:
-    """Raise UsageError up front if any report path among the parsed options
-    is a directory, or its directory is missing or not writable; creates
-    nothing."""
-    for name in REPORT_PATHS:
-        path = getattr(args, name, None)
-        if not path:
-            continue
-        if os.path.isdir(path):
-            raise UsageError(f"cannot write report to {path}: it is a directory")
-        parent = os.path.dirname(path) or "."
-        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-            raise UsageError(f"cannot write report to {path}: {parent} is not a writable directory")
-    return args
+def report_path(text: str) -> str:
+    """Type of an option that names a report file: the text itself, marking
+    the option for the writable check before any work."""
+    return text
+
+
+def _check_writable(path: str) -> None:
+    """Raise UsageError if a report path is a directory, or its directory is
+    missing or not writable; creates nothing."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write report to {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise UsageError(f"cannot write report to {path}: {parent} is not a writable directory")
 
 
 def write_text(path: str, text: str) -> None:
@@ -225,6 +253,15 @@ def _parse_init(spec: str, M: int):
     return state
 
 
+def _check_weight(flag: str, s: float, M: int) -> None:
+    """Raise UsageError if the Sobolev weight |j|^(2s) at |j| = M overflows
+    a float."""
+    try:
+        float(M) ** (2 * s)
+    except OverflowError:
+        raise UsageError(f"{flag} {s:g} is too large for --modes {M}: the weight {M}^{2 * s:g} overflows a float") from None
+
+
 def cmd_simulate(args) -> int:
     from .flows import FlowConfig, evolve_vec
     from .states import FourierState, state_to_json
@@ -237,6 +274,7 @@ def cmd_simulate(args) -> int:
     for s in track:
         if not 0 <= s < math.inf:
             raise UsageError(f"--track-s values must be finite and at least 0, got {s}")
+        _check_weight("--track-s", s, M)
     q0 = _parse_init(args.init, M)
     cfg = FlowConfig(dt=args.dt, t_end=args.t_end, record_interval=args.record_interval)
     times, channels, q_final, _ = evolve_vec(q0.to_vector(), M, cfg, track_s=track)
@@ -258,6 +296,7 @@ def cmd_stability(args) -> int:
     from .checks import Check
     from .stability import StabilityRun, stability_ensemble
 
+    _check_weight("--s", args.s, args.modes)
     run = StabilityRun(
         s=args.s,
         epsilon=args.eps,
@@ -296,6 +335,20 @@ def cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .states import zero_momentum_max_abs
+
+    # The integer ranges are closed, their lows the smallest values the
+    # library calls accept.  A seed is a Philox key, below 2**128.  The
+    # exhaustive enumerator takes quadruples within zero_momentum_max_abs(4)
+    # (1058): the divisor audit and build_F4(M) enumerate within their bound,
+    # compute_R6(M) within 3M.  A time step, a horizon, the exponent r of the
+    # horizon eps^-r and a record interval are positive.
+    quad_radius = zero_momentum_max_abs(4)
+    seed = Ranged(int, 0, 2**128 - 1)
+    positive = Ranged(float, 0.0, closed=False)
+    modes = Ranged(int, 1)
+    r6_modes = Ranged(int, 2, cap=quad_radius // 3)
+
     parser = argparse.ArgumentParser(
         prog="nflab",
         description="Exact normal-form verification lab and simulator for the "
@@ -305,13 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p4 = sub.add_parser("nf4", help="order-4 construction checks and dumps")
-    p4.add_argument("--modes", type=int, default=8)
-    p4.add_argument("--dump-f4", type=str, default=None)
+    p4.add_argument("--modes", type=Ranged(int, 1, cap=quad_radius), default=8)
+    p4.add_argument("--dump-f4", type=report_path, default=None)
     p4.add_argument("--audit", action="store_true")
-    p4.add_argument("--divisor-bound", type=int, default=20)
+    p4.add_argument("--divisor-bound", type=Ranged(int, 1, quad_radius), default=20)
     p4.add_argument(
         "--divisor-csv",
-        type=str,
+        type=report_path,
         default=None,
         help="CSV of divisors and bounds for the Delta tuples with "
         "|j| <= min(--modes, --divisor-bound); the audit covers |j| <= --divisor-bound",
@@ -319,46 +372,48 @@ def build_parser() -> argparse.ArgumentParser:
     p4.set_defaults(func=cmd_nf4)
 
     p6 = sub.add_parser("nf6", help="order-6 construction checks and dumps")
-    p6.add_argument("--modes", type=int, default=8)
+    p6.add_argument("--modes", type=r6_modes, default=8)
     p6.add_argument("--verify-ktilde", action="store_true")
-    p6.add_argument("--dump-k", type=str, default=None)
+    p6.add_argument("--dump-k", type=report_path, default=None)
     p6.add_argument("--audit-f6", action="store_true")
-    p6.add_argument("--resonant-csv", type=str, default=None)
+    p6.add_argument("--resonant-csv", type=report_path, default=None)
     p6.set_defaults(func=cmd_nf6)
 
     pi = sub.add_parser("identities", help="kernel identity battery")
-    pi.add_argument("--bound", type=int, default=10)
-    pi.add_argument("--random", type=int, default=0)
-    pi.add_argument("--seed", type=int, default=0)
-    pi.add_argument("--report", type=str, default=None)
+    pi.add_argument("--bound", type=Ranged(int, 1), default=10)
+    pi.add_argument("--random", type=Ranged(int, 0), default=0)
+    pi.add_argument("--seed", type=seed, default=0)
+    pi.add_argument("--report", type=report_path, default=None)
     pi.set_defaults(func=cmd_identities)
 
     ps = sub.add_parser("simulate", help="evolve the truncated equation")
-    ps.add_argument("--modes", type=int, required=True)
-    ps.add_argument("--dt", type=float, default=1e-3)
-    ps.add_argument("--t-end", type=float, default=10.0)
+    ps.add_argument("--modes", type=modes, required=True)
+    ps.add_argument("--dt", type=positive, default=1e-3)
+    ps.add_argument("--t-end", type=positive, default=10.0)
     ps.add_argument("--init", type=str, required=True, help="state JSON file or planewave:k,A")
     ps.add_argument("--track-s", type=str, default="")
-    ps.add_argument("--record-interval", type=float, default=None)
-    ps.add_argument("--out", type=str, default="trajectory.csv")
-    ps.add_argument("--dump-final", type=str, default=None)
+    ps.add_argument("--record-interval", type=positive, default=None)
+    ps.add_argument("--out", type=report_path, default="trajectory.csv")
+    ps.add_argument("--dump-final", type=report_path, default=None)
     ps.set_defaults(func=cmd_simulate)
 
     pst = sub.add_parser("stability", help="long-time norm-ratio experiment")
-    pst.add_argument("--s", type=float, required=True)
-    pst.add_argument("--eps", type=float, required=True)
-    pst.add_argument("--modes", type=int, default=32)
-    pst.add_argument("--r", type=float, default=4.0)
-    pst.add_argument("--seed", type=int, default=0)
-    pst.add_argument("--threshold", type=float, default=3.0)
-    pst.add_argument("--dt", type=float, default=1e-3)
-    pst.add_argument("--out", type=str, default=None)
+    pst.add_argument("--s", type=Ranged(float, 0), required=True)
+    # an amplitude, strictly between 0 and 1
+    pst.add_argument("--eps", type=Ranged(float, 0.0, 1.0, closed=False), required=True)
+    pst.add_argument("--modes", type=modes, default=32)
+    pst.add_argument("--r", type=positive, default=4.0)
+    pst.add_argument("--seed", type=seed, default=0)
+    # the norm ratio is 1 at t = 0
+    pst.add_argument("--threshold", type=Ranged(float, 1), default=3.0)
+    pst.add_argument("--dt", type=positive, default=1e-3)
+    pst.add_argument("--out", type=report_path, default=None)
     pst.set_defaults(func=cmd_stability)
 
     pv = sub.add_parser("verify-all", help="full exact verification battery")
-    pv.add_argument("--modes", type=int, default=8)
-    pv.add_argument("--identities-bound", type=int, default=10)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--modes", type=r6_modes, default=8)
+    pv.add_argument("--identities-bound", type=Ranged(int, 1), default=10)
+    pv.add_argument("--seed", type=seed, default=0)
     pv.set_defaults(func=cmd_verify_all)
 
     return parser
@@ -373,53 +428,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(conf, dict):
         raise UsageError(f"bad --config {path!r}: expected a JSON object")
     return conf
-
-
-def _option_ranges() -> dict[str, dict[str, tuple[float, float | None, bool]]]:
-    """(low, high, closed) range of each bounded numeric option, per
-    subcommand; high None is unbounded.  The integer ranges are closed: the
-    lows are the smallest values the library calls accept, the exhaustive
-    audit's enumerator refuses a divisor bound above zero_momentum_max_abs(4)
-    (1058), and a seed is a Philox key, below 2**128.  A Sobolev index is at
-    least 0 and a norm-ratio threshold at least 1, the ratio at t = 0; the
-    other float ranges are open: a time step, a horizon, the exponent r of
-    the horizon eps^-r and a record interval must be positive and an
-    amplitude lies strictly between 0 and 1."""
-    from .states import zero_momentum_max_abs
-
-    seed = (0, 2**128 - 1, True)
-    modes = (1, None, True)
-    positive = (0.0, None, False)
-    return {
-        "nf4": {"modes": modes, "divisor_bound": (1, zero_momentum_max_abs(4), True)},
-        "nf6": {"modes": (2, None, True)},
-        "identities": {"bound": (1, None, True), "random": (0, None, True), "seed": seed},
-        "simulate": {"modes": modes, "dt": positive, "t_end": positive, "record_interval": positive},
-        "stability": {"s": (0, None, True), "modes": modes, "seed": seed, "dt": positive,
-                      "eps": (0.0, 1.0, False), "r": positive, "threshold": (1, None, True)},
-        "verify-all": {"modes": (2, None, True), "identities_bound": (1, None, True), "seed": seed},
-    }
-
-
-def _check_ranges(args: argparse.Namespace) -> argparse.Namespace:
-    """Raise UsageError for a numeric option outside its range (NaN is
-    outside every range, and an unbounded float range excludes infinity).
-    An option whose default is None may be left out."""
-    for name, (low, high, closed) in _option_ranges()[args.subcommand].items():
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if value == math.inf:
-            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        if closed:
-            inside = low <= value and (high is None or value <= high)
-            span = f"at least {low}" if high is None else f"between {low} and {high}"
-        else:
-            inside = low < value and (high is None or value < high)
-            span = f"greater than {low:g}" if high is None else f"strictly between {low:g} and {high:g}"
-        if not inside:
-            raise UsageError(f"--{name.replace('_', '-')} must be {span}, got {value}")
-    return args
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -468,7 +476,17 @@ def parse_args(argv=None) -> argparse.Namespace:
     for action in required:
         action.required = conf.get(action.dest) is None
     sub.set_defaults(**conf)
-    return _check_writable(_check_ranges(parser.parse_args(argv)))
+    args = parser.parse_args(argv)
+    # every value out of range is reported before any unwritable report path
+    for action in sorted(sub._actions, key=lambda a: a.type is report_path):
+        value = getattr(args, action.dest, None)
+        if value is None:
+            continue
+        if isinstance(action.type, Ranged):
+            action.type.check(action.option_strings[0], value)
+        elif action.type is report_path:
+            _check_writable(value)
+    return args
 
 
 def main(argv=None) -> int:

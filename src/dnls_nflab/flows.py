@@ -258,11 +258,12 @@ def evolve_vec(
     model = spectral_model(M)
     q = np.array(q0, dtype=complex)
     t_end = cfg.t_end
-    n_steps = max(1, round(abs(t_end) / cfg.dt)) if t_end else 0
-    if n_steps > MAX_STEPS:
-        raise StepBudgetError(
-            f"{n_steps} steps needed, budget is {MAX_STEPS}"
-        )
+    steps = abs(t_end) / cfg.dt
+    # the test round(steps) > MAX_STEPS (MAX_STEPS is even, so a tie rounds
+    # down to it), which also holds where the ratio overflows to inf
+    if steps > MAX_STEPS + 0.5:
+        raise StepBudgetError(f"{steps:.0f} steps needed, budget is {MAX_STEPS}")
+    n_steps = max(1, round(steps)) if t_end else 0
     h = t_end / max(1, n_steps)
     interval = cfg.record_interval
     if interval is None:

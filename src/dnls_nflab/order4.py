@@ -7,9 +7,10 @@ remainder
 
     R6 = {B, F} + (1/2) {Q, F}
 
-is assembled by the symbolic bracket engine.  A window-M coefficient of R6
+is assembled by the symbolic bracket engine as one bracket,
+{B + (1/2) Q, F}, by bilinearity.  A window-M coefficient of R6
 involves contraction modes up to 3M (the contracted mode of a quartic pair
-is a signed sum of three window modes), so the brackets run on a mode set of
+is a signed sum of three window modes), so the bracket runs on a mode set of
 radius 3M and the result is restricted to the window.  In a product whose
 result lies in the window, only the contracted mode may leave it, so Q and
 F enter with every term that has at most one mode outside [1, M] (the
@@ -212,10 +213,8 @@ def compute_R6(M: int) -> PolyHamiltonian:
         raise ValueError("need M >= 2")
     # past the enumerator's radius the 3M builders raise before any bracket
     # runs; the 1/2 scales Q's terms, far fewer than the bracket's
-    half_q = build_Q(M, 3 * M).scaled(Fraction(1, 2))
-    f4x = build_F4(M, 3 * M)
-    bf = bracket(build_B_closed_form(M), f4x.with_truncation(M))
-    return bf + bracket(half_q, f4x, support_bound=M)
+    partner = build_B_closed_form(M).with_truncation(3 * M) + build_Q(M, 3 * M).scaled(Fraction(1, 2))
+    return bracket(partner, build_F4(M, 3 * M), support_bound=M)
 
 
 # -- closed form of R6, one monomial at a time --------------------------------------

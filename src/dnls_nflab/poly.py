@@ -29,9 +29,9 @@ the plus and minus slots of m, so it costs one step per term of F, again
 in int numerators over the two common denominators.  For Lambda, w(m) is the
 square divisor of m, which is how {Lambda, F6} = -Qtilde is checked.
 
-The numeric value, vector field and gradients share one product kernel.
-Each compiles a polynomial into rows: one per term for the value, one per
-derivative term for the others, each an output component, a prefactor and
+The numeric value and the vector field share one product kernel.  Each
+compiles a polynomial into rows: one per term for the value, one per qbar
+derivative term for the field, each an output component, a prefactor and
 a list of factors, the plus slots then the minus slots.  A factor is an
 index into ext = concatenate(vec, conj(vec)), so a barred slot needs no
 conjugation mask.  Rows of one width share a prefix plan: level k holds
@@ -41,10 +41,10 @@ rows.  A call takes and multiplies one level at a time, so a prefix shared
 by many rows is multiplied once, in the association ((f0 f1) f2) ... of a
 row-wise product; results are bit-identical to multiplying every row out
 in full.  Each numeric form has one dtype, fixed by its role and compiled
-once per polynomial and slot: the value is evaluated in clongdouble, where
-the residual ladder's cancellation needs extended precision, and the
-gradients in complex128, several times faster per product.  The vector
-field is -i j times the qbar gradient, so it shares that compile.
+once per polynomial: the value is evaluated in clongdouble, where the
+residual ladder's cancellation needs extended precision, and the field in
+complex128, several times faster per product.  The field is -i j times
+the qbar gradient.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .coeffs import ExactCoeff, ZERO
-from .states import FourierState, mode_range, zero_momentum_rows
+from .states import mode_range, zero_momentum_rows
 
 
 def _sorted_tuple(entries: Iterable[int]) -> tuple[int, ...]:
@@ -579,7 +579,7 @@ def evaluate_poly(poly: PolyHamiltonian, vec: np.ndarray) -> np.clongdouble:
     """Numeric value at a dense state vector over mode_range(truncation),
     evaluated in clongdouble."""
     total = LONG_COMPLEX.type(0)
-    for _, _, vals in _row_values(_compile_rows(poly, None), _extended(vec, LONG_COMPLEX)):
+    for _, _, vals in _row_values(_compile_rows(poly, field=False), _extended(vec, LONG_COMPLEX)):
         total += np.sum(vals)
     return total
 
@@ -604,33 +604,32 @@ def _prefix_plan(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return plan
 
 
-def _compile_rows(poly: PolyHamiltonian, slot: str | None):
-    """Rows of a polynomial's value or gradient, grouped by width (factor
-    count), widths ascending, compiled once per polynomial and slot.
+def _compile_rows(poly: PolyHamiltonian, field: bool):
+    """Rows of a polynomial's value or vector field, grouped by width
+    (factor count), widths ascending, compiled once per polynomial and form.
 
-    slot=None:    one row per term, all in component 0 (the value), in
-                  clongdouble;
-    slot='minus': rows for dP/dqbar_n (the vector-field direction), in
-                  complex128;
-    slot='plus':  rows for dP/dq_n, in complex128.
+    field=False: one row per term, all in component 0 (the value), in
+                 clongdouble;
+    field=True:  rows for dP/dqbar_n (the vector-field direction), in
+                 complex128.
     A factor is an index into concatenate(vec, conj(vec)): q_j first, then
     qbar_j.  Each group is (seg_comp, starts, pref, plan, work), its rows
     sorted by output component so the scatter is contiguous segments; work
     holds three buffers of the dtype.
     """
-    key = ("rows", slot)
+    key = ("rows", field)
     if key in poly._cache:
         return poly._cache[key]
-    dtype = LONG_COMPLEX if slot is None else np.dtype(np.complex128)
+    dtype = np.dtype(np.complex128) if field else LONG_COMPLEX
     index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
     n_modes = len(index)
     by_width: dict[int, list] = {}
     for mono, coeff in poly.terms():
-        derivs = _derivatives(mono, slot) if slot else [(None, 1, mono.plus, mono.minus)]
+        derivs = _derivatives(mono, "minus") if field else [(None, 1, mono.plus, mono.minus)]
         for n, mult, plus, minus in derivs:
             factors = [index[j] for j in plus] + [n_modes + index[j] for j in minus]
             pref = _to_dtype_coeff(coeff if mult == 1 else coeff.scaled(mult), dtype)
-            by_width.setdefault(len(factors), []).append((index[n] if slot else 0, pref, factors))
+            by_width.setdefault(len(factors), []).append((index[n] if field else 0, pref, factors))
     groups = []
     for width in sorted(by_width):
         rows = sorted(by_width[width], key=lambda r: r[0])
@@ -669,7 +668,7 @@ def _row_values(groups, ext: np.ndarray):
     """Yield (seg_comp, starts, values) per width group of a compile, the
     values being each row's prefactor times its factor product.  A group's
     values live in its work buffers until the next group is taken: calls
-    on one polynomial and slot are not reentrant."""
+    on one polynomial and form are not reentrant."""
     for seg_comp, starts, pref, plan, work in groups:
         if plan:
             yield seg_comp, starts, np.multiply(pref, _prefix_products(plan, ext, work), out=work[2])
@@ -677,43 +676,14 @@ def _row_values(groups, ext: np.ndarray):
             yield seg_comp, starts, pref
 
 
-def _gradient(P: PolyHamiltonian, slot: str, ext: np.ndarray) -> np.ndarray:
-    """dP/dq_n (slot 'plus') or dP/dqbar_n (slot 'minus') in complex128:
-    out[n] is the sum of the rows of component n."""
-    out = np.zeros(len(ext) // 2, dtype=np.complex128)
-    for seg_comp, starts, vals in _row_values(_compile_rows(P, slot), ext):
-        out[seg_comp] += np.add.reduceat(vals, starts)
-    return out
-
-
 def vector_field_vec(F: PolyHamiltonian, vec: np.ndarray) -> np.ndarray:
     """Components -i j dF/dqbar_j as a dense complex128 vector, whatever
-    the dtype of vec: -i j times the qbar gradient of gradient_vecs."""
+    the dtype of vec: out[n] sums the rows of component n, times -i n."""
     weight = F._cache.get("field_weight")
     if weight is None:
         weight = F._cache["field_weight"] = -1j * np.array(mode_range(F.truncation))
-    out = _gradient(F, "minus", _extended(vec, np.complex128))
+    out = np.zeros(len(weight), dtype=np.complex128)
+    for seg_comp, starts, vals in _row_values(_compile_rows(F, field=True), _extended(vec, np.complex128)):
+        out[seg_comp] += np.add.reduceat(vals, starts)
     out *= weight
     return out
-
-
-def gradient_vecs(P: PolyHamiltonian, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dP/dq_j, dP/dqbar_j) as dense complex128 vectors at vec."""
-    ext = _extended(vec, np.complex128)
-    return _gradient(P, "plus", ext), _gradient(P, "minus", ext)
-
-
-def poisson_bracket_numeric(
-    H: PolyHamiltonian, F: PolyHamiltonian, state: FourierState
-) -> float:
-    """Numeric weighted bracket at a state; both inputs must be real valued."""
-    if H.truncation != F.truncation or state.truncation != H.truncation:
-        raise ValueError("truncation mismatch")
-    if not H.is_real_valued() or not F.is_real_valued():
-        raise ValueError("poisson_bracket_numeric requires real-valued Hamiltonians")
-    vec = state.to_vector()
-    modes = np.array(mode_range(H.truncation), dtype=float)
-    hq, hqbar = gradient_vecs(H, vec)
-    fq, fqbar = gradient_vecs(F, vec)
-    value = -1j * np.sum(modes * (hq * fqbar - hqbar * fq))
-    return float(value.real)

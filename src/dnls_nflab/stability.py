@@ -19,6 +19,7 @@ import numpy as np
 
 from .flows import (
     FlowConfig,
+    StepBudgetError,
     coordinate_change,
     evolve_vec,
     normal_form_bundle,
@@ -300,8 +301,12 @@ def stability_ensemble(
     several seeds in a single batched integration, and report the worst
     Sobolev norm ratio plus conservation drift channels: one report per
     seed, deterministic in seed order.  Raises StepBudgetError if the
-    horizon needs more steps than the integrator allows."""
-    horizon = run.epsilon ** (-run.horizon_exponent)
+    horizon needs more steps than the integrator allows, or overflows a
+    float."""
+    try:
+        horizon = run.epsilon ** (-run.horizon_exponent)
+    except OverflowError:
+        raise StepBudgetError(f"horizon {run.epsilon:g}^-{run.horizon_exponent:g} overflows a float") from None
     cfg = FlowConfig(
         dt=run.dt,
         t_end=horizon,

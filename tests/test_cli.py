@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from dnls_nflab import checks
-from dnls_nflab.cli import _option_ranges, build_parser, main, parse_args
+from dnls_nflab.cli import Ranged, build_parser, main, parse_args
 
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "cli_reports_sha256.json"
 
@@ -295,6 +295,11 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
          "bad --init 'planewave:1,1e308': initial mass inf is not finite"),
         (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "big_state.json"], None,
          "bad --init 'big_state.json': initial mass inf is not finite"),
+        # the Sobolev weight |j|^(2s) at |j| = --modes overflows a float
+        (["stability", "--s", "120", "--eps", "0.5", "--r", "1", "--modes", "32"], None,
+         "--s 120 is too large for --modes 32: the weight 32^240 overflows a float"),
+        (SIMULATE + ["--t-end", "0.01", "--track-s", "400"], None,
+         "--track-s 400 is too large for --modes 4: the weight 4^800 overflows a float"),
     ],
     ids=["simulate-dt", "stability-dt", "stability-eps-low", "stability-eps-high", "stability-dt-nan",
          "simulate-dt-config", "stability-dt-config", "stability-dt-config-null",
@@ -303,7 +308,8 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
          "simulate-record-interval-negative", "simulate-track-s-negative", "stability-threshold-negative",
          "stability-r-nan", "stability-r-inf", "simulate-init-nan", "simulate-init-inf",
          "simulate-init-json-nan", "simulate-init-mass-overflow", "simulate-init-state-overflow",
-         "simulate-init-json-mass-overflow"],
+         "simulate-init-json-mass-overflow", "stability-s-weight-overflow",
+         "simulate-track-s-weight-overflow"],
 )
 def test_out_of_range_float_option_is_usage_error(tmp_path, monkeypatch, capsys, argv, conf, message):
     monkeypatch.chdir(tmp_path)
@@ -323,6 +329,9 @@ def test_out_of_range_float_option_is_usage_error(tmp_path, monkeypatch, capsys,
 
 def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
     assert parse_args(["nf4", "--divisor-bound", "1058"]).divisor_bound == 1058
+    assert parse_args(["nf4", "--modes", "1058"]).modes == 1058
+    assert parse_args(["nf6", "--modes", "352"]).modes == 352
+    assert parse_args(["verify-all", "--modes", "352"]).modes == 352
     assert parse_args(["verify-all", "--modes", "2"]).modes == 2
     assert parse_args(STABILITY + ["--eps", "0.999", "--dt", "1e-9"]).eps == 0.999
     assert parse_args(["stability", "--s", "0", "--eps", "0.3"]).s == 0
@@ -376,12 +385,39 @@ def test_required_option_from_config_is_range_checked(tmp_path, capsys):
     assert "--eps must be strictly between 0 and 1, got 1.5" in captured.err
 
 
-def test_every_ranged_option_exists_on_its_subcommand():
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["nf4", "--modes", "1059"], "checks.order4_homological"),
+        (["nf6", "--modes", "353"], "order4.compute_R6"),
+        (["verify-all", "--modes", "353"], "checks.exact_battery"),
+    ],
+    ids=["nf4", "nf6", "verify-all"],
+)
+def test_modes_past_the_enumerator_radius_is_usage_error(monkeypatch, capsys, argv, work):
+    # build_F4(M) enumerates quadruples within M, compute_R6(M) within 3M,
+    # and the enumerator's radius is 1058
+    import importlib
+
+    def never(*args, **kwargs):
+        raise AssertionError("worked before checking --modes")
+
+    module, name = work.split(".")
+    monkeypatch.setattr(importlib.import_module(f"dnls_nflab.{module}"), name, never)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    cap = 1058 if argv[0] == "nf4" else 352
+    assert captured.err == f"usage error: --modes must be at most {cap}, got {cap + 1}\n"
+
+
+def test_every_numeric_option_declares_its_range():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for subcommand, ranges in _option_ranges().items():
-        dests = {a.dest for a in subparsers.choices[subcommand]._actions}
-        assert set(ranges) <= dests, (subcommand, sorted(set(ranges) - dests))
+    for subcommand, sub in subparsers.choices.items():
+        for action in sub._actions:
+            numeric = action.type in (int, float) or type(action.default) in (int, float)
+            assert not numeric or isinstance(action.type, Ranged), (subcommand, action.dest)
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-final"])
@@ -444,6 +480,25 @@ def test_nonfinite_blowup_exit_code(tmp_path):
     )
     assert code == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--s", "3", "--eps", "1e-300", "--modes", "4"],
+        ["stability", "--s", "3", "--eps", "0.5", "--r", "2000", "--modes", "4"],
+        ["stability", "--s", "3", "--eps", "1e-300", "--r", "1.02", "--modes", "4"],
+        ["simulate", "--modes", "4", "--init", "planewave:1,0.1", "--t-end", "1e308"],
+    ],
+    ids=["stability-eps", "stability-r", "stability-steps", "simulate-t-end"],
+)
+def test_overflowing_horizon_is_a_numerical_failure(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -20,9 +20,7 @@ from dnls_nflab.poly import (
     build_lambda,
     build_Q,
     evaluate_poly,
-    gradient_vecs,
     ordered_coefficient,
-    poisson_bracket_numeric,
     poly_from_records,
     poly_to_records,
     quartets,
@@ -527,15 +525,15 @@ def test_vector_field_matches_finite_differences():
             assert abs(analytic[idx] - expect) <= 1e-7 * max(1.0, abs(expect))
 
 
-def _reference_rows(P, vec, slot, scalar=False):
-    """Per-term complex128 reference for the numeric row kernel of
-    gradient_vecs (slot 'plus' or 'minus').
+def _reference_rows(P, vec, scalar=False):
+    """Per-term complex128 reference for the numeric row kernel of the qbar
+    gradient, which vector_field_vec weights by -i j.
 
-    Each derivative of each term takes its factors, q_j for the plus slots
-    and then conj(q_j) for the minus slots.  The rows of one component and
-    factor count multiply their factor columns left to right as complex128
-    arrays, with numpy's native complex multiply as the kernel does, and
-    take their prefactors last; with scalar=True each row's factors are
+    Each qbar derivative of each term takes its factors, q_j for the plus
+    slots and then conj(q_j) for the minus slots.  The rows of one
+    component and factor count multiply their factor columns left to right
+    as complex128 arrays, with numpy's native complex multiply as the
+    kernel does, and take their prefactors last; with scalar=True each row's factors are
     multiplied left to right as Python complex scalars instead.  The rows
     are summed by np.add.reduceat, whose pairwise order numpy fixes, factor
     counts ascending.
@@ -545,13 +543,12 @@ def _reference_rows(P, vec, slot, scalar=False):
     index = {j: i for i, j in enumerate(mode_range(P.truncation))}
     rows: dict[tuple[int, int], list] = {}
     for mono, coeff in P.terms():
-        entries = getattr(mono, slot)
+        entries = mono.minus
         for n in sorted(set(entries)):
             rest = list(entries)
             rest.remove(n)
-            plus, minus = (rest, mono.minus) if slot == "plus" else (mono.plus, rest)
-            factors = [complex(vec[index[j]]) for j in plus]
-            factors += [complex(vec[index[j]]).conjugate() for j in minus]
+            factors = [complex(vec[index[j]]) for j in mono.plus]
+            factors += [complex(vec[index[j]]).conjugate() for j in rest]
             pref = _to_dtype_coeff(coeff.scaled(entries.count(n)), np.complex128)
             rows.setdefault((len(factors), index[n]), []).append((pref, factors))
     out = np.zeros(len(vec), dtype=np.complex128)
@@ -618,61 +615,25 @@ def _kernel_poly(name):
 def test_row_kernel_matches_per_term_reference(name, dtype):
     # the prefix-shared kernel keeps the per-term association, so the
     # result is bit-identical to the column-wise reference, not merely
-    # close.  Whatever the state's dtype, the field and gradients are
-    # complex128, taken at the state rounded to complex128, and the value
-    # is clongdouble.
+    # close.  Whatever the state's dtype, the field is complex128, taken at
+    # the state rounded to complex128, and the value is clongdouble.
     P = _kernel_poly(name)
     rng = np.random.default_rng(21)
     n = len(mode_range(P.truncation))
     base = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     vec = base.astype(dtype) / np.dtype(dtype).type(3)
     field = vector_field_vec(P, vec)
-    gq, gqbar = gradient_vecs(P, vec)
     value = evaluate_poly(P, vec)
-    for got in (field, gq, gqbar):
-        assert got.dtype == np.complex128
+    assert field.dtype == np.complex128
     assert value.dtype == LONG_COMPLEX
     assert value == _reference_value(P, vec.astype(LONG_COMPLEX))
     low = vec.astype(np.complex128)
-    ref_qbar = _reference_rows(P, low, "minus")
-    assert np.array_equal(gq, _reference_rows(P, low, "plus"))
-    assert np.array_equal(gqbar, ref_qbar)
-    assert np.array_equal(field, -1j * np.array(mode_range(P.truncation)) * ref_qbar)
+    weight = -1j * np.array(mode_range(P.truncation))
+    assert np.array_equal(field, weight * _reference_rows(P, low))
     # the row products against Python's scalar complex multiply, whose
     # rounding numpy's loop need not share (it may fuse multiply-adds)
-    for got, slot in ((gq, "plus"), (gqbar, "minus")):
-        want = _reference_rows(P, low, slot, scalar=True)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-
-
-def test_poisson_bracket_numeric_antisymmetry_and_match():
-    from dnls_nflab.order4 import build_F4
-
-    G = build_G(4)
-    F = build_F4(4)
-    lam = build_lambda(4)
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        st = _random_state(rng, 4)
-        ab = poisson_bracket_numeric(G, F, st)
-        ba = poisson_bracket_numeric(F, G, st)
-        assert ab == pytest.approx(-ba, rel=1e-12, abs=1e-12)
-        # symbolic oracle
-        sym = evaluate_poly(bracket(G, F), st.to_vector()).real
-        assert ab == pytest.approx(sym, rel=1e-10, abs=1e-12)
-        # action-only polynomials commute with Lambda
-        assert poisson_bracket_numeric(
-            lam, build_B_closed_form(4), st
-        ) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_poisson_bracket_numeric_rejects_non_real():
-    P = PolyHamiltonian.from_terms(
-        2, [(Monomial.of((1,), (2,)), ExactCoeff.real(1))]
-    )
-    lam = build_lambda(2)
-    with pytest.raises(ValueError):
-        poisson_bracket_numeric(P, lam, FourierState.zero(2))
+    want = weight * _reference_rows(P, low, scalar=True)
+    assert np.linalg.norm(field - want) <= 1e-14 * np.linalg.norm(want)
 
 
 # -- serialization ------------------------------------------------------------------

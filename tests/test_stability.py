@@ -251,6 +251,23 @@ def test_step_budget_reported():
         stability_ensemble(run, (run.seed,))
 
 
+@pytest.mark.parametrize(
+    "eps, r, message",
+    [
+        (1e-300, 4.0, "horizon 1e-300^-4 overflows a float"),
+        (0.5, 2000.0, "horizon 0.5^-2000 overflows a float"),
+        # eps^-r is finite, but not eps^-r / dt
+        (1e-300, 1.02, "inf steps needed, budget is 20000000"),
+    ],
+    ids=["eps", "r", "steps"],
+)
+def test_overflowing_horizon_is_over_the_step_budget(eps, r, message):
+    run = StabilityRun(s=3.0, epsilon=eps, M=4, horizon_exponent=r)
+    with pytest.raises(StepBudgetError) as err:
+        stability_ensemble(run, (run.seed,))
+    assert str(err.value) == message
+
+
 def test_ratio_trend_with_epsilon():
     # smaller data stays closer to linear: the ratio should not grow as eps
     # shrinks (5% violations tolerated as noise, none expected here)
