@@ -34,17 +34,19 @@ compiles a polynomial into rows: one per term for the value, one per qbar
 derivative term for the field, each an output component, a prefactor and
 a list of factors, the plus slots then the minus slots.  A factor is an
 index into ext = concatenate(vec, conj(vec)), so a barred slot needs no
-conjugation mask.  Rows of one width share a prefix plan: level k holds
-the distinct length-k factor prefixes, each as (index of its length-(k-1)
-prefix, index of its last factor), and the last level is aligned with the
-rows.  A call takes and multiplies one level at a time, so a prefix shared
-by many rows is multiplied once, in the association ((f0 f1) f2) ... of a
-row-wise product; results are bit-identical to multiplying every row out
-in full.  Each numeric form has one dtype, fixed by its role and compiled
-once per polynomial: the value is evaluated in clongdouble, where the
-residual ladder's cancellation needs extended precision, and the field in
+conjugation mask.  Rows of one width are sorted by (component, last
+factor) and their first width-1 factors, the head, share a prefix plan:
+level k holds the distinct length-k head prefixes, each as (index of its
+length-(k-1) prefix, index of its last factor).  A call gathers every
+level's last factors with one take, multiplies one level at a time, so a
+prefix shared by many rows is multiplied once, and takes each row's head
+times its prefactor.  The last factor multiplies the sum of each (component,
+last factor) segment once, and the segments are summed per component.
+Each numeric form has one dtype, fixed by its role and compiled once per
+polynomial: the value is evaluated in clongdouble, where the residual
+ladder's cancellation needs extended precision, and the field in
 complex128, several times faster per product.  The field is -i j times
-the qbar gradient.
+the qbar gradient, with -i j multiplied into each row's prefactor once.
 """
 
 from __future__ import annotations
@@ -569,59 +571,65 @@ def _to_dtype_coeff(coeff: ExactCoeff, dtype):
     return coeff.to_complex()
 
 
-def _extended(vec, dtype) -> np.ndarray:
-    """concatenate(vec, conj(vec)) in dtype: q_j, then qbar_j."""
-    vec = np.asarray(vec, dtype=dtype)
-    return np.concatenate((vec, np.conj(vec)))
-
-
 def evaluate_poly(poly: PolyHamiltonian, vec: np.ndarray) -> np.clongdouble:
     """Numeric value at a dense state vector over mode_range(truncation),
-    evaluated in clongdouble."""
-    total = LONG_COMPLEX.type(0)
-    for _, _, vals in _row_values(_compile_rows(poly, field=False), _extended(vec, LONG_COMPLEX)):
-        total += np.sum(vals)
-    return total
+    evaluated in clongdouble.  Raises ValueError unless vec has one entry
+    per mode."""
+    return _poly_sums(poly, vec, field=False)[0]
 
 
-def _prefix_plan(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _prefix_plan(factors: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Prefix-product plan for the rows of a (rows, width) factor table.
 
-    Level k (k = 1 .. width) is a table of length-k prefixes, each entry a
-    pair (parent, last): the index of its length-(k-1) prefix in level k-1
-    (0, the empty prefix, at level 1) and its last factor.  Levels below the
-    last hold only the distinct prefixes; the last is row-aligned.
+    Level k (k = 1 .. width) is the table of the distinct length-k
+    prefixes, each entry a pair (parent, last): the index of its
+    length-(k-1) prefix in level k-1 (0, the empty prefix, at level 1) and
+    its last factor.  Returns the levels and, per row, the index of its
+    full prefix in the last level.
     """
     rows, width = factors.shape
     span = int(factors.max(initial=0)) + 1
     ids = np.zeros(rows, dtype=np.intp)
     plan = []
-    for k in range(width - 1):
+    for k in range(width):
         uniq, ids = np.unique(ids * span + factors[:, k], return_inverse=True)
         plan.append((uniq // span, uniq % span))
-    if width:
-        plan.append((ids, factors[:, -1]))
-    return plan
+    return plan, ids
 
 
-def _compile_rows(poly: PolyHamiltonian, field: bool):
-    """Rows of a polynomial's value or vector field, grouped by width
-    (factor count), widths ascending, compiled once per polynomial and form.
+def _compile_rows(poly: PolyHamiltonian, field: bool) -> tuple[list[tuple], np.ndarray]:
+    """Rows of a polynomial's value or vector field as width groups, widths
+    ascending, and the ext buffer each call loads the state into; compiled
+    once per polynomial and form.
 
     field=False: one row per term, all in component 0 (the value), in
                  clongdouble;
-    field=True:  rows for dP/dqbar_n (the vector-field direction), in
-                 complex128.
-    A factor is an index into concatenate(vec, conj(vec)): q_j first, then
-    qbar_j.  Each group is (seg_comp, starts, pref, plan, work), its rows
-    sorted by output component so the scatter is contiguous segments; work
-    holds three buffers of the dtype.
+    field=True:  rows for -i n dP/dqbar_n (the vector field), in
+                 complex128; the weight -i n multiplies the prefactors
+                 once, here.
+    A factor is an index into ext = concatenate(vec, conj(vec)): q_j first,
+    then qbar_j.  A row's value is its prefactor times its factors.  The
+    prefix plan covers each row's first width-1 factors, so every level is
+    a table of distinct prefixes, and the last factor multiplies once the
+    sum of each (component, last factor) segment, of which a component has
+    at most 2 * n_modes.
+
+    A group is (width, comp, comp_starts, seg_starts, pref, take, levels,
+    head, work): its components in order, or None if it has every one;
+    where each component's run of segments starts; where each segment's
+    run of rows starts; the rows' prefactors; the ext indices gathered once
+    per call, the last factors of every prefix level and then each
+    segment's last factor; (parent, slice of the gathered factors) per
+    prefix level; each row's head in the last level; and the work buffers
+    for the gathered factors, two levels and the rows.
     """
     key = ("rows", field)
-    if key in poly._cache:
-        return poly._cache[key]
+    compiled = poly._cache.get(key)
+    if compiled is not None:
+        return compiled
     dtype = np.dtype(np.complex128) if field else LONG_COMPLEX
-    index = {j: i for i, j in enumerate(mode_range(poly.truncation))}
+    modes = mode_range(poly.truncation)
+    index = {j: i for i, j in enumerate(modes)}
     n_modes = len(index)
     by_width: dict[int, list] = {}
     for mono, coeff in poly.terms():
@@ -632,58 +640,114 @@ def _compile_rows(poly: PolyHamiltonian, field: bool):
             by_width.setdefault(len(factors), []).append((index[n] if field else 0, pref, factors))
     groups = []
     for width in sorted(by_width):
-        rows = sorted(by_width[width], key=lambda r: r[0])
+        rows = by_width[width]
         comp = np.array([r[0] for r in rows], dtype=np.intp)
+        pref = np.array([r[1] for r in rows], dtype=dtype)
         factors = np.array([r[2] for r in rows], dtype=np.intp).reshape(len(rows), width)
-        starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-        work = tuple(np.empty((3, len(rows)), dtype=dtype))
-        prefs = np.array([r[1] for r in rows], dtype=dtype)
-        groups.append((comp[starts], starts, prefs, _prefix_plan(factors), work))
-    poly._cache[key] = groups
-    return groups
+        # a stable sort: a segment's rows keep the terms' order
+        order = np.lexsort((factors[:, -1] if width else comp, comp))
+        comp, pref, factors = comp[order], pref[order], factors[order]
+        if field:
+            pref *= -1j * np.array(modes)[comp]
+        last = factors[:, -1] if width else comp
+        seg_starts = np.flatnonzero(np.r_[True, (comp[1:] != comp[:-1]) | (last[1:] != last[:-1])])
+        seg_comp = comp[seg_starts]
+        comp_starts = np.flatnonzero(np.r_[True, seg_comp[1:] != seg_comp[:-1]])
+        levels, head = _prefix_plan(factors[:, :-1]) if width > 1 else ([], None)
+        lasts = [level_last for _, level_last in levels] + ([last[seg_starts]] if width else [])
+        ends = np.cumsum([0] + [len(x) for x in lasts])
+        level_size = max((len(parent) for parent, _ in levels[1:]), default=0)
+        work = (
+            np.empty(ends[-1], dtype=dtype),
+            *np.empty((2, level_size), dtype=dtype),
+            np.empty(len(rows) if levels else 0, dtype=dtype),
+        )
+        groups.append(
+            (
+                width,
+                None if len(comp_starts) == (n_modes if field else 1) else seg_comp[comp_starts],
+                comp_starts,
+                seg_starts,
+                pref,
+                np.concatenate(lasts) if lasts else np.zeros(0, dtype=np.intp),
+                [(parent, slice(a, b)) for (parent, _), a, b in zip(levels, ends, ends[1:])],
+                head,
+                work,
+            )
+        )
+    compiled = poly._cache[key] = (groups, np.empty(2 * n_modes, dtype=dtype))
+    return compiled
 
 
-def _prefix_products(plan, ext, work) -> np.ndarray:
-    """Row products of a prefix plan, ((f0 f1) f2) ..., the left-to-right
-    order of a row-wise product.
+def _prefix_products(levels, lasts: np.ndarray, work) -> np.ndarray:
+    """Products of the last level's prefixes, ((f0 f1) f2) ..., the
+    left-to-right order of a row-wise product.
 
-    ext is concatenate(vec, conj(vec)), and each level takes its parents
-    and its last factors with one take each into the group's work buffers
-    (cur, nxt, x): fresh arrays of that size cost page faults on every
-    call.  Each level's products are one native complex multiply in place.
+    lasts holds every level's last factors, gathered by one take per call,
+    and each level multiplies its parents by its slice of them.  Level 1 is
+    that slice itself; the others alternate between the two work buffers:
+    fresh arrays of that size cost page faults on every call.
     """
-    (_, first), *rest = plan
-    cur, nxt, x = work
-    # take(out=...) copies through a temporary under the default mode="raise"
-    tab = ext.take(first, out=cur[: len(first)], mode="clip")
-    for parent, last in rest:
-        size = len(last)
-        new = tab.take(parent, out=nxt[:size], mode="clip")
-        np.multiply(new, ext.take(last, out=x[:size], mode="clip"), out=new)
-        tab, cur, nxt = new, nxt, cur
+    (_, first), *rest = levels
+    tab = lasts[first]
+    for k, (parent, last) in enumerate(rest):
+        # take(out=...) copies through a temporary under the default mode="raise"
+        new = tab.take(parent, out=work[k % 2][: len(parent)], mode="clip")
+        tab = np.multiply(new, lasts[last], out=new)
     return tab
 
 
-def _row_values(groups, ext: np.ndarray):
-    """Yield (seg_comp, starts, values) per width group of a compile, the
-    values being each row's prefactor times its factor product.  A group's
-    values live in its work buffers until the next group is taken: calls
-    on one polynomial and form are not reentrant."""
-    for seg_comp, starts, pref, plan, work in groups:
-        if plan:
-            yield seg_comp, starts, np.multiply(pref, _prefix_products(plan, ext, work), out=work[2])
+def _poly_sums(poly: PolyHamiltonian, vec, field: bool) -> np.ndarray:
+    """The value (field=False, one component) or the vector field
+    (field=True, one component per mode) of poly at vec, a fresh array.
+
+    Per width group, each row is its prefactor times its head, the product
+    of its first width-1 factors; the rows of each (component, last factor)
+    segment are summed by np.add.reduceat, each segment sum is multiplied
+    by its last factor and the segments are summed per component: by
+    np.add.reduceat for the field, and for the value's one component by
+    np.add.reduce, np.sum's pairwise order.  The order matters there: H and
+    the normal form cancel to 1e-19 on the residual ladder, and reduceat's
+    order moves its residuals by up to 5e-6 relative.  The groups are added
+    in width order.  The compile's ext and work buffers are reused on every
+    call: calls on one polynomial and form are not reentrant.  Raises
+    ValueError unless vec is a vector of one entry per mode.
+    """
+    groups, ext = _compile_rows(poly, field)
+    vec = np.asarray(vec)
+    n_modes = len(ext) // 2
+    if vec.shape != (n_modes,):
+        raise ValueError(
+            f"state of shape {vec.shape} does not fit truncation {poly.truncation}: "
+            f"it needs a vector of {n_modes} entries, one per mode"
+        )
+    ext[:n_modes] = vec
+    np.conjugate(ext[:n_modes], out=ext[n_modes:])
+    n_out = n_modes if field else 1
+    total = None
+    for width, comp, comp_starts, seg_starts, pref, take, levels, head, work in groups:
+        rows = pref
+        if width:
+            lasts = ext.take(take, out=work[0], mode="clip")
+        if levels:
+            rows = _prefix_products(levels, lasts, work[1:3]).take(head, out=work[3], mode="clip")
+            np.multiply(pref, rows, out=rows)
+        sums = np.add.reduceat(rows, seg_starts)
+        if width:  # the segments' last factors end the gathered ones
+            np.multiply(sums, lasts[-len(sums) :], out=sums)
+        if field:
+            sums = np.add.reduceat(sums, comp_starts)
         else:
-            yield seg_comp, starts, pref
+            sums = np.add.reduce(sums, keepdims=True)
+        if comp is not None:
+            sums, present = np.zeros(n_out, dtype=ext.dtype), sums
+            sums[comp] = present
+        total = sums if total is None else total + sums
+    return np.zeros(n_out, dtype=ext.dtype) if total is None else total
 
 
 def vector_field_vec(F: PolyHamiltonian, vec: np.ndarray) -> np.ndarray:
     """Components -i j dF/dqbar_j as a dense complex128 vector, whatever
-    the dtype of vec: out[n] sums the rows of component n, times -i n."""
-    weight = F._cache.get("field_weight")
-    if weight is None:
-        weight = F._cache["field_weight"] = -1j * np.array(mode_range(F.truncation))
-    out = np.zeros(len(weight), dtype=np.complex128)
-    for seg_comp, starts, vals in _row_values(_compile_rows(F, field=True), _extended(vec, np.complex128)):
-        out[seg_comp] += np.add.reduceat(vals, starts)
-    out *= weight
-    return out
+    the dtype of vec (see _poly_sums).  Raises ValueError unless vec has one
+    entry per mode."""
+    return _poly_sums(F, vec, field=True)

@@ -371,11 +371,14 @@ def test_ladder_residuals_match_the_extended_precision_field(monkeypatch):
     computed at commit 116d240, where the generator fields were evaluated in
     clongdouble; they are now evaluated in complex128 under a clongdouble
     state.  The two agree to 3.1e-12 relative at most (seven of the ten
-    residuals to every float64 digit).  rtol 1e-8 leaves room for another
-    platform's rounding of the complex128 field, while a change to the
-    generators, the flow or the normal form moves a residual by far more:
-    neighbouring rungs differ by factors of 64 to 256.  Every time-1 map
-    must still stop at its first doubling, n = 100 -> 200 steps.
+    residuals to every float64 digit).  Applying each row's last factor
+    after the per-(component, last factor) sums moved a residual by at
+    most 2.0e-10 relative (order 6, lambda = 2**-3 and 2**-5).  rtol 1e-8
+    leaves room for another platform's rounding of the complex128 field,
+    while a change to the generators, the flow or the normal form moves a
+    residual by far more: neighbouring rungs differ by factors of 64 to
+    256.  Every time-1 map must still stop at its first doubling,
+    n = 100 -> 200 steps.
     """
     from dnls_nflab import flows
 

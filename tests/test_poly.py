@@ -525,65 +525,91 @@ def test_vector_field_matches_finite_differences():
             assert abs(analytic[idx] - expect) <= 1e-7 * max(1.0, abs(expect))
 
 
-def _reference_rows(P, vec, scalar=False):
-    """Per-term complex128 reference for the numeric row kernel of the qbar
-    gradient, which vector_field_vec weights by -i j.
+def _reference_rows(P, vec, field):
+    """Rows (width, component, last, prefactor, factors) of the value
+    (field=False) or the vector field (field=True) at vec, in term order.
 
-    Each qbar derivative of each term takes its factors, q_j for the plus
-    slots and then conj(q_j) for the minus slots.  The rows of one
-    component and factor count multiply their factor columns left to right
-    as complex128 arrays, with numpy's native complex multiply as the
-    kernel does, and take their prefactors last; with scalar=True each row's factors are
-    multiplied left to right as Python complex scalars instead.  The rows
-    are summed by np.add.reduceat, whose pairwise order numpy fixes, factor
-    counts ascending.
+    A field row is one qbar_n derivative of a term, in component n, with
+    prefactor -i n times the complex128 coefficient times the multiplicity
+    of n; a value row is one term in component 0, in clongdouble.
+    The factors are q_j for the plus slots, then conj(q_j) for the minus
+    slots, and last indexes the last of them in concatenate(vec, conj(vec)).
+    """
+    from dnls_nflab.poly import _to_dtype_coeff
+
+    dtype = np.complex128 if field else LONG_COMPLEX
+    v = vec.astype(dtype)
+    index = {j: i for i, j in enumerate(mode_range(P.truncation))}
+    rows = []
+    for mono, coeff in P.terms():
+        if field:
+            derivs = []
+            for n in sorted(set(mono.minus)):
+                rest = list(mono.minus)
+                rest.remove(n)
+                pref = _to_dtype_coeff(coeff.scaled(mono.minus.count(n)), dtype)
+                derivs.append((index[n], (np.array([pref]) * np.array([-1j * n]))[0], rest))
+        else:
+            derivs = [(0, _to_dtype_coeff(coeff, dtype), mono.minus)]
+        for comp, pref, minus in derivs:
+            factors = [v[index[j]] for j in mono.plus] + [np.conj(v[index[j]]) for j in minus]
+            slots = [index[j] for j in mono.plus] + [len(v) + index[j] for j in minus]
+            rows.append((len(factors), comp, tuple(slots[-1:]), pref, factors))
+    return rows
+
+
+def _reference_sums(P, vec, field):
+    """Reference for the row kernel, in its association: per width and
+    component, each (component, last factor) segment's prefactors times its
+    head columns (every factor but the last, multiplied left to right as
+    arrays with numpy's native complex multiply) are summed by
+    np.add.reduceat, the segment sums times their last factors are summed
+    per component, by np.add.reduceat for the field and np.sum for the
+    value, and the widths are added in ascending order.
+    """
+    rows = _reference_rows(P, vec, field)
+    dtype = np.complex128 if field else LONG_COMPLEX
+    segments: dict[tuple, list] = {}
+    for row in rows:
+        segments.setdefault(row[:3], []).append(row)
+    total = np.zeros(len(vec) if field else 1, dtype=dtype)
+    for width in sorted({key[0] for key in segments}):
+        group = np.zeros_like(total)
+        for comp in sorted({key[1] for key in segments if key[0] == width}):
+            keys = sorted(key for key in segments if key[:2] == (width, comp))
+            sums = []
+            for key in keys:
+                vals = np.array([r[3] for r in segments[key]], dtype=dtype)
+                if width > 1:
+                    vals = vals * reduce(np.multiply, np.array([r[4][:-1] for r in segments[key]], dtype=dtype).T)
+                sums.append(np.add.reduceat(vals, [0])[0])
+            sums = np.array(sums, dtype=dtype)
+            if width:
+                sums = sums * np.array([segments[key][0][4][-1] for key in keys], dtype=dtype)
+            group[comp] = np.add.reduceat(sums, [0])[0] if field else np.sum(sums)
+        total = total + group
+    return total
+
+
+def _scalar_reference_gradient(P, vec):
+    """Per-term complex128 reference for the qbar gradient, which the field
+    weights by -i j: each row multiplies all its factors left to right as
+    Python complex scalars, then its prefactor, and the rows of one
+    component are summed.
     """
     from dnls_nflab.poly import _to_dtype_coeff
 
     index = {j: i for i, j in enumerate(mode_range(P.truncation))}
-    rows: dict[tuple[int, int], list] = {}
+    out = np.zeros(len(vec), dtype=np.complex128)
     for mono, coeff in P.terms():
-        entries = mono.minus
-        for n in sorted(set(entries)):
-            rest = list(entries)
+        for n in sorted(set(mono.minus)):
+            rest = list(mono.minus)
             rest.remove(n)
             factors = [complex(vec[index[j]]) for j in mono.plus]
             factors += [complex(vec[index[j]]).conjugate() for j in rest]
-            pref = _to_dtype_coeff(coeff.scaled(entries.count(n)), np.complex128)
-            rows.setdefault((len(factors), index[n]), []).append((pref, factors))
-    out = np.zeros(len(vec), dtype=np.complex128)
-    for (width, comp), terms in sorted(rows.items()):
-        vals = np.array([t[0] for t in terms], dtype=np.complex128)
-        if width and scalar:
-            vals = vals * np.array([reduce(mul, t[1]) for t in terms], dtype=np.complex128)
-        elif width:
-            columns = np.array([t[1] for t in terms], dtype=np.complex128).T
-            vals = vals * reduce(np.multiply, columns)
-        out[comp] += np.add.reduceat(vals, [0])[0]
+            pref = _to_dtype_coeff(coeff.scaled(mono.minus.count(n)), np.complex128)
+            out[index[n]] += pref * reduce(mul, factors, 1)
     return out
-
-
-def _reference_value(P, vec):
-    """Per-term clongdouble reference for evaluate_poly.
-
-    Each term multiplies its factors left to right as scalars, q_j for the
-    plus slots and then conj(q_j) for the minus slots; the terms of one
-    factor count multiply their prefactors into the products as arrays and
-    are summed by np.sum, factor counts ascending.
-    """
-    from dnls_nflab.poly import _to_dtype_coeff
-
-    index = {j: i for i, j in enumerate(mode_range(P.truncation))}
-    rows: dict[int, list] = {}
-    for mono, coeff in P.terms():
-        factors = [LONG_COMPLEX.type(vec[index[j]]) for j in mono.plus]
-        factors += [LONG_COMPLEX.type(vec[index[j]]).conjugate() for j in mono.minus]
-        rows.setdefault(len(factors), []).append((_to_dtype_coeff(coeff, LONG_COMPLEX), reduce(mul, factors)))
-    total = LONG_COMPLEX.type(0)
-    for _, terms in sorted(rows.items()):
-        pref = np.array([t[0] for t in terms], dtype=LONG_COMPLEX)
-        total += np.sum(pref * np.array([t[1] for t in terms], dtype=LONG_COMPLEX))
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -607,16 +633,21 @@ def _kernel_poly(name):
     if name == "mixed":
         # three factor counts in one polynomial
         return _kernel_poly("degree1") + build_lambda(4) + build_F4(4)
+    if name == "ladder_F6":
+        # the ladder's own generator: M = 6, 12044 field rows of width 5
+        from dnls_nflab.flows import normal_form_bundle
+
+        return normal_form_bundle(6).F6
     return build_F6(4, compute_R6(4))
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
-@pytest.mark.parametrize("name", ["degree1", "lambda", "F4", "F6", "mixed"])
+@pytest.mark.parametrize("name", ["degree1", "lambda", "F4", "F6", "mixed", "ladder_F6"])
 def test_row_kernel_matches_per_term_reference(name, dtype):
-    # the prefix-shared kernel keeps the per-term association, so the
-    # result is bit-identical to the column-wise reference, not merely
-    # close.  Whatever the state's dtype, the field is complex128, taken at
-    # the state rounded to complex128, and the value is clongdouble.
+    # the kernel and the reference take the same association, so the
+    # result is bit-identical, not merely close.  Whatever the state's
+    # dtype, the field is complex128, taken at the state rounded to
+    # complex128, and the value is clongdouble.
     P = _kernel_poly(name)
     rng = np.random.default_rng(21)
     n = len(mode_range(P.truncation))
@@ -626,14 +657,29 @@ def test_row_kernel_matches_per_term_reference(name, dtype):
     value = evaluate_poly(P, vec)
     assert field.dtype == np.complex128
     assert value.dtype == LONG_COMPLEX
-    assert value == _reference_value(P, vec.astype(LONG_COMPLEX))
+    assert value == _reference_sums(P, vec, field=False)[0]
+    assert np.array_equal(field, _reference_sums(P, vec, field=True))
+    # against a per-term product in Python's scalar complex multiply, whose
+    # rounding and association the kernel need not share
     low = vec.astype(np.complex128)
-    weight = -1j * np.array(mode_range(P.truncation))
-    assert np.array_equal(field, weight * _reference_rows(P, low))
-    # the row products against Python's scalar complex multiply, whose
-    # rounding numpy's loop need not share (it may fuse multiply-adds)
-    want = weight * _reference_rows(P, low, scalar=True)
+    want = -1j * np.array(mode_range(P.truncation)) * _scalar_reference_gradient(P, low)
     assert np.linalg.norm(field - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("size", [10, 14])
+def test_a_state_of_the_wrong_length_is_refused(size):
+    # at M = 6 the state has 12 entries; a short or a long one must raise,
+    # not be read through clipped indices into a field and a value
+    from dnls_nflab.order4 import build_F4
+
+    P = build_F4(6)
+    vec = np.full(size, 0.1 + 0.2j)
+    for kernel in (vector_field_vec, evaluate_poly):
+        with pytest.raises(ValueError, match=rf"shape \({size},\).*truncation 6.*12 entries"):
+            kernel(P, vec)
+    with pytest.raises(ValueError, match=r"shape \(2, 12\)"):
+        vector_field_vec(P, np.zeros((2, 12), dtype=complex))
+    assert vector_field_vec(P, np.zeros(12)).shape == (12,)
 
 
 # -- serialization ------------------------------------------------------------------
