@@ -335,19 +335,24 @@ def cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .identities import TRIPLE_PAIR_MAX_BOUND
     from .states import zero_momentum_max_abs
 
     # The integer ranges are closed, their lows the smallest values the
     # library calls accept.  A seed is a Philox key, below 2**128.  The
     # exhaustive enumerator takes quadruples within zero_momentum_max_abs(4)
     # (1058): the divisor audit and build_F4(M) enumerate within their bound,
-    # compute_R6(M) within 3M.  A time step, a horizon, the exponent r of the
-    # horizon eps^-r and a record interval are positive.
+    # compute_R6(M) within 3M.  The triple-pair enumerator takes bounds up to
+    # TRIPLE_PAIR_MAX_BOUND (100): the identity battery enumerates within its
+    # bound, the resonant set of the order-6 checks within M.  A time step,
+    # a horizon, the exponent r of the horizon eps^-r and a record interval
+    # are positive.
     quad_radius = zero_momentum_max_abs(4)
     seed = Ranged(int, 0, 2**128 - 1)
     positive = Ranged(float, 0.0, closed=False)
     modes = Ranged(int, 1)
-    r6_modes = Ranged(int, 2, cap=quad_radius // 3)
+    r6_modes = Ranged(int, 2, cap=min(quad_radius // 3, TRIPLE_PAIR_MAX_BOUND))
+    pair_bound = Ranged(int, 1, cap=TRIPLE_PAIR_MAX_BOUND)
 
     parser = argparse.ArgumentParser(
         prog="nflab",
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p6.set_defaults(func=cmd_nf6)
 
     pi = sub.add_parser("identities", help="kernel identity battery")
-    pi.add_argument("--bound", type=Ranged(int, 1), default=10)
+    pi.add_argument("--bound", type=pair_bound, default=10)
     pi.add_argument("--random", type=Ranged(int, 0), default=0)
     pi.add_argument("--seed", type=seed, default=0)
     pi.add_argument("--report", type=report_path, default=None)
@@ -412,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-all", help="full exact verification battery")
     pv.add_argument("--modes", type=r6_modes, default=8)
-    pv.add_argument("--identities-bound", type=Ranged(int, 1), default=10)
+    pv.add_argument("--identities-bound", type=pair_bound, default=10)
     pv.add_argument("--seed", type=seed, default=0)
     pv.set_defaults(func=cmd_verify_all)
 

@@ -45,7 +45,7 @@ from .poly import (
     evaluate_poly,
     vector_field_vec,
 )
-from .states import TWO_PI, FourierState, mode_range
+from .states import TWO_PI, FourierState, mode_range, sobolev_norm
 
 
 class FlowError(RuntimeError):
@@ -426,6 +426,22 @@ def transformed_hamiltonian_residual(
     return float(abs(complex(h_val - ref)))
 
 
+def _random_profile(
+    M: int, seed: int, decay: float, norm: float, s: float = 0.0, support_radius: int | None = None
+) -> FourierState:
+    """Amplitudes |j|^-decay with uniform random phases from a Philox stream
+    keyed by seed, on the modes |j| <= support_radius (all of M when None)
+    of a truncation-M state, scaled so that its s-norm equals norm."""
+    if support_radius is not None and support_radius < 1:
+        raise ValueError(f"support_radius must be at least 1, got {support_radius}")
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    modes = mode_range(min(M, support_radius or M))
+    phases = rng.uniform(0.0, TWO_PI, size=len(modes))
+    amp = {j: abs(j) ** -decay * np.exp(1j * p) for j, p in zip(modes, phases)}
+    scale = norm / sobolev_norm(FourierState(amp, M), s)
+    return FourierState({j: v * scale for j, v in amp.items()}, M)
+
+
 def scaling_base_state(
     M: int,
     seed: int,
@@ -434,18 +450,10 @@ def scaling_base_state(
 ) -> FourierState:
     """Reproducible smooth profile: |j|^-2 with random phases, l2-normalized.
 
-    support_radius restricts the populated modes to |j| <= radius inside the
-    larger truncation M.
+    support_radius, at least 1, restricts the populated modes to
+    |j| <= radius inside the larger truncation M.
     """
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    radius = min(M, support_radius or M)
-    modes = mode_range(radius)
-    phases = rng.uniform(0.0, TWO_PI, size=len(modes))
-    amp = {
-        j: abs(j) ** (-2.0) * np.exp(1j * p) for j, p in zip(modes, phases)
-    }
-    scale = norm / math.sqrt(sum(abs(v) ** 2 for v in amp.values()))
-    return FourierState({j: v * scale for j, v in amp.items()}, M)
+    return _random_profile(M, seed, 2.0, norm, support_radius=support_radius)
 
 
 def residual_scaling(

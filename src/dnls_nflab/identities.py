@@ -252,15 +252,23 @@ def _canonical_pair(x: tuple[int, ...], y: tuple[int, ...]):
     return min(im for im in _images(x, y) if sum(im[0]) >= 0)
 
 
+# The largest bound enumerate_triple_pairs takes: its buckets hold about
+# 520 MB at bound 100 (13 MB at 30, 110 MB at 60), growing like bound^3.
+TRIPLE_PAIR_MAX_BOUND = 100
+
+
 def enumerate_triple_pairs(bound: int) -> list[TriplePair]:
     """All integer pairs with entries in [-bound, bound] satisfying the
     hypotheses, up to permutations, triple swap and global negation.
 
     Buckets triples by (sum, square sum), so the search is far below the
-    naive sixth power of the range.
+    naive sixth power of the range.  Raises ValueError, before any work,
+    for a bound below 1 or above TRIPLE_PAIR_MAX_BOUND.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
+    if bound > TRIPLE_PAIR_MAX_BOUND:
+        raise ValueError(f"bound={bound} is over the limit {TRIPLE_PAIR_MAX_BOUND} of the triple-pair enumerator")
     values = list(range(-bound, bound + 1))
 
     buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}

@@ -41,8 +41,8 @@ from .poly import (
     quartets,
 )
 from .states import (
-    MAX_VIOLATIONS,
     alternating_sum,
+    bound_audit,
     fortran_rows,
     int64_radius,
     leading_stars,
@@ -130,47 +130,34 @@ def iter_delta(max_abs: int):
         yield from map(tuple, rows.tolist())
 
 
-def _divisor_audit(blocks, max_abs: int, int64: bool) -> dict:
-    """Report of the bound and factorization over blocks of Delta rows, run
-    through quad_kernel in int64 or as Python ints, listing the first
-    violations in Python ints."""
-    checked = 0
-    violations = []
-    for rows in blocks:
-        checked += len(rows)
-        rows = rows if int64 else rows.astype(object)
-        d, holds, fact_ok = quad_kernel(rows)
-        violations += [
-            DivisorReport(tuple(rows[i].tolist()), int(d[i]), bool(holds[i]), bool(fact_ok[i]))
-            for i in np.flatnonzero(~(holds & fact_ok))[: MAX_VIOLATIONS - len(violations)]
-        ]
-    return {
-        "checked": checked,
-        "violations": violations,
-        "max_abs": max_abs,
-        "arithmetic": "int64" if int64 else "python int",
-    }
+# Largest max_abs at which quad_kernel runs in int64: every intermediate of
+# the kernel is at most 4 d^2 <= 16 max_abs^4.
+QUAD_INT64_MAX_ABS = int64_radius(lambda a: 16 * a**4)
+
+
+def _quad_audit(blocks, max_abs: int) -> dict:
+    """states.bound_audit of blocks of Delta rows: quad_kernel's bound and
+    factorization, in int64 up to QUAD_INT64_MAX_ABS, each violation
+    recorded by divisor_bound_check."""
+
+    def verdicts(rows):
+        _, holds, fact_ok = quad_kernel(rows)
+        return {"checked": len(rows)}, ~(holds & fact_ok)
+
+    int64 = max_abs <= QUAD_INT64_MAX_ABS
+    return bound_audit(blocks, verdicts, lambda t, _: divisor_bound_check(t), max_abs, int64)
 
 
 def exhaustive_divisor_audit(max_abs: int = 20) -> dict:
     """Bound and factorization over all of Delta within max_abs, one chunk
-    of delta_rows per j, in int64: delta_rows stops at 1058, far inside
-    QUAD_RANDOM_INT64_MAX_ABS."""
-    return _divisor_audit(delta_rows(max_abs), max_abs, True)
-
-
-# Largest max_abs whose random audit runs quad_kernel in int64: every
-# intermediate of the kernel is at most 4 d^2 <= 16 max_abs^4.
-QUAD_RANDOM_INT64_MAX_ABS = int64_radius(lambda a: 16 * a**4)
+    of delta_rows per j; the enumerator's radius 1058 lies inside
+    QUAD_INT64_MAX_ABS."""
+    return _quad_audit(delta_rows(max_abs), max_abs)
 
 
 def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
-    """Random sampling of Delta at large index sizes; exact integer math.
-
-    The blocks run through quad_kernel in int64 up to max_abs =
-    QUAD_RANDOM_INT64_MAX_ABS (27554) and as Python ints beyond; the report's
-    "arithmetic" says which.
-    """
+    """Random sampling of Delta at large index sizes: int64 up to max_abs =
+    QUAD_INT64_MAX_ABS (27554), Python ints beyond."""
     if max_abs < 2:
         raise ValueError("Delta has no quadruple with entries bounded by max_abs < 2")
     rng = np.random.default_rng(np.random.Philox(key=seed))
@@ -178,8 +165,7 @@ def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
     def draw(n):
         return _delta_only(random_zero_momentum_rows(rng, n, 4, max_abs))
 
-    blocks = rejection_sample(n_samples, draw)
-    return _divisor_audit(blocks, max_abs, max_abs <= QUAD_RANDOM_INT64_MAX_ABS)
+    return _quad_audit(rejection_sample(n_samples, draw), max_abs)
 
 
 # -- generator --------------------------------------------------------------------

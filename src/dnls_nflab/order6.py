@@ -20,8 +20,8 @@ from .identities import TriplePair, _images, enumerate_triple_pairs, nine_term_s
 from .order4 import in_delta, iter_delta
 from .poly import Monomial, PolyHamiltonian, split_normal
 from .states import (
-    MAX_VIOLATIONS,
     alternating_sum,
+    bound_audit,
     fortran_rows,
     int64_radius,
     leading_stars,
@@ -189,12 +189,9 @@ def in_delta_tilde(t) -> bool:
     )
 
 
-def sextuple_kernel(
-    rows: np.ndarray, d: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def sextuple_kernel(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(divisor, stars, excluded, holds) per row (j1, ..., j6) of a
-    zero-momentum sextuple array, int64 or object of Python ints; d, when
-    given, is the divisor of each row, which is then not computed again.
+    zero-momentum sextuple array, int64 or object of Python ints.
 
     stars holds each row's absolute values sorted decreasing.  A row is
     excluded when its leading star is a mode shared, with sign, by the
@@ -214,8 +211,7 @@ def sextuple_kernel(
     of zero_momentum_rows.
     """
     cols = rows.T
-    if d is None:
-        d = alternating_sum(cols, 2)
+    d = alternating_sum(cols, 2)
     stars = leading_stars(cols, 6)
     top, s2, s3, s4, s5, s6 = stars
     shared = np.zeros(len(rows), dtype=bool)
@@ -249,89 +245,64 @@ class SextupleReport:
     holds: bool | None  # None for the excluded case
 
 
-def _sextuple_report(rows, i, d, stars, excluded, holds) -> SextupleReport:
-    """Report in Python ints on row i of an int64 or object array, from its
-    sextuple_kernel output."""
-    verdict = None if excluded[i] else bool(holds[i])
-    return SextupleReport(
-        tuple(rows[i].tolist()), int(d[i]), tuple(stars[i].tolist()), bool(excluded[i]), verdict
-    )
-
-
 def sextuple_bound_check(t) -> SextupleReport:
     """Classify a non-resonant sextuple and check the small-divisor bound of
     sextuple_kernel exactly."""
     t = tuple(int(v) for v in t)
     if not in_delta_tilde(t):
         raise ValueError(f"{t} is not in the non-resonant sextuple set")
-    rows = np.array([t], dtype=object)
-    return _sextuple_report(rows, 0, *sextuple_kernel(rows))
+    [d], [stars], [excluded], [holds] = sextuple_kernel(np.array([t], dtype=object))
+    return SextupleReport(t, d, tuple(stars), bool(excluded), None if excluded else bool(holds))
 
 
-def _sextuple_audit(blocks, max_abs: int, int64: bool) -> dict:
-    """Report of the bound over blocks (rows, d) of zero-momentum sextuples,
-    int64 or object of Python ints as the arithmetic says, and their
-    divisors: the non-resonant rows (d != 0) are checked, and the first
-    violations listed as SextupleReports."""
-    checked = 0
-    excluded = 0
-    violations = []
-    for rows, d in blocks:
-        kernel = sextuple_kernel(rows, d)
-        _, _, excl, holds = kernel
+# Largest max_abs at which sextuple_kernel runs in int64: no intermediate of
+# the kernel exceeds max(max_abs^6, 300 max_abs^5).
+SEXTUPLE_INT64_MAX_ABS = int64_radius(lambda a: max(a**6, 300 * a**5))
+
+
+def _sextuple_audit(blocks, max_abs: int) -> dict:
+    """states.bound_audit of blocks of zero-momentum sextuples: the
+    non-resonant rows (d != 0) are checked, those of them excluded counted,
+    and the others' bound asserted, in int64 up to SEXTUPLE_INT64_MAX_ABS,
+    each violation recorded by sextuple_bound_check."""
+
+    def verdicts(rows):
+        d, _, excluded, holds = sextuple_kernel(rows)
         nonresonant = d != 0
-        checked += int(nonresonant.sum())
-        excluded += int((excl & nonresonant).sum())
-        bad = np.flatnonzero(nonresonant & ~holds & ~excl)[: MAX_VIOLATIONS - len(violations)]
-        violations += [_sextuple_report(rows, i, *kernel) for i in bad]
-    return {
-        "checked": checked,
-        "excluded": excluded,
-        "violations": violations,
-        "max_abs": max_abs,
-        "arithmetic": "int64" if int64 else "python int",
-    }
+        counts = {"checked": int(nonresonant.sum()), "excluded": int((excluded & nonresonant).sum())}
+        return counts, nonresonant & ~holds & ~excluded
+
+    int64 = max_abs <= SEXTUPLE_INT64_MAX_ABS
+    return bound_audit(
+        blocks, verdicts, lambda t, _: sextuple_bound_check(t), max_abs, int64, ("checked", "excluded")
+    )
 
 
 def exhaustive_sextuple_audit(max_abs: int = 8) -> dict:
-    """Vectorized bound check over all non-resonant sextuples within max_abs.
-
-    Runs sextuple_kernel over the chunks of zero_momentum_rows, one j1 at a
-    time, in int64: the enumerator stops at 23, far inside
-    SEXTUPLE_RANDOM_INT64_MAX_ABS.  At desk scale the excluded case cannot
-    occur (it needs a leading star above 100 j3*^2 >= 100), but the
-    classification is still applied for fidelity.
+    """Bound check over all non-resonant sextuples within max_abs, one chunk
+    of zero_momentum_rows per j1; the enumerator's radius 23 lies inside
+    SEXTUPLE_INT64_MAX_ABS.  At desk scale the excluded case cannot occur
+    (it needs a leading star above 100 j3*^2 >= 100), but the classification
+    is still applied for fidelity.
     """
-    blocks = ((rows, alternating_sum(rows.T, 2)) for rows in zero_momentum_rows(6, max_abs))
-    return _sextuple_audit(blocks, max_abs, True)
-
-
-# Largest max_abs whose random audit runs sextuple_kernel in int64: no
-# intermediate of the kernel exceeds max(max_abs^6, 300 max_abs^5).
-SEXTUPLE_RANDOM_INT64_MAX_ABS = int64_radius(lambda a: max(a**6, 300 * a**5))
+    return _sextuple_audit(zero_momentum_rows(6, max_abs), max_abs)
 
 
 def random_sextuple_audit(n_samples: int, max_abs: int, seed: int) -> dict:
-    """Random non-resonant sextuples at large sizes; exact integer math.
-
-    Each block keeps the divisor its draw filters on as a seventh column and
-    hands it to sextuple_kernel.  The blocks run in int64 up to max_abs =
-    SEXTUPLE_RANDOM_INT64_MAX_ABS (1448) and as Python ints beyond; the
-    report's "arithmetic" says which.
+    """Random non-resonant sextuples at large sizes: int64 up to max_abs =
+    SEXTUPLE_INT64_MAX_ABS (1448), Python ints beyond.  The draw keeps the
+    rows of nonzero divisor, summed in Python ints past that radius.
     """
     if max_abs < 2:
         raise ValueError("every sextuple with entries bounded by max_abs < 2 is resonant")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    int64 = max_abs <= SEXTUPLE_RANDOM_INT64_MAX_ABS
 
     def draw(n):
-        rows = random_zero_momentum_rows(rng, n, 6, max_abs)
-        cols = rows.T if int64 else rows.T.astype(object)
-        d = alternating_sum(cols, 2)
-        return fortran_rows((*cols, d), d != 0)
+        cols = random_zero_momentum_rows(rng, n, 6, max_abs).T
+        exact = cols if max_abs <= SEXTUPLE_INT64_MAX_ABS else cols.astype(object)
+        return fortran_rows(cols, alternating_sum(exact, 2) != 0)
 
-    blocks = ((block[:, :6], block[:, 6]) for block in rejection_sample(n_samples, draw))
-    return _sextuple_audit(blocks, max_abs, int64)
+    return _sextuple_audit(rejection_sample(n_samples, draw), max_abs)
 
 
 # -- reducible closed-form cross-check --------------------------------------------------

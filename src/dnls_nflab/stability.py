@@ -20,22 +20,20 @@ import numpy as np
 from .flows import (
     FlowConfig,
     StepBudgetError,
+    _random_profile,
     coordinate_change,
     evolve_vec,
     normal_form_bundle,
     spectral_model,
 )
 from .states import (
-    MAX_VIOLATIONS,
-    TWO_PI,
     FourierState,
     alternating_sum,
+    bound_audit,
     int64_radius,
     leading_stars,
-    mode_range,
     random_zero_momentum_rows,
     rejection_sample,
-    sobolev_norm,
     zero_momentum_rows,
 )
 
@@ -59,7 +57,7 @@ def omega_kernel(rows: np.ndarray, s_values) -> list[tuple[np.ndarray, np.ndarra
     intermediates are 2r max_abs^(2s+2) and the scale.  The bound scale j3*
     is not formed here: it can leave int64 where the value and the verdict
     cannot (7e19 at r = 5, s = 3, |j| <= 100), so the reports form it in
-    Python ints (_omega_report).
+    Python ints (_omega_check).
     """
     cols = rows.T
     width = len(cols)
@@ -140,52 +138,33 @@ class OmegaReport:
     holds: bool
 
 
-def _omega_report(entries: tuple, s: float, value, scale, holds) -> OmegaReport:
-    """Report of one tuple from its omega_kernel output on an object row,
-    with the bound scale j3* formed in Python ints."""
-    stars = sorted((abs(v) for v in entries), reverse=True)
-    j3 = stars[2] if len(stars) > 2 else 0
-    return OmegaReport(entries, s, value, scale * j3, bool(holds))
-
-
 def omega_bound_check(entries, s: float) -> OmegaReport:
     """|Omega_s| <= (2s+1) (2r)^(s+2) j1*^s j2*^s j3*, zero-momentum tuples, s >= 1."""
     if s < 1:
         raise ValueError("bound requires s >= 1")
-    [(value, scale, holds)] = omega_kernel(_omega_row(entries), (s,))
-    return _omega_report(tuple(entries), s, value[0], scale[0], holds[0])
+    return _omega_check(entries, s)
 
 
-def _omega_audit(blocks, s_values, max_abs: int, int64: bool) -> dict:
-    """Report of the bound for each s in s_values over blocks of int64 rows,
-    run through omega_kernel in int64 or as Python ints.  Violations are
-    listed in row order and by s within a row, up to MAX_VIOLATIONS, each
-    reported from object rows, so its value and bound are exact Python
-    ints.  checked counts the rows."""
-    checked = 0
-    violations = []
-    for rows in blocks:
-        rows = rows if int64 else rows.astype(object)
-        checked += len(rows)
-        room = MAX_VIOLATIONS - len(violations)
-        bad = sorted(
-            (i, n)
-            for n, (_, _, holds) in enumerate(omega_kernel(rows, s_values))
-            for i in np.flatnonzero(~holds)[:room]
-        )[:room]
-        if bad:
-            exact = rows[[i for i, _ in bad]].astype(object)
-            kernel = omega_kernel(exact, s_values)
-            for k, (_, n) in enumerate(bad):
-                value, scale, holds = kernel[n]
-                entries = tuple(exact[k].tolist())
-                violations.append(_omega_report(entries, s_values[n], value[k], scale[k], holds[k]))
-    return {
-        "checked": checked,
-        "violations": violations,
-        "max_abs": max_abs,
-        "arithmetic": "int64" if int64 else "python int",
-    }
+def _omega_check(entries, s: float) -> OmegaReport:
+    """The report of one tuple at any s, with the bound scale j3* formed in
+    Python ints."""
+    [([value], [scale], [holds])] = omega_kernel(_omega_row(entries), (s,))
+    stars = sorted((abs(v) for v in entries), reverse=True)
+    j3 = stars[2] if len(stars) > 2 else 0
+    return OmegaReport(tuple(entries), s, value, scale * j3, bool(holds))
+
+
+def _omega_audit(blocks, widths, s_values, max_abs: int) -> dict:
+    """states.bound_audit of blocks of rows of the given widths, one mask
+    per s, in int64 when max_abs is at most omega_int64_max_abs(width, s)
+    for every width and s, each violation recorded by _omega_check, so its
+    value and bound are exact Python ints.  checked counts the rows."""
+
+    def verdicts(rows):
+        return {"checked": len(rows)}, np.array([~holds for _, _, holds in omega_kernel(rows, s_values)])
+
+    int64 = all(max_abs <= omega_int64_max_abs(w, s) for w in widths for s in s_values)
+    return bound_audit(blocks, verdicts, lambda t, n: _omega_check(t, s_values[n]), max_abs, int64)
 
 
 def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
@@ -194,11 +173,9 @@ def exhaustive_omega_audit(max_abs: int = 10, s_values=(1, 2, 3)) -> dict:
     for all s; checked counts each row once per s.
 
     The chunks run in int64 when max_abs is at most omega_int64_max_abs(6, s)
-    for every s (17 at s = 5), and as Python ints otherwise; the report's
-    "arithmetic" says which.
+    for every s (17 at s = 5), and as Python ints otherwise.
     """
-    int64 = all(max_abs <= omega_int64_max_abs(6, s) for s in s_values)
-    report = _omega_audit(zero_momentum_rows(6, max_abs), s_values, max_abs, int64)
+    report = _omega_audit(zero_momentum_rows(6, max_abs), (6,), s_values, max_abs)
     report["checked"] *= len(s_values)
     return report
 
@@ -228,13 +205,11 @@ def random_omega_audit(
     width is drawn through rejection_sample in blocks of one (rows, 2r)
     array.  The blocks run through omega_kernel in int64 when max_abs is at
     most omega_int64_max_abs(2r, s) for every r and s (153 at r = 5, s = 3),
-    and as Python ints otherwise; the report's "arithmetic" says which.
-    Violations are listed by width, then by sample, then by s.
+    and as Python ints otherwise.  Violations are listed by width, then by sample, then by s.
     """
     if max_abs < 1:
         raise ValueError("max_abs must be at least 1")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    int64 = all(max_abs <= omega_int64_max_abs(2 * r, s) for r in r_values for s in s_values)
     share, extra = divmod(n_samples, len(r_values))
     blocks = (
         rows
@@ -243,7 +218,7 @@ def random_omega_audit(
             share + (w < extra), partial(random_zero_momentum_rows, rng, width=2 * r, max_abs=max_abs)
         )
     )
-    return _omega_audit(blocks, s_values, max_abs, int64)
+    return _omega_audit(blocks, [2 * r for r in r_values], s_values, max_abs)
 
 
 # -- experiments ------------------------------------------------------------------------
@@ -255,16 +230,7 @@ def hs_random_state(M: int, s: float, eps: float, seed: int) -> FourierState:
     Amplitudes decay like |j|^(-s-1) with uniform random phases, then the
     whole profile is rescaled so the s-norm equals eps.
     """
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    modes = mode_range(M)
-    phases = rng.uniform(0.0, TWO_PI, size=len(modes))
-    amp = {
-        j: abs(j) ** (-(s + 1.0)) * np.exp(1j * p)
-        for j, p in zip(modes, phases)
-    }
-    raw = FourierState(amp, M)
-    scale = eps / sobolev_norm(raw, s)
-    return FourierState({j: v * scale for j, v in amp.items()}, M)
+    return _random_profile(M, seed, s + 1.0, eps, s)
 
 
 @dataclass(frozen=True)

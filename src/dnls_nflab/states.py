@@ -156,6 +156,38 @@ SAMPLE_BLOCK = 4096
 MAX_VIOLATIONS = 20
 
 
+def bound_audit(blocks, verdicts, record, max_abs: int, int64: bool, names=("checked",)) -> dict:
+    """The report of a small-divisor audit over blocks of int64 rows, run
+    in int64 or, converted to object, as Python ints.
+
+    verdicts(rows) returns this block's counts, a dict over names, and the
+    violation mask, one row-long mask or one per s stacked as (s values,
+    rows); record(t, n) returns the record of the violating row t, a tuple
+    of ints, at the n-th s.  The counts are summed over the blocks, 0 with
+    no block, and the first MAX_VIOLATIONS violations listed in row order
+    and by s within a row.  A block's kernel outputs go when verdicts
+    returns, the block when the next one replaces it.
+    """
+    counts = dict.fromkeys(names, 0)
+    violations = []
+    for rows in blocks:
+        rows = rows if int64 else rows.astype(object)
+        block_counts, bad = verdicts(rows)
+        for name in names:
+            counts[name] += block_counts[name]
+        if len(violations) < MAX_VIOLATIONS and bad.any():
+            bad = np.atleast_2d(bad)
+            for i in np.flatnonzero(bad.T)[: MAX_VIOLATIONS - len(violations)]:
+                row, n = divmod(int(i), len(bad))
+                violations.append(record(tuple(rows[row].tolist()), n))
+    return {
+        **counts,
+        "violations": violations,
+        "max_abs": max_abs,
+        "arithmetic": "int64" if int64 else "python int",
+    }
+
+
 def rejection_sample(n_samples: int, draw):
     """Yield n_samples accepted samples in blocks of at most SAMPLE_BLOCK.
 

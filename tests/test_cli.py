@@ -242,10 +242,13 @@ def test_bad_config_is_usage_error(tmp_path, capsys, text, message):
          f"--seed must be between 0 and {2**128 - 1}, got -1"),
         (["verify-all", "--seed", str(2**128)], f"--seed must be between 0 and {2**128 - 1}"),
         (["verify-all", "--identities-bound", "-5"], "--identities-bound must be at least 1, got -5"),
+        (["identities", "--bound", "101"], "--bound must be at most 100, got 101"),
+        (["verify-all", "--identities-bound", "101"], "--identities-bound must be at most 100, got 101"),
     ],
     ids=["verify-all-modes", "nf4-modes", "nf6-modes", "stability-modes", "simulate-modes",
          "divisor-bound-low", "divisor-bound-high", "identities-bound", "identities-random",
-         "identities-seed", "verify-all-seed", "verify-all-identities-bound"],
+         "identities-seed", "verify-all-seed", "verify-all-identities-bound",
+         "identities-bound-high", "verify-all-identities-bound-high"],
 )
 def test_out_of_range_integer_option_is_usage_error(capsys, argv, message):
     assert main(argv) == 2
@@ -330,8 +333,10 @@ def test_out_of_range_float_option_is_usage_error(tmp_path, monkeypatch, capsys,
 def test_range_limits_are_accepted_and_apply_to_config(tmp_path, capsys):
     assert parse_args(["nf4", "--divisor-bound", "1058"]).divisor_bound == 1058
     assert parse_args(["nf4", "--modes", "1058"]).modes == 1058
-    assert parse_args(["nf6", "--modes", "352"]).modes == 352
-    assert parse_args(["verify-all", "--modes", "352"]).modes == 352
+    assert parse_args(["nf6", "--modes", "100"]).modes == 100
+    assert parse_args(["verify-all", "--modes", "100"]).modes == 100
+    assert parse_args(["identities", "--bound", "100"]).bound == 100
+    assert parse_args(["verify-all", "--identities-bound", "100"]).identities_bound == 100
     assert parse_args(["verify-all", "--modes", "2"]).modes == 2
     assert parse_args(STABILITY + ["--eps", "0.999", "--dt", "1e-9"]).eps == 0.999
     assert parse_args(["stability", "--s", "0", "--eps", "0.3"]).s == 0
@@ -389,14 +394,15 @@ def test_required_option_from_config_is_range_checked(tmp_path, capsys):
     "argv, work",
     [
         (["nf4", "--modes", "1059"], "checks.order4_homological"),
-        (["nf6", "--modes", "353"], "order4.compute_R6"),
-        (["verify-all", "--modes", "353"], "checks.exact_battery"),
+        (["nf6", "--modes", "101"], "order4.compute_R6"),
+        (["verify-all", "--modes", "101"], "checks.exact_battery"),
     ],
     ids=["nf4", "nf6", "verify-all"],
 )
 def test_modes_past_the_enumerator_radius_is_usage_error(monkeypatch, capsys, argv, work):
     # build_F4(M) enumerates quadruples within M, compute_R6(M) within 3M,
-    # and the enumerator's radius is 1058
+    # and the enumerator's radius is 1058; the order-6 checks enumerate
+    # triple pairs within M, up to the triple-pair enumerator's limit 100
     import importlib
 
     def never(*args, **kwargs):
@@ -407,7 +413,7 @@ def test_modes_past_the_enumerator_radius_is_usage_error(monkeypatch, capsys, ar
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    cap = 1058 if argv[0] == "nf4" else 352
+    cap = 1058 if argv[0] == "nf4" else 100
     assert captured.err == f"usage error: --modes must be at most {cap}, got {cap + 1}\n"
 
 

@@ -99,6 +99,16 @@ def test_action_preservation_under_action_only_flow(bundle8):
         assert abs(out.amplitude(j)) == pytest.approx(abs(v), abs=1e-10)
 
 
+def test_scaling_base_state_refuses_an_empty_support():
+    # a radius of 0 is no shorthand for full support
+    for radius in (0, -1):
+        with pytest.raises(ValueError, match=f"support_radius must be at least 1, got {radius}"):
+            scaling_base_state(8, seed=4, support_radius=radius)
+    st = scaling_base_state(8, seed=4, norm=0.5, support_radius=2)
+    assert st.support() == (-2, -1, 1, 2)
+    assert math.fsum(abs(v) ** 2 for _, v in st.items()) == pytest.approx(0.25, rel=1e-15)
+
+
 def test_flow_convergence_error():
     st = FourierState({1: 1.0}, 2)
     cfg = FlowConfig(dt=0.5, tolerance=1e-30, max_refinements=2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dnls_nflab import identities
 from dnls_nflab.identities import (
     TriplePair,
     denominator_identity,
@@ -122,6 +123,19 @@ def test_enumeration_positive_only_distinct_picture():
     assert any(
         len(set(p.x)) == 3 and len(set(p.y)) == 3 for p in seven
     )
+
+
+def test_enumeration_refuses_a_bound_past_its_limit(monkeypatch):
+    # bound 100 takes some 50 s and 520 MB: past it the enumerator raises
+    # before it forms a single triple
+    def never(*args):
+        raise AssertionError("enumerated before checking the bound")
+
+    monkeypatch.setattr(identities.itertools, "combinations_with_replacement", never)
+    assert identities.TRIPLE_PAIR_MAX_BOUND == 100
+    for bound in (101, 10**6):
+        with pytest.raises(ValueError, match=f"bound={bound} is over the limit 100"):
+            enumerate_triple_pairs(bound)
 
 
 def test_enumeration_all_verify():

@@ -12,7 +12,7 @@ from dnls_nflab.order4 import (
     coefficient_growth_audit,
     compute_R6,
     divisor_bound_check,
-    QUAD_RANDOM_INT64_MAX_ABS,
+    QUAD_INT64_MAX_ABS,
     delta_rows,
     exhaustive_divisor_audit,
     f4_coefficient_bound_audit,
@@ -124,7 +124,7 @@ def test_exhaustive_divisor_audit_int64_guard(no_grid):
     # radius it takes lies inside the kernel's int64 radius
     with pytest.raises(ValueError, match="max_abs=1059: one chunk of width 4 would hold 4485924 candidate rows"):
         exhaustive_divisor_audit(1059)
-    assert 1058 < QUAD_RANDOM_INT64_MAX_ABS
+    assert 1058 < QUAD_INT64_MAX_ABS
 
 
 def test_random_divisor_audit():

@@ -355,9 +355,9 @@ def test_random_sextuple_audit_checks_the_per_candidate_draws(
 ):
     checked = []
 
-    def recording(rows, d=None):
+    def recording(rows):
         checked.extend(tuple(row) for row in rows)
-        return sextuple_kernel(rows, d)
+        return sextuple_kernel(rows)
 
     monkeypatch.setattr(order6, "sextuple_kernel", recording)
     rep = random_sextuple_audit(n_samples, max_abs, seed=seed)

@@ -180,8 +180,8 @@ def test_zero_momentum_radii_keep_the_exhaustive_kernels_in_int64():
     for width in (4, 6, 8):
         L = zero_momentum_max_abs(width)
         assert (2 * L) ** (width - 2) <= 46**4 < (2 * L + 2) ** (width - 2)
-    assert zero_momentum_max_abs(4) <= order4.QUAD_RANDOM_INT64_MAX_ABS
-    assert zero_momentum_max_abs(6) <= order6.SEXTUPLE_RANDOM_INT64_MAX_ABS
+    assert zero_momentum_max_abs(4) <= order4.QUAD_INT64_MAX_ABS
+    assert zero_momentum_max_abs(6) <= order6.SEXTUPLE_INT64_MAX_ABS
 
 
 @pytest.mark.parametrize(
@@ -337,8 +337,8 @@ def test_audits_list_only_their_first_violations(monkeypatch):
         d, holds, fact_ok = quad_kernel(rows)
         return d, holds & False, fact_ok
 
-    def sextuple_failing(rows, d=None):
-        d, stars, excluded, holds = sextuple_kernel(rows, d)
+    def sextuple_failing(rows):
+        d, stars, excluded, holds = sextuple_kernel(rows)
         return d, stars, excluded & False, holds & False
 
     def omega_failing(rows, s_values):
@@ -366,6 +366,13 @@ def test_audits_list_only_their_first_violations(monkeypatch):
     for v in (v for r in sextuple for v in r["violations"]):
         assert type(v) is order6.SextupleReport
         assert all(type(x) is int for x in (*v.tuple, v.divisor, *v.stars))
+    # each listed violation is the single-tuple record of its row and s
+    for v in (v for r in quad for v in r["violations"]):
+        assert v == order4.divisor_bound_check(v.tuple)
+    for v in (v for r in sextuple for v in r["violations"]):
+        assert v == order6.sextuple_bound_check(v.tuple)
+    for v in (v for r in omega for v in r["violations"]):
+        assert v == stability.omega_bound_check(v.entries, v.s)
     for r in omega:
         assert [v.s for v in r["violations"]] == [1, 2] * (n // 2)
         assert [v.entries for v in r["violations"][::2]] == [v.entries for v in r["violations"][1::2]]
@@ -373,6 +380,18 @@ def test_audits_list_only_their_first_violations(monkeypatch):
             assert type(v) is stability.OmegaReport
             assert all(type(x) is int for x in (*v.entries, v.value, v.bound))
             assert (v.value, v.bound) == _omega_value_and_bound(v.entries, v.s)
+
+
+def test_random_audits_of_no_samples_report_zero_counts():
+    assert order4.random_divisor_audit(0, 50, seed=1) == {
+        "checked": 0, "violations": [], "max_abs": 50, "arithmetic": "int64"
+    }
+    assert order6.random_sextuple_audit(0, 50, seed=1) == {
+        "checked": 0, "excluded": 0, "violations": [], "max_abs": 50, "arithmetic": "int64"
+    }
+    assert stability.random_omega_audit(0, max_abs=50, seed=1) == {
+        "checked": 0, "violations": [], "max_abs": 50, "arithmetic": "int64"
+    }
 
 
 def _omega_value_and_bound(t, s):
@@ -413,7 +432,7 @@ def _int64_and_object(kernel, rows, *args):
 
 
 def test_quad_kernel_is_exact_in_int64_at_the_random_audit_limit():
-    L = order4.QUAD_RANDOM_INT64_MAX_ABS
+    L = order4.QUAD_INT64_MAX_ABS
     assert 16 * L**4 <= INT64_MAX < 16 * (L + 1) ** 4
     # Delta has no row of four +-L entries; these have the largest divisor
     rows = _rows_at_radius(L, 4, seed=1) + [(L, 1, -L, -1), (-L, -1, L, 1)]
@@ -424,7 +443,7 @@ def test_quad_kernel_is_exact_in_int64_at_the_random_audit_limit():
 
 
 def test_sextuple_kernel_is_exact_in_int64_at_the_random_audit_limit():
-    L = order6.SEXTUPLE_RANDOM_INT64_MAX_ABS
+    L = order6.SEXTUPLE_INT64_MAX_ABS
     assert max(L**6, 300 * L**5) <= INT64_MAX < (L + 1) ** 6
     got, want = _int64_and_object(sextuple_kernel, _rows_at_radius(L, 6, seed=2))
     assert got == want
@@ -459,16 +478,20 @@ def _flag_by_value(kernel):
     return flagged
 
 
-@pytest.mark.parametrize("audit", ["quad", "sextuple", "omega", "omega-exhaustive"])
+@pytest.mark.parametrize(
+    "audit", ["quad", "sextuple", "omega", "quad-exhaustive", "sextuple-exhaustive", "omega-exhaustive"]
+)
 def test_random_audits_one_past_the_int64_limit_give_the_same_report_in_python_ints(monkeypatch, audit):
+    # every audit, exhaustive or random, runs in int64 exactly when max_abs
+    # is at most its kernel's int64 radius
     checked = 300
     if audit == "quad":
-        module, limit_name, kernel = order4, "QUAD_RANDOM_INT64_MAX_ABS", "quad_kernel"
-        L = order4.QUAD_RANDOM_INT64_MAX_ABS
+        module, limit_name, kernel = order4, "QUAD_INT64_MAX_ABS", "quad_kernel"
+        L = order4.QUAD_INT64_MAX_ABS
         run = partial(order4.random_divisor_audit, 300, L, seed=5)
     elif audit == "sextuple":
-        module, limit_name, kernel = order6, "SEXTUPLE_RANDOM_INT64_MAX_ABS", "sextuple_kernel"
-        L = order6.SEXTUPLE_RANDOM_INT64_MAX_ABS
+        module, limit_name, kernel = order6, "SEXTUPLE_INT64_MAX_ABS", "sextuple_kernel"
+        L = order6.SEXTUPLE_INT64_MAX_ABS
         run = partial(order6.random_sextuple_audit, 300, L, seed=5)
     elif audit == "omega":
         module, limit_name, kernel = stability, "omega_int64_max_abs", "omega_kernel"
@@ -477,11 +500,20 @@ def test_random_audits_one_past_the_int64_limit_give_the_same_report_in_python_i
     else:
         # the exhaustive radii stop far inside the int64 limit, so the limit
         # is moved to the radius instead
-        module, limit_name, kernel = stability, "omega_int64_max_abs", "omega_kernel"
         L = 3
-        monkeypatch.setattr(module, limit_name, lambda width, s: L)
-        run = partial(stability.exhaustive_omega_audit, L, (1, 2))
-        checked = 2 * sum(len(rows) for rows in zero_momentum_rows(6, L))
+        if audit == "quad-exhaustive":
+            module, limit_name, kernel = order4, "QUAD_INT64_MAX_ABS", "quad_kernel"
+            run = partial(order4.exhaustive_divisor_audit, L)
+            checked = len(list(iter_delta(L)))
+        elif audit == "sextuple-exhaustive":
+            module, limit_name, kernel = order6, "SEXTUPLE_INT64_MAX_ABS", "sextuple_kernel"
+            run = partial(order6.exhaustive_sextuple_audit, L)
+            checked = sum(1 for rows in zero_momentum_rows(6, L) for t in rows.tolist() if alternating_sum(t, 2))
+        else:
+            module, limit_name, kernel = stability, "omega_int64_max_abs", "omega_kernel"
+            run = partial(stability.exhaustive_omega_audit, L, (1, 2))
+            checked = 2 * sum(len(rows) for rows in zero_momentum_rows(6, L))
+        monkeypatch.setattr(module, limit_name, (lambda width, s: L) if module is stability else L)
     monkeypatch.setattr(module, kernel, _flag_by_value(getattr(module, kernel)))
     at_limit = run()
     limit = (lambda width, s: L - 1) if module is stability else L - 1
