@@ -11,13 +11,11 @@ from .poly import (
     build_lambda,
     split_normal,
 )
-from .states import FourierState, sobolev_norm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExactCoeff",
-    "FourierState",
     "Monomial",
     "PolyHamiltonian",
     "bracket",
@@ -25,7 +23,6 @@ __all__ = [
     "build_G",
     "build_Q",
     "build_lambda",
-    "sobolev_norm",
     "split_normal",
     "__version__",
 ]

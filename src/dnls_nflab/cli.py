@@ -230,7 +230,7 @@ def cmd_identities(args) -> int:
 
 
 def _parse_init(spec: str, M: int):
-    from .states import FourierState, state_from_json
+    from .states import state_from_json, state_vector
 
     try:
         if spec.startswith("planewave:"):
@@ -240,17 +240,17 @@ def _parse_init(spec: str, M: int):
             A = complex(a_str)
             if not cmath.isfinite(A):
                 raise ValueError(f"amplitude {a_str} is not finite")
-            state = FourierState({k: A * math.sqrt(2 * math.pi)}, M)
+            q0 = state_vector({k: A * math.sqrt(2 * math.pi)}, M)
         else:
             with open(spec) as fh:
-                state = state_from_json(fh.read(), M)
+                q0 = state_from_json(fh.read(), M)
         # a product, not **, which raises OverflowError where this is inf
-        mass = sum(abs(v) * abs(v) for _, v in state.items())
+        mass = sum(abs(v) * abs(v) for v in q0.tolist())
         if not math.isfinite(mass):
             raise ValueError(f"initial mass {mass} is not finite")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad --init {spec!r}: {exc}") from exc
-    return state
+    return q0
 
 
 def _check_weight(flag: str, s: float, M: int) -> None:
@@ -264,7 +264,7 @@ def _check_weight(flag: str, s: float, M: int) -> None:
 
 def cmd_simulate(args) -> int:
     from .flows import FlowConfig, evolve_vec
-    from .states import FourierState, state_to_json
+    from .states import state_to_json
 
     M = args.modes
     try:
@@ -277,7 +277,7 @@ def cmd_simulate(args) -> int:
         _check_weight("--track-s", s, M)
     q0 = _parse_init(args.init, M)
     cfg = FlowConfig(dt=args.dt, t_end=args.t_end, record_interval=args.record_interval)
-    times, channels, q_final, _ = evolve_vec(q0.to_vector(), M, cfg, track_s=track)
+    times, channels, q_final, _ = evolve_vec(q0, M, cfg, track_s=track)
     manifest = make_manifest(args, "report-only")
     header = ["time", "mass", "momentum", "energy"] + [f"norm_s={s:g}" for s in track]
     rows = []
@@ -287,7 +287,7 @@ def cmd_simulate(args) -> int:
         rows.append(row)
     write_csv(args.out, manifest, header, rows)
     if args.dump_final:
-        write_text(args.dump_final, state_to_json(FourierState.from_vector(q_final, M)))
+        write_text(args.dump_final, state_to_json(q_final))
     print(f"trajectory written to {args.out} ({len(rows)} records)")
     return 0
 

@@ -45,7 +45,7 @@ from .poly import (
     evaluate_poly,
     vector_field_vec,
 )
-from .states import TWO_PI, FourierState, mode_range, sobolev_norm
+from .states import TWO_PI, mode_range
 
 
 class FlowError(RuntimeError):
@@ -214,6 +214,9 @@ class SpectralModel:
         return np.sum(sq * sq, axis=-1) / (2 * TWO_PI * self.n_grid)
 
     def sobolev_sq(self, q: np.ndarray, s: float) -> np.ndarray:
+        """The squared s-norm sum |j|^(2s) |q_j|^2 over the last axis; s >= 0."""
+        if s < 0:
+            raise ValueError(f"Sobolev index must be nonnegative, got {s}")
         return np.sum(np.abs(q) ** 2 * np.abs(self.modes) ** (2.0 * s), axis=-1)
 
 
@@ -428,18 +431,40 @@ def transformed_hamiltonian_residual(
 
 def _random_profile(
     M: int, seed: int, decay: float, norm: float, s: float = 0.0, support_radius: int | None = None
-) -> FourierState:
+) -> np.ndarray:
     """Amplitudes |j|^-decay with uniform random phases from a Philox stream
     keyed by seed, on the modes |j| <= support_radius (all of M when None)
-    of a truncation-M state, scaled so that its s-norm equals norm."""
+    of a truncation-M state vector, scaled so that its s-norm equals norm.
+
+    The s-norm is a sum of Python floats in ascending mode order:
+    np.abs rounds some complex128 moduli one ulp away from abs, which would
+    move the profiles in the last bit."""
     if support_radius is not None and support_radius < 1:
         raise ValueError(f"support_radius must be at least 1, got {support_radius}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    modes = mode_range(min(M, support_radius or M))
+    r = min(M, support_radius or M)
+    modes = np.array(mode_range(r))
     phases = rng.uniform(0.0, TWO_PI, size=len(modes))
-    amp = {j: abs(j) ** -decay * np.exp(1j * p) for j, p in zip(modes, phases)}
-    scale = norm / sobolev_norm(FourierState(amp, M), s)
-    return FourierState({j: v * scale for j, v in amp.items()}, M)
+    amp = np.zeros(2 * M, dtype=complex)
+    amp[M - r : M + r] = np.abs(modes) ** -decay * np.exp(1j * phases)
+    total = sum(abs(v) ** 2 * abs(j) ** (2.0 * s) for j, v in zip(modes.tolist(), amp[M - r : M + r].tolist()))
+    return amp * (norm / math.sqrt(total))
+
+
+class _ProfileState:
+    """A profile vector behind the to_vector() call of the benchmark harness,
+    which reads scaling_base_state in perfbench/workloads.py's ladder pass
+    and stability.hs_random_state in its longtime pass.  ROADMAP item 6's
+    benchmark change lets those builders return the vector and deletes
+    this."""
+
+    __slots__ = ("_vec",)
+
+    def __init__(self, vec: np.ndarray):
+        self._vec = vec
+
+    def to_vector(self) -> np.ndarray:
+        return self._vec.copy()
 
 
 def scaling_base_state(
@@ -447,13 +472,11 @@ def scaling_base_state(
     seed: int,
     norm: float = 1.0,
     support_radius: int | None = None,
-) -> FourierState:
-    """Reproducible smooth profile: |j|^-2 with random phases, l2-normalized.
-
-    support_radius, at least 1, restricts the populated modes to
-    |j| <= radius inside the larger truncation M.
-    """
-    return _random_profile(M, seed, 2.0, norm, support_radius=support_radius)
+) -> _ProfileState:
+    """Reproducible smooth profile: |j|^-2 with random phases, l2-normalized,
+    the residual ladder's _random_profile(M, seed, 2.0, norm, 0.0,
+    support_radius)."""
+    return _ProfileState(_random_profile(M, seed, 2.0, norm, support_radius=support_radius))
 
 
 def residual_scaling(
@@ -477,8 +500,7 @@ def residual_scaling(
     cfg = cfg or FlowConfig(dt=0.01, tolerance=1e-16, max_refinements=10)
     nf = normal_form_bundle(M)
     radius = max(1, M // 3)
-    base = scaling_base_state(M, seed=seed, support_radius=radius)
-    base_vec = base.to_vector()
+    base_vec = _random_profile(M, seed, 2.0, 1.0, support_radius=radius)
     rows = []
     slopes = {}
     for order in orders:

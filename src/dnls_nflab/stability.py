@@ -20,6 +20,7 @@ import numpy as np
 from .flows import (
     FlowConfig,
     StepBudgetError,
+    _ProfileState,
     _random_profile,
     coordinate_change,
     evolve_vec,
@@ -27,7 +28,6 @@ from .flows import (
     spectral_model,
 )
 from .states import (
-    FourierState,
     alternating_sum,
     bound_audit,
     int64_radius,
@@ -224,13 +224,15 @@ def random_omega_audit(
 # -- experiments ------------------------------------------------------------------------
 
 
-def hs_random_state(M: int, s: float, eps: float, seed: int) -> FourierState:
-    """Random smooth data with exact Sobolev size eps.
+def hs_random_state(M: int, s: float, eps: float, seed: int) -> _ProfileState:
+    """Random smooth data with exact Sobolev size eps, the profile
+    _random_profile(M, seed, s + 1.0, eps, s) of criterion 8 and the
+    norm-derivative audit.
 
     Amplitudes decay like |j|^(-s-1) with uniform random phases, then the
     whole profile is rescaled so the s-norm equals eps.
     """
-    return _random_profile(M, seed, s + 1.0, eps, s)
+    return _ProfileState(_random_profile(M, seed, s + 1.0, eps, s))
 
 
 @dataclass(frozen=True)
@@ -278,12 +280,7 @@ def stability_ensemble(
         t_end=horizon,
         record_interval=max(run.dt, horizon / 2048),
     )
-    batch = np.stack(
-        [
-            hs_random_state(run.M, run.s, run.epsilon, seed).to_vector()
-            for seed in seeds
-        ]
-    )
+    batch = np.stack([_random_profile(run.M, seed, run.s + 1.0, run.epsilon, run.s) for seed in seeds])
     times, channels, _, _ = evolve_vec(batch, run.M, cfg, track_s=(run.s,))
     norms = channels[f"norm_s{run.s:g}"]
     mass = channels["mass"]
@@ -330,8 +327,7 @@ def norm_derivative_audit(
     cfg = cfg or FlowConfig(dt=0.01, tolerance=1e-13, max_refinements=12)
     back_cfg = replace(cfg, t_end=-cfg.t_end)
     nf = normal_form_bundle(M)
-    base = hs_random_state(M, s, 1.0, seed)
-    base_vec = base.to_vector()
+    base_vec = _random_profile(M, seed, s + 1.0, 1.0, s)
     model = spectral_model(M)
     rows = []
     for a in amplitudes:

@@ -1,8 +1,13 @@
-"""Truncated phase-space states and the scalar functionals living on them.
+"""Truncated phase-space states, the index sets of the small-divisor
+audits and the driver that runs them.
 
-A state is a finite collection of complex mode amplitudes q_j indexed by
-nonzero integers j with 1 <= |j| <= M.  Mode 0 does not exist: the phase
-space consists of zero-mean functions on the circle.
+A state at truncation M is the dense complex vector of its amplitudes q_j
+over mode_range(M): the nonzero integers j with 1 <= |j| <= M, ascending.
+Mode 0 does not exist: the phase space consists of zero-mean functions on
+the circle.  state_vector builds one from its modes, state_to_json and
+state_from_json write and read it, and eval_physical and
+hamiltonian_physical evaluate it in physical space, an oracle for the
+coefficient-space channels of flows.SpectralModel.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -210,140 +216,59 @@ def rejection_sample(n_samples: int, draw):
             yield block
 
 
-class FourierState:
-    """Immutable finite-support map mode -> complex amplitude.
-
-    Zero amplitudes are dropped on construction, so support() is exact.
-    """
-
-    __slots__ = ("_amp", "truncation")
-
-    def __init__(self, amplitudes: Mapping[int, complex], truncation: int):
-        if truncation < 1:
-            raise ValueError("truncation must be at least 1")
-        amp = {}
-        for j, v in amplitudes.items():
-            j = int(j)
-            if j == 0:
-                raise ValueError("mode 0 is not part of the phase space")
-            if abs(j) > truncation:
-                raise ValueError(f"mode {j} exceeds truncation {truncation}")
-            v = complex(v)
-            if v != 0:
-                amp[j] = v
-        self._amp = dict(sorted(amp.items()))
-        self.truncation = truncation
-
-    @classmethod
-    def zero(cls, truncation: int) -> "FourierState":
-        return cls({}, truncation)
-
-    def amplitude(self, j: int) -> complex:
-        return self._amp.get(j, 0j)
-
-    def items(self):
-        return self._amp.items()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(self._amp)
-
-    def __len__(self) -> int:
-        return len(self._amp)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FourierState)
-            and self.truncation == other.truncation
-            and self._amp == other._amp
-        )
-
-    def __repr__(self) -> str:
-        return f"FourierState({self._amp}, M={self.truncation})"
-
-    # -- vector view ---------------------------------------------------------
-
-    def to_vector(self) -> np.ndarray:
-        """Dense complex vector over mode_range(truncation)."""
-        modes = mode_range(self.truncation)
-        vec = np.zeros(len(modes), dtype=complex)
-        index = {j: i for i, j in enumerate(modes)}
-        for j, v in self._amp.items():
-            vec[index[j]] = v
-        return vec
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, truncation: int) -> "FourierState":
-        modes = mode_range(truncation)
-        if len(vec) != len(modes):
-            raise ValueError("vector length does not match truncation")
-        return cls({j: complex(v) for j, v in zip(modes, vec) if v != 0}, truncation)
+def state_vector(amplitudes: Mapping[int, complex], M: int) -> np.ndarray:
+    """The state with these amplitudes, zero elsewhere, as the dense complex
+    vector over mode_range(M).  Raises ValueError for mode 0 or a mode
+    above the truncation, TypeError for a mode that is not an integer."""
+    vec = np.zeros(len(mode_range(M)), dtype=complex)
+    for j, v in amplitudes.items():
+        j = operator.index(j)
+        if j == 0:
+            raise ValueError("mode 0 is not part of the phase space")
+        if abs(j) > M:
+            raise ValueError(f"mode {j} exceeds truncation {M}")
+        vec[j + M - (j > 0)] = v
+    return vec
 
 
-# -- scalar functionals -------------------------------------------------------
+def _state_modes(vec) -> np.ndarray:
+    """The modes of a state vector, mode_range(len(vec) // 2) as an int
+    array.  Raises ValueError unless vec is a vector of even, nonzero
+    length."""
+    shape = np.shape(vec)
+    if len(shape) != 1 or shape[0] == 0 or shape[0] % 2:
+        raise ValueError(f"state of shape {shape} is not a state vector: it needs an even, nonzero number of entries")
+    return np.array(mode_range(shape[0] // 2))
 
 
-def sobolev_norm(state: FourierState, s: float) -> float:
-    """Weighted l2 norm with weights |j|**(2s); s >= 0."""
-    if s < 0:
-        raise ValueError("Sobolev index must be nonnegative")
-    total = sum(abs(v) ** 2 * abs(j) ** (2.0 * s) for j, v in state.items())
-    return math.sqrt(total)
+# -- physical space --------------------------------------------------------------
 
 
-def lambda_energy(state: FourierState) -> float:
-    """Sum of j*|q_j|**2; sign-indefinite."""
-    return sum(j * abs(v) ** 2 for j, v in state.items())
-
-
-def quartic_energy(state: FourierState) -> float:
-    """The quartic part: (1/4pi) * sum over zero-momentum quadruples.
-
-    Evaluated through pair sums A_t = sum_{j+l=t} q_j q_l, which gives the
-    manifestly nonnegative form (1/4pi) * sum_t |A_t|**2.
-    """
-    pair: dict[int, complex] = {}
-    items = list(state.items())
-    for j, qj in items:
-        for l, ql in items:
-            pair[j + l] = pair.get(j + l, 0j) + qj * ql
-    return sum(abs(a) ** 2 for a in pair.values()) / (4.0 * math.pi)
-
-
-def hamiltonian_coefficients(state: FourierState) -> float:
-    """H evaluated in coefficient space: Lambda + quartic part."""
-    return lambda_energy(state) + quartic_energy(state)
-
-
-def eval_physical(state: FourierState, x) -> complex:
+def eval_physical(vec, x) -> complex:
     """Sum of q_j e^{ijx} / sqrt(2 pi); accepts scalar or array x."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    for j, v in state.items():
-        out += v * np.exp(1j * j * x)
-    out /= math.sqrt(TWO_PI)
+    waves = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), _state_modes(vec)))
+    out = waves @ np.asarray(vec) / math.sqrt(TWO_PI)
     if out.shape == ():
         return complex(out)
     return out
 
 
-def hamiltonian_physical(state: FourierState, quadrature_points: int) -> float:
+def hamiltonian_physical(vec, quadrature_points: int) -> float:
     """Physical-space H = -i * int u_x conj(u) + (1/2) * int |u|^4.
 
     Uses uniform trapezoid quadrature, exact for band-limited integrands;
     the quartic term has bandwidth 4M, hence the grid-size precondition.
     """
-    M = state.truncation
+    modes = _state_modes(vec)
+    M = len(modes) // 2
     if quadrature_points < 4 * M + 1:
         raise ValueError(
             f"need at least {4 * M + 1} quadrature points for truncation {M}"
         )
     N = int(quadrature_points)
     x = np.arange(N) * (TWO_PI / N)
-    u = eval_physical(state, x)
-    ux = np.zeros(N, dtype=complex)
-    for j, v in state.items():
-        ux += v * (1j * j) * np.exp(1j * j * x)
-    ux /= math.sqrt(TWO_PI)
+    u = eval_physical(vec, x)
+    ux = eval_physical(1j * modes * np.asarray(vec), x)
     w = TWO_PI / N
     momentum_term = -1j * np.sum(ux * np.conj(u)) * w
     quartic_term = 0.5 * np.sum(np.abs(u) ** 4) * w
@@ -355,23 +280,36 @@ def hamiltonian_physical(state: FourierState, quadrature_points: int) -> float:
 # -- serialization -------------------------------------------------------------
 
 
-def state_to_json(state: FourierState) -> str:
+def state_to_json(vec) -> str:
+    """The nonzero modes of a state vector, ascending, as a JSON list of
+    {"j", "re", "im"} rows."""
     rows = [
-        {"j": j, "re": v.real, "im": v.imag} for j, v in state.items()
+        {"j": j, "re": v.real, "im": v.imag}
+        for j, v in zip(_state_modes(vec).tolist(), np.asarray(vec, dtype=complex).tolist())
+        if v != 0
     ]
     return json.dumps(rows)
 
 
-def state_from_json(text: str, truncation: int) -> FourierState:
-    rows = json.loads(text)
+def state_from_json(text: str, truncation: int) -> np.ndarray:
+    """The state vector of a JSON list of {"j", "re", "im"} rows, as
+    state_to_json writes it.  Raises ValueError for a row without these
+    keys, a mode that is not a JSON integer, a part that is not a JSON
+    number, a duplicate mode, a non-finite amplitude and the modes
+    state_vector rejects."""
     amp: dict[int, complex] = {}
-    for row in rows:
-        j = int(row["j"])
-        if j == 0:
-            raise ValueError("mode 0 rejected")
+    for row in json.loads(text):
+        if not isinstance(row, dict) or not {"j", "re", "im"} <= row.keys():
+            raise ValueError(f"row {json.dumps(row)} is not an object with the keys j, re and im")
+        j = row["j"]
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise ValueError(f"mode {json.dumps(j)} is not an integer")
+        for part in ("re", "im"):
+            if isinstance(row[part], bool) or not isinstance(row[part], (int, float)):
+                raise ValueError(f"mode {j}: {part} part {json.dumps(row[part])} is not a number")
         if j in amp:
             raise ValueError(f"duplicate mode {j}")
-        amp[j] = complex(float(row["re"]), float(row["im"]))
+        amp[j] = complex(row["re"], row["im"])
         if not cmath.isfinite(amp[j]):
             raise ValueError(f"mode {j} has a non-finite amplitude {amp[j]}")
-    return FourierState(amp, truncation)
+    return state_vector(amp, truncation)

@@ -40,7 +40,7 @@ from dnls_nflab.stability import (
     random_omega_audit,
     stability_ensemble,
 )
-from dnls_nflab.states import TWO_PI, FourierState, mode_range
+from dnls_nflab.states import TWO_PI, mode_range, state_vector
 
 
 def _assert_passed(number: int, *checks: Check):
@@ -112,15 +112,15 @@ def test_criterion_7_simulator_correctness():
     M = 8
     k, A = 2, 0.35
     omega = k * k + A * A * k
-    q0 = FourierState({k: A * math.sqrt(TWO_PI)}, M)
+    q0 = state_vector({k: A * math.sqrt(TWO_PI)}, M)
     cfg = FlowConfig(dt=1e-3, t_end=10.0, record_interval=1.0)
-    _, ch, qf, _ = evolve_vec(q0.to_vector(), M, cfg)
-    expected = q0.to_vector() * np.exp(-1j * omega * cfg.t_end)
+    _, ch, qf, _ = evolve_vec(q0, M, cfg)
+    expected = q0 * np.exp(-1j * omega * cfg.t_end)
     wave_rel = float(np.linalg.norm(qf - expected) / np.linalg.norm(expected))
 
     rng = np.random.default_rng(np.random.Philox(key=7))
     amp = {j: 0.3 * complex(rng.normal(), rng.normal()) / abs(j) for j in mode_range(M)}
-    qr = FourierState(amp, M).to_vector()
+    qr = state_vector(amp, M)
     _, chr_, _, _ = evolve_vec(qr, M, FlowConfig(dt=1e-3, t_end=10.0, record_interval=1.0))
     mass_drift = float(np.max(np.abs(chr_["mass"] - chr_["mass"][0])))
     energy_drift = float(np.max(np.abs(chr_["energy"] - chr_["energy"][0])) / abs(chr_["energy"][0]))

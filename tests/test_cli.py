@@ -152,6 +152,16 @@ def test_simulate_state_file_init(tmp_path):
     assert out.exists()
 
 
+def test_dump_final_file_is_an_init_file(tmp_path):
+    # a plane wave's round-off populates every other mode near 1e-19
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    run = ["simulate", "--modes", "6", "--t-end", "0.5", "--dt", "1e-3", "--out", str(tmp_path / "traj.csv")]
+    assert main(run + ["--init", "planewave:2,0.3", "--dump-final", str(first)]) == 0
+    assert len(json.loads(first.read_text())) == 12
+    assert main(run + ["--init", str(first), "--dump-final", str(second)]) == 0
+    assert len(json.loads(second.read_text())) == 12
+
+
 def test_stability_threshold_failure(tmp_path):
     out = tmp_path / "run.csv"
     code = main(
@@ -298,6 +308,19 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
          "bad --init 'planewave:1,1e308': initial mass inf is not finite"),
         (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "big_state.json"], None,
          "bad --init 'big_state.json': initial mass inf is not finite"),
+        # a mode is a JSON integer and each part a JSON number, never a bool or a string
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "frac_mode.json"], None,
+         "bad --init 'frac_mode.json': mode 1.5 is not an integer"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "bool_mode.json"], None,
+         "bad --init 'bool_mode.json': mode true is not an integer"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "string_part.json"], None,
+         "bad --init 'string_part.json': mode 1: re part \"0.1\" is not a number"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "bool_part.json"], None,
+         "bad --init 'bool_part.json': mode 1: im part true is not a number"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "huge_part.json"], None,
+         "bad --init 'huge_part.json': int too large to convert to float"),
+        (["simulate", "--modes", "4", "--t-end", "0.01", "--init", "missing_part.json"], None,
+         "bad --init 'missing_part.json': row {\"j\": 1, \"re\": 0.1} is not an object with the keys j, re and im"),
         # the Sobolev weight |j|^(2s) at |j| = --modes overflows a float
         (["stability", "--s", "120", "--eps", "0.5", "--r", "1", "--modes", "32"], None,
          "--s 120 is too large for --modes 32: the weight 32^240 overflows a float"),
@@ -311,13 +334,21 @@ SIMULATE = ["simulate", "--modes", "4", "--init", "planewave:1,0.1"]
          "simulate-record-interval-negative", "simulate-track-s-negative", "stability-threshold-negative",
          "stability-r-nan", "stability-r-inf", "simulate-init-nan", "simulate-init-inf",
          "simulate-init-json-nan", "simulate-init-mass-overflow", "simulate-init-state-overflow",
-         "simulate-init-json-mass-overflow", "stability-s-weight-overflow",
+         "simulate-init-json-mass-overflow", "simulate-init-json-fractional-mode",
+         "simulate-init-json-bool-mode", "simulate-init-json-string-part", "simulate-init-json-bool-part",
+         "simulate-init-json-huge-part", "simulate-init-json-missing-part", "stability-s-weight-overflow",
          "simulate-track-s-weight-overflow"],
 )
 def test_out_of_range_float_option_is_usage_error(tmp_path, monkeypatch, capsys, argv, conf, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan_state.json").write_text('[{"j": 1, "re": NaN, "im": 0.0}]')
     (tmp_path / "big_state.json").write_text('[{"j": 1, "re": 1e200, "im": 0.0}]')
+    (tmp_path / "frac_mode.json").write_text('[{"j": 1.5, "re": 0.1, "im": 0}]')
+    (tmp_path / "bool_mode.json").write_text('[{"j": true, "re": 0.1, "im": 0}]')
+    (tmp_path / "string_part.json").write_text('[{"j": 1, "re": "0.1", "im": 0}]')
+    (tmp_path / "bool_part.json").write_text('[{"j": 1, "re": 0.1, "im": true}]')
+    (tmp_path / "huge_part.json").write_text('[{"j": 1, "re": 1' + "0" * 400 + ', "im": 0}]')
+    (tmp_path / "missing_part.json").write_text('[{"j": 1, "re": 0.1}]')
     if conf is not None:
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(conf))

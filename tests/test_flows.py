@@ -14,13 +14,13 @@ from dnls_nflab.flows import (
     coordinate_change,
     evolve_vec,
     flow_time_one_vec,
+    _random_profile,
     residual_scaling,
-    scaling_base_state,
     spectral_model,
     transformed_hamiltonian_residual,
 )
 from dnls_nflab.poly import PolyHamiltonian, build_lambda
-from dnls_nflab.states import TWO_PI, FourierState, mode_range, quartic_energy
+from dnls_nflab.states import TWO_PI, mode_range, state_vector
 
 CFG = FlowConfig(dt=0.05, tolerance=1e-12)
 
@@ -60,7 +60,7 @@ def test_config_rejects_invalid_values(field, value):
 
 
 def test_evolve_vec_at_t_end_zero_returns_the_initial_record():
-    q0 = FourierState({1: 0.3, -2: 0.1j}, 3).to_vector()
+    q0 = state_vector({1: 0.3, -2: 0.1j}, 3)
     times, channels, q_final, snapshots = evolve_vec(q0, 3, FlowConfig(t_end=0.0), track_s=(1.0,))
     assert times.tolist() == [0.0]
     assert all(values.shape == (1,) for values in channels.values())
@@ -69,22 +69,21 @@ def test_evolve_vec_at_t_end_zero_returns_the_initial_record():
 
 
 def test_zero_generator_is_identity():
-    vec = FourierState({1: 0.3, -2: 0.1j}, 3).to_vector()
+    vec = state_vector({1: 0.3, -2: 0.1j}, 3)
     assert np.array_equal(flow_time_one_vec(PolyHamiltonian.zero(3), vec, CFG), vec)
 
 
 def test_lambda_flow_is_linear_rotation():
     M = 4
-    st = FourierState({1: 0.5 + 0.2j, -3: 0.1j}, M)
-    out = FourierState.from_vector(flow_time_one_vec(build_lambda(M), st.to_vector(), CFG), M)
-    for j, v in st.items():
-        assert out.amplitude(j) == pytest.approx(v * np.exp(-1j * j * j), abs=1e-11)
+    vec = state_vector({1: 0.5 + 0.2j, -3: 0.1j}, M)
+    out = flow_time_one_vec(build_lambda(M), vec, CFG)
+    np.testing.assert_allclose(out, vec * np.exp(-1j * np.array(mode_range(M)) ** 2), rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("order", [4, 6])
 def test_flow_group_property(bundle8, order):
     # Phi^-1 is the same call at t_end = -1, the flows backwards in reverse order
-    vec = scaling_base_state(8, seed=3, norm=0.4).to_vector()
+    vec = _random_profile(8, 3, 2.0, 0.4)
     fwd = coordinate_change(vec, order, CFG, bundle8)
     back = coordinate_change(fwd, order, replace(CFG, t_end=-CFG.t_end), bundle8)
     assert np.linalg.norm(fwd - vec) > 1e3 * CFG.tolerance
@@ -93,29 +92,55 @@ def test_flow_group_property(bundle8, order):
 
 def test_action_preservation_under_action_only_flow(bundle8):
     # B depends on actions only, so |q_j| is constant along its exact flow
-    st = scaling_base_state(8, seed=4, norm=0.5)
-    out = FourierState.from_vector(flow_time_one_vec(bundle8.B, st.to_vector(), CFG), 8)
-    for j, v in st.items():
-        assert abs(out.amplitude(j)) == pytest.approx(abs(v), abs=1e-10)
+    vec = _random_profile(8, 4, 2.0, 0.5)
+    out = flow_time_one_vec(bundle8.B, vec, CFG)
+    np.testing.assert_allclose(np.abs(out), np.abs(vec), rtol=0, atol=1e-10)
 
 
 def test_scaling_base_state_refuses_an_empty_support():
     # a radius of 0 is no shorthand for full support
     for radius in (0, -1):
         with pytest.raises(ValueError, match=f"support_radius must be at least 1, got {radius}"):
-            scaling_base_state(8, seed=4, support_radius=radius)
-    st = scaling_base_state(8, seed=4, norm=0.5, support_radius=2)
-    assert st.support() == (-2, -1, 1, 2)
-    assert math.fsum(abs(v) ** 2 for _, v in st.items()) == pytest.approx(0.25, rel=1e-15)
+            _random_profile(8, 4, 2.0, 1.0, support_radius=radius)
+    vec = _random_profile(8, 4, 2.0, 0.5, support_radius=2)
+    assert np.array(mode_range(8))[np.flatnonzero(vec)].tolist() == [-2, -1, 1, 2]
+    assert math.fsum(abs(v) ** 2 for v in vec.tolist()) == pytest.approx(0.25, rel=1e-15)
+
+
+def _scalar_profile(M, seed, decay, norm, s=0.0, support_radius=None):
+    """_random_profile built mode by mode in Python scalars: each amplitude a
+    Python complex, the s-norm a Python float sum in ascending mode order."""
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    modes = mode_range(min(M, support_radius or M))
+    phases = rng.uniform(0.0, TWO_PI, size=len(modes))
+    amp = {j: complex(abs(j) ** -decay * np.exp(1j * p)) for j, p in zip(modes, phases)}
+    scale = norm / math.sqrt(sum(abs(v) ** 2 * abs(j) ** (2.0 * s) for j, v in amp.items()))
+    return state_vector({j: v * scale for j, v in amp.items()}, M)
+
+
+@pytest.mark.parametrize(
+    "M, seed, decay, norm, s, support_radius",
+    [
+        (6, 20200523, 2.0, 1.0, 0.0, 2),  # the residual ladder's base
+        (8, 11, 4.0, 1.0, 3.0, None),  # norm_derivative_audit's base
+        (8, 4, 2.0, 0.5, 0.0, 2),
+        *[(32, seed, 4.0, 0.2, 3.0, None) for seed in range(1, 7)],  # criterion 8
+        *[(32, seed, 6.0, 0.3, 5.0, None) for seed in range(1, 7)],
+    ],
+)
+def test_profiles_are_bit_identical_to_the_scalar_construction(M, seed, decay, norm, s, support_radius):
+    # np.abs rounds some complex128 moduli one ulp away from abs: an s-norm
+    # of np.abs moduli moves 6 of these 15 profiles in the last bit
+    vec = _random_profile(M, seed, decay, norm, s, support_radius)
+    assert vec.dtype == complex and np.array_equal(vec, _scalar_profile(M, seed, decay, norm, s, support_radius))
 
 
 def test_flow_convergence_error():
-    st = FourierState({1: 1.0}, 2)
     cfg = FlowConfig(dt=0.5, tolerance=1e-30, max_refinements=2)
     from dnls_nflab.poly import build_G
 
     with pytest.raises(FlowConvergenceError):
-        flow_time_one_vec(build_G(2), st.to_vector(), cfg)
+        flow_time_one_vec(build_G(2), state_vector({1: 1.0}, 2), cfg)
 
 
 # -- PDE evolution ------------------------------------------------------------------
@@ -125,11 +150,11 @@ def test_plane_wave_dispersion():
     # u = A e^{i(kx - omega t)} with omega = k^2 + |A|^2 k
     k, A = 2, 0.35
     M = 8
-    q0 = FourierState({k: A * math.sqrt(TWO_PI)}, M)
+    q0 = state_vector({k: A * math.sqrt(TWO_PI)}, M)
     cfg = FlowConfig(dt=1e-3, t_end=3.0)
-    _, _, qf, _ = evolve_vec(q0.to_vector(), M, cfg)
+    _, _, qf, _ = evolve_vec(q0, M, cfg)
     omega = k * k + A * A * k
-    expected = q0.to_vector() * np.exp(-1j * omega * cfg.t_end)
+    expected = q0 * np.exp(-1j * omega * cfg.t_end)
     rel = np.linalg.norm(qf - expected) / np.linalg.norm(expected)
     assert rel < 1e-10
 
@@ -273,6 +298,16 @@ def _direct_nonlinear(q, M):
     return -1j * modes / TWO_PI * total[modes + 2 * M]
 
 
+def _pair_sum_quartic_energy(q, M):
+    """(1/4pi) * sum over zero-momentum quadruples of q_a q_b conj(q_c q_d), in
+    mode space: through the pair sums A_t = sum over a + b = t of q_a q_b it
+    is the manifestly nonnegative (1/4pi) * sum_t |A_t|^2."""
+    modes = np.array(mode_range(M))
+    pair = np.zeros(4 * M + 1, dtype=complex)
+    np.add.at(pair, np.add.outer(modes, modes).ravel() + 2 * M, np.outer(q, q).ravel())
+    return float(np.sum(np.abs(pair) ** 2)) / (4 * math.pi)
+
+
 @pytest.mark.parametrize("M", [1, 2, 3, 5, 6, 8])
 def test_nonlinear_and_quartic_energy_match_mode_space_sums(M):
     # independent of the grid: odd sizes (25 at M = 6) and the smallest ones
@@ -284,8 +319,7 @@ def test_nonlinear_and_quartic_energy_match_mode_space_sums(M):
     for member in range(2):
         want = _direct_nonlinear(q[member], M)
         assert np.linalg.norm(got[member] - want) <= 1e-13 * np.linalg.norm(want)
-        pair_sum = quartic_energy(FourierState.from_vector(q[member], M))
-        assert energy[member] == pytest.approx(pair_sum, rel=1e-13)
+        assert energy[member] == pytest.approx(_pair_sum_quartic_energy(q[member], M), rel=1e-13)
 
 
 def test_grid_is_the_smallest_5_smooth_size_of_at_least_4m_plus_1():
@@ -306,9 +340,8 @@ def test_conservation_drift_small():
     M = 8
     rng = np.random.default_rng(2)
     amp = {j: 0.3 * complex(rng.normal(), rng.normal()) / abs(j) for j in mode_range(M)}
-    q0 = FourierState(amp, M)
     cfg = FlowConfig(dt=1e-3, t_end=5.0, record_interval=0.5)
-    _, channels, _, _ = evolve_vec(q0.to_vector(), M, cfg, track_s=(2.0,))
+    _, channels, _, _ = evolve_vec(state_vector(amp, M), M, cfg, track_s=(2.0,))
     mass = channels["mass"]
     energy = channels["energy"]
     assert np.max(np.abs(mass - mass[0])) < 1e-9
@@ -318,9 +351,9 @@ def test_conservation_drift_small():
 def test_momentum_conserved_for_plane_wave():
     k, A = 1, 0.4
     M = 4
-    q0 = FourierState({k: A * math.sqrt(TWO_PI)}, M)
+    q0 = state_vector({k: A * math.sqrt(TWO_PI)}, M)
     cfg = FlowConfig(dt=1e-3, t_end=2.0, record_interval=0.25)
-    _, channels, _, _ = evolve_vec(q0.to_vector(), M, cfg)
+    _, channels, _, _ = evolve_vec(q0, M, cfg)
     mom = channels["momentum"]
     assert np.max(np.abs(mom - mom[0])) < 1e-11
 
@@ -333,17 +366,17 @@ def test_zero_mean_structural():
 
 def test_blowup_guard():
     M = 16
-    q0 = FourierState({1: 2.0}, M)
+    q0 = state_vector({1: 2.0}, M)
     cfg = FlowConfig(dt=0.3, t_end=60.0, record_interval=0.3)
     with pytest.raises(BlowupError):
-        evolve_vec(q0.to_vector(), M, cfg)
+        evolve_vec(q0, M, cfg)
 
 
 def test_step_budget():
-    q0 = FourierState({1: 0.1}, 2)
+    q0 = state_vector({1: 0.1}, 2)
     cfg = FlowConfig(dt=1e-6, t_end=100.0)
     with pytest.raises(StepBudgetError):
-        evolve_vec(q0.to_vector(), 2, cfg)
+        evolve_vec(q0, 2, cfg)
 
 
 # -- residuals -----------------------------------------------------------------------
@@ -351,13 +384,13 @@ def test_step_budget():
 
 def test_residual_zero_state(bundle8):
     cfg = FlowConfig(dt=0.05, tolerance=1e-12)
-    vec = FourierState.zero(8).to_vector()
+    vec = np.zeros(16, dtype=complex)
     assert transformed_hamiltonian_residual(vec, 4, cfg, bundle8) == 0.0
     assert transformed_hamiltonian_residual(vec, 6, cfg, bundle8) == 0.0
 
 
 def test_residual_rejects_bad_order(bundle8):
-    vec = FourierState.zero(8).to_vector()
+    vec = np.zeros(16, dtype=complex)
     with pytest.raises(ValueError, match="order must be 4 or 6"):
         transformed_hamiltonian_residual(vec, 5, CFG, bundle8)
     with pytest.raises(ValueError, match="order must be 4 or 6"):

@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from dnls_nflab import stability
-from dnls_nflab.flows import FlowConfig, StepBudgetError, evolve_vec, normal_form_bundle
+from dnls_nflab.flows import FlowConfig, StepBudgetError, _random_profile, evolve_vec, normal_form_bundle, spectral_model
 from dnls_nflab.stability import (
     StabilityRun,
     exhaustive_omega_audit,
-    hs_random_state,
     norm_derivative_audit,
     omega_bound_check,
     omega_int64_max_abs,
@@ -15,7 +16,7 @@ from dnls_nflab.stability import (
     random_omega_audit,
     stability_ensemble,
 )
-from dnls_nflab.states import FourierState, random_zero_momentum_rows, sobolev_norm, zero_momentum_rows
+from dnls_nflab.states import random_zero_momentum_rows, state_vector, zero_momentum_rows
 
 
 # -- weighted frequency sums ----------------------------------------------------
@@ -213,15 +214,18 @@ def test_random_omega_audit_lists_violations_by_width_then_sample_then_s(monkeyp
 # -- experiment harness ----------------------------------------------------------
 
 
+# hs_random_state(M, s, eps, seed) is the profile _random_profile(M, seed, s + 1, eps, s)
+
+
 def test_hs_random_state_norm_exact():
-    st = hs_random_state(16, 3.0, 0.25, seed=2)
-    assert sobolev_norm(st, 3.0) == pytest.approx(0.25, rel=1e-12)
+    vec = _random_profile(16, 2, 4.0, 0.25, 3.0)
+    assert math.sqrt(spectral_model(16).sobolev_sq(vec, 3.0)) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_hs_random_state_deterministic():
-    a = hs_random_state(8, 2.0, 0.1, seed=5)
-    b = hs_random_state(8, 2.0, 0.1, seed=5)
-    assert a == b
+    a = _random_profile(8, 5, 3.0, 0.1, 2.0)
+    b = _random_profile(8, 5, 3.0, 0.1, 2.0)
+    assert np.array_equal(a, b) and a is not b
 
 
 def test_epsilon_validation():
@@ -286,7 +290,7 @@ def test_single_mode_norm_derivative_tiny():
     M = 1
     nf = normal_form_bundle(M)
     assert nf.F4.is_zero  # no non-normal quartics on a single mode pair
-    vec = FourierState({1: 0.4}, M).to_vector()
+    vec = state_vector({1: 0.4}, M)
     delta = 1e-3
     out = {}
     for sign in (+1, -1):

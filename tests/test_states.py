@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from functools import partial
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from dnls_nflab import order4, order6, stability
+from dnls_nflab.flows import FlowConfig, evolve_vec, spectral_model
 from dnls_nflab.order4 import delta_rows, iter_delta, quad_kernel
 from dnls_nflab.order6 import sextuple_kernel
 from dnls_nflab.stability import omega_kernel
@@ -13,20 +15,17 @@ from dnls_nflab.states import (
     INT64_MAX,
     MAX_VIOLATIONS,
     SAMPLE_BLOCK,
-    FourierState,
     alternating_sum,
     eval_physical,
-    hamiltonian_coefficients,
     hamiltonian_physical,
     int64_radius,
-    lambda_energy,
     leading_stars,
     mode_range,
     random_zero_momentum_rows,
     rejection_sample,
-    sobolev_norm,
     state_from_json,
     state_to_json,
+    state_vector,
     zero_momentum_max_abs,
     zero_momentum_rows,
 )
@@ -35,123 +34,141 @@ TWO_PI = 2 * math.pi
 
 
 def test_mode_zero_rejected():
-    with pytest.raises(ValueError):
-        FourierState({0: 1.0}, 4)
+    with pytest.raises(ValueError, match="mode 0 is not part of the phase space"):
+        state_vector({0: 1.0}, 4)
 
 
 def test_truncation_enforced():
-    with pytest.raises(ValueError):
-        FourierState({5: 1.0}, 4)
+    with pytest.raises(ValueError, match="mode 5 exceeds truncation 4"):
+        state_vector({5: 1.0}, 4)
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        state_vector({}, 0)
+    with pytest.raises(TypeError):
+        state_vector({1.5: 1.0}, 4)
 
 
 def test_zero_amplitudes_dropped():
-    st = FourierState({1: 0.0, 2: 1.0}, 4)
-    assert st.support() == (2,)
+    vec = state_vector({1: 0.0, 2: 1.0}, 4)
+    assert json.loads(state_to_json(vec)) == [{"j": 2, "re": 1.0, "im": 0.0}]
+
+
+def _s_norm(vec, s):
+    return math.sqrt(spectral_model(len(vec) // 2).sobolev_sq(vec, s))
 
 
 def test_sobolev_examples():
-    assert sobolev_norm(FourierState.zero(4), 2.0) == 0.0
-    assert sobolev_norm(FourierState({1: 1.0}, 4), 7.3) == pytest.approx(1.0)
-    st = FourierState({1: 1.0, -2: 2j}, 4)
-    assert sobolev_norm(st, 1.0) == pytest.approx(math.sqrt(17))
+    assert _s_norm(np.zeros(8, dtype=complex), 2.0) == 0.0
+    assert _s_norm(state_vector({1: 1.0}, 4), 7.3) == pytest.approx(1.0)
+    assert _s_norm(state_vector({1: 1.0, -2: 2j}, 4), 1.0) == pytest.approx(math.sqrt(17))
 
 
 def test_sobolev_monotone_in_s():
-    st = FourierState({1: 0.3, -2: 0.1j, 3: 0.05}, 4)
-    values = [sobolev_norm(st, s) for s in (0.0, 0.5, 1.0, 2.0, 3.5)]
+    vec = state_vector({1: 0.3, -2: 0.1j, 3: 0.05}, 4)
+    values = [_s_norm(vec, s) for s in (0.0, 0.5, 1.0, 2.0, 3.5)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_sobolev_rejects_negative_s():
-    with pytest.raises(ValueError):
-        sobolev_norm(FourierState.zero(2), -1.0)
+    with pytest.raises(ValueError, match="Sobolev index must be nonnegative"):
+        _s_norm(np.zeros(4, dtype=complex), -1.0)
 
 
 def test_eval_physical_examples():
-    st = FourierState({1: math.sqrt(TWO_PI)}, 2)
-    assert eval_physical(st, 0.0) == pytest.approx(1.0)
-    assert eval_physical(FourierState.zero(2), 1.234) == 0
-    st2 = FourierState({1: 1.0, -1: 1.0}, 2)
+    assert eval_physical(state_vector({1: math.sqrt(TWO_PI)}, 2), 0.0) == pytest.approx(1.0)
+    assert eval_physical(np.zeros(4, dtype=complex), 1.234) == 0
+    st2 = state_vector({1: 1.0, -1: 1.0}, 2)
     assert abs(eval_physical(st2, math.pi / 2)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_eval_physical_periodic():
-    st = FourierState({1: 0.5, -2: 0.25j, 3: 0.125}, 4)
+    vec = state_vector({1: 0.5, -2: 0.25j, 3: 0.125}, 4)
     xs = np.linspace(0, 1, 7)
     np.testing.assert_allclose(
-        eval_physical(st, xs), eval_physical(st, xs + TWO_PI), rtol=0, atol=1e-12
+        eval_physical(vec, xs), eval_physical(vec, xs + TWO_PI), rtol=0, atol=1e-12
     )
 
 
+def _channels(vec):
+    """The conserved channels of vec, the t = 0 record of evolve_vec."""
+    _, channels, _, _ = evolve_vec(vec, len(vec) // 2, FlowConfig(t_end=0.0))
+    return {name: float(values[0]) for name, values in channels.items()}
+
+
 def test_lambda_examples():
-    assert lambda_energy(FourierState({1: 1.0, -2: 2j}, 4)) == pytest.approx(-7.0)
-    assert lambda_energy(FourierState.zero(4)) == 0.0
-    assert lambda_energy(FourierState({3: 0.5j}, 4)) == pytest.approx(3 * 0.25)
+    # the momentum channel is Lambda = sum of j |q_j|^2
+    assert _channels(state_vector({1: 1.0, -2: 2j}, 4))["momentum"] == pytest.approx(-7.0)
+    assert _channels(np.zeros(8, dtype=complex))["momentum"] == 0.0
+    assert _channels(state_vector({3: 0.5j}, 4))["momentum"] == pytest.approx(3 * 0.25)
 
 
 def test_hamiltonian_single_mode():
-    st = FourierState({1: 1.0}, 1)
-    assert hamiltonian_physical(st, 5) == pytest.approx(1 + 1 / (4 * math.pi), rel=1e-12)
+    assert hamiltonian_physical(state_vector({1: 1.0}, 1), 5) == pytest.approx(1 + 1 / (4 * math.pi), rel=1e-12)
 
 
 def test_hamiltonian_quadratic_dominance():
     eps = 1e-4
-    st = FourierState({1: eps}, 1)
-    h = hamiltonian_physical(st, 5)
+    h = hamiltonian_physical(state_vector({1: eps}, 1), 5)
     assert h == pytest.approx(eps**2, rel=1e-7)
 
 
 def test_hamiltonian_matches_coefficient_space():
+    # the energy channel, momentum + SpectralModel.quartic_energy, against the
+    # physical-space integrals
     rng = np.random.default_rng(0)
     for M in (4, 8, 16):
-        amp = {
-            j: complex(rng.normal(), rng.normal()) * 0.4 for j in mode_range(M)
-        }
-        st = FourierState(amp, M)
-        h_phys = hamiltonian_physical(st, 4 * M + 1)
-        h_coef = hamiltonian_coefficients(st)
-        assert h_phys == pytest.approx(h_coef, rel=1e-10, abs=1e-12)
+        vec = 0.4 * (rng.normal(size=2 * M) + 1j * rng.normal(size=2 * M))
+        h_phys = hamiltonian_physical(vec, 4 * M + 1)
+        assert h_phys == pytest.approx(_channels(vec)["energy"], rel=1e-10, abs=1e-12)
 
 
 def test_hamiltonian_quadrature_precondition():
-    st = FourierState({1: 1.0}, 4)
-    with pytest.raises(ValueError):
-        hamiltonian_physical(st, 4 * 4)
+    with pytest.raises(ValueError, match="need at least 17 quadrature points"):
+        hamiltonian_physical(state_vector({1: 1.0}, 4), 4 * 4)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(0), np.zeros(5), np.zeros((2, 4))], ids=["empty", "odd", "2d"])
+def test_physical_space_and_json_refuse_a_non_state_vector(bad):
+    for call in (partial(eval_physical, x=0.0), partial(hamiltonian_physical, quadrature_points=25), state_to_json):
+        with pytest.raises(ValueError, match="is not a state vector"):
+            call(bad)
 
 
 def test_grid_roundtrip_exact():
     # samples on 4M+1 points determine the coefficients exactly
     rng = np.random.default_rng(1)
     M = 6
-    amp = {j: complex(rng.normal(), rng.normal()) for j in mode_range(M)}
-    st = FourierState(amp, M)
+    vec = rng.normal(size=2 * M) + 1j * rng.normal(size=2 * M)
     N = 4 * M + 1
     x = np.arange(N) * TWO_PI / N
-    u = eval_physical(st, x)
-    for j in mode_range(M):
+    u = eval_physical(vec, x)
+    for j, v in zip(mode_range(M), vec):
         coeff = np.sum(u * np.exp(-1j * j * x)) * (TWO_PI / N) / math.sqrt(TWO_PI)
-        assert abs(coeff - amp[j]) < 1e-12
+        assert abs(coeff - v) < 1e-12
 
 
 def test_json_roundtrip():
-    st = FourierState({1: 1 + 2j, -3: 0.5j}, 4)
-    text = state_to_json(st)
+    vec = state_vector({1: 1 + 2j, -3: 0.5j, 2: 3.7e-23 - 1.2e-23j, -4: 5e-324}, 4)
+    text = state_to_json(vec)
+    assert [row["j"] for row in json.loads(text)] == [-4, -3, 1, 2]
     back = state_from_json(text, 4)
-    assert back == st
+    assert back.dtype == complex and np.array_equal(back, vec)
 
 
 def test_json_rejects_mode_zero_and_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode 0"):
         state_from_json('[{"j": 0, "re": 1, "im": 0}]', 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate mode 1"):
         state_from_json(
             '[{"j": 1, "re": 1, "im": 0}, {"j": 1, "re": 2, "im": 0}]', 4
         )
 
 
 def test_vector_roundtrip():
-    st = FourierState({2: 1j, -1: 0.25}, 3)
-    assert FourierState.from_vector(st.to_vector(), 3) == st
+    # state_vector puts each amplitude at its mode's index in mode_range(M)
+    amplitudes = {2: 1j, -1: 0.25}
+    vec = state_vector(amplitudes, 3)
+    assert vec.dtype == complex and vec.tolist() == [0, 0, 0.25, 0, 1j, 0]
+    assert {j: v for j, v in zip(mode_range(3), vec.tolist()) if v} == amplitudes
 
 
 # -- index sets and sampling ------------------------------------------------------------
