@@ -13,7 +13,14 @@ window) and the trapezoid sum of |u|^4, a 4M-band integrand, exact too.
 The Lawson step is grid-resident: the state stays in the grid's bins, zero
 outside the window, and every stage, product and FFT writes into buffers
 allocated once per evolve_vec call, so only the records are gathered back
-to the window.
+to the window.  SpectralModel.grid_kernel(shape) returns the one kernel
+N(Q, out) of the nonlinearity, which owns its S and |S|^2 buffers.  It
+calls numpy's pocketfft ufuncs, the ones np.fft.fft and np.fft.ifft
+dispatch to, with the scale factor 1 that both wrappers pass here.  The
+wrappers' argument handling (norm lookup, shape checks, array-function
+dispatch) adds about 2.5 us to a 4 us transform on the 135-point grid at
+batch 3 (2-CPU VM, numpy 2.4), and the step makes eight transforms.  The
+results are the wrappers' bit for bit.
 
 A generator flow keeps its state in the caller's dtype, and
 vector_field_vec casts the state to complex128 and returns a complex128
@@ -34,6 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .order4 import build_F4, compute_R6
 from .order6 import build_F6, build_K
@@ -149,6 +157,16 @@ def flow_time_one_vec(F: PolyHamiltonian, vec: np.ndarray, cfg: FlowConfig) -> n
 
 # -- spectral model of the PDE ----------------------------------------------------------
 
+# numpy's own pocketfft ufuncs, which np.fft.fft and np.fft.ifft call after
+# their argument handling: fft(a, fct, out=) and ifft(a, fct, out=) transform
+# the last axis and scale by fct, which both wrappers set to 1 here
+try:
+    _fft, _ifft = _pocketfft_umath.fft, _pocketfft_umath.ifft
+except AttributeError as exc:
+    raise ImportError(
+        f"numpy {np.__version__}: numpy.fft._pocketfft_umath has no fft/ifft ufuncs"
+    ) from exc
+
 
 def _five_smooth_at_least(n: int) -> int:
     """The smallest integer >= n with no prime factor above 5."""
@@ -186,30 +204,35 @@ class SpectralModel:
         grid[..., self.bins] = q
         return grid
 
-    def grid_work(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Buffers for grid_nonlinear on grid-layout states of this shape:
-        S and the two squares of |S|^2."""
-        return np.empty(shape, dtype=complex), np.empty((2, *shape))
+    def grid_kernel(self, shape: tuple[int, ...]):
+        """N(Q, out): the nonlinearity of grid-layout states of this shape,
+        written into out in grid layout (out may be Q): S = ifft(Q),
+        S |S|^2 with |S|^2 = re^2 + im^2, its fft, times the grid weight
+        -i j / (2 pi n), zero outside the window.  The closure owns its S
+        and |S|^2 buffers, so each kernel serves one caller at a time."""
+        S = np.empty(shape, dtype=complex)
+        re, im = S.real, S.imag
+        sq, sq_im = np.empty((2, *shape))
+        weight = self.grid_weight
+        square, add, mul = np.square, np.add, np.multiply
 
-    def grid_nonlinear(self, Q: np.ndarray, out: np.ndarray, work) -> np.ndarray:
-        """The nonlinearity of grid-layout Q, written into out in grid
-        layout (out may be Q): S = ifft(Q), S |S|^2, its fft, times the
-        grid weight -i j / (2 pi n), zero outside the window."""
-        S, sq = work
-        np.fft.ifft(Q, axis=-1, norm="forward", out=S)
-        S *= np.add(np.square(S.real, out=sq[0]), np.square(S.imag, out=sq[1]), out=sq[0])
-        np.fft.fft(S, axis=-1, out=out)
-        out *= self.grid_weight
-        return out
+        def N(Q: np.ndarray, out: np.ndarray) -> np.ndarray:
+            _ifft(Q, 1.0, out=S)
+            mul(S, add(square(re, out=sq), square(im, out=sq_im), out=sq), out=S)
+            _fft(S, 1.0, out=out)
+            return mul(out, weight, out=out)
+
+        return N
 
     def nonlinear(self, q: np.ndarray) -> np.ndarray:
         """Derivative nonlinearity in mode coordinates: -i j (|u|^2 u)^_j."""
         Q = self.to_grid(q)
-        return self.grid_nonlinear(Q, Q, self.grid_work(Q.shape))[..., self.bins]
+        return self.grid_kernel(Q.shape)(Q, Q)[..., self.bins]
 
     def quartic_energy(self, q: np.ndarray) -> np.ndarray:
         """(1/2) int |u|^4 by the trapezoid rule, exact on 4M+1 or more points."""
-        S = np.fft.ifft(self.to_grid(q), axis=-1, norm="forward")
+        Q = self.to_grid(q)
+        S = _ifft(Q, 1.0, out=Q)
         sq = S.real**2 + S.imag**2
         return np.sum(sq * sq, axis=-1) / (2 * TWO_PI * self.n_grid)
 
@@ -279,7 +302,9 @@ def evolve_vec(
     h_Eh, two_Eh = h * Eh, 2 * Eh
     Q = model.to_grid(q)
     x, Eq, k1, k2, k3, k4 = np.empty((6, *Q.shape), dtype=complex)
-    N, work = model.grid_nonlinear, model.grid_work(Q.shape)
+    N = model.grid_kernel(Q.shape)
+    mul, add = np.multiply, np.add
+    half_h, sixth_h = np.float64(h / 2), np.float64(h / 6)
 
     def step(q, x):
         # x = E q + (h/6)(E k1 + 2 Eh (k2 + k3) + k4) with the stages
@@ -287,23 +312,23 @@ def evolve_vec(
         #   k4 = N(E q + h Eh k3).
         # Only additions are swapped: the complex products keep their
         # operand order, which can set the last bit.
-        np.multiply(E, q, out=Eq)
-        N(q, k1, work)
-        np.multiply(h / 2, k1, out=x)
-        x += q
-        N(np.multiply(Eh, x, out=x), k2, work)
-        np.multiply(Eh, q, out=x)
-        x += np.multiply(h / 2, k2, out=k4)
-        N(x, k3, work)
-        np.multiply(h_Eh, k3, out=x)
-        x += Eq
-        N(x, k4, work)
-        np.add(k2, k3, out=k2)
-        np.multiply(E, k1, out=x)
-        x += np.multiply(two_Eh, k2, out=k2)
-        x += k4
-        np.multiply(h / 6, x, out=x)
-        x += Eq
+        mul(E, q, out=Eq)
+        N(q, k1)
+        mul(half_h, k1, out=x)
+        add(x, q, out=x)
+        N(mul(Eh, x, out=x), k2)
+        mul(Eh, q, out=x)
+        add(x, mul(half_h, k2, out=k4), out=x)
+        N(x, k3)
+        mul(h_Eh, k3, out=x)
+        add(x, Eq, out=x)
+        N(x, k4)
+        add(k2, k3, out=k2)
+        mul(E, k1, out=x)
+        add(x, mul(two_Eh, k2, out=k2), out=x)
+        add(x, k4, out=x)
+        mul(sixth_h, x, out=x)
+        add(x, Eq, out=x)
         return x
 
     times = [0.0]

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dnls_nflab
 from dnls_nflab.flows import (
     BlowupError,
     FlowConfig,
@@ -250,6 +254,52 @@ def test_nonlinear_is_bit_identical_to_the_plain_formula(M):
     for q in (_criterion_8_batch(M, M), _criterion_8_batch(M, M + 1)[0]):
         got = model.nonlinear(q)
         assert got.shape == q.shape and np.array_equal(got, plain(q))
+
+
+@pytest.mark.parametrize("M", [1, 6, 32])
+def test_bound_transforms_are_bit_identical_to_np_fft(M):
+    # the step calls pocketfft's ufuncs with fct = 1, as np.fft.fft and
+    # np.fft.ifft(norm="forward") do after their argument handling
+    from dnls_nflab.flows import _fft, _ifft
+
+    model = spectral_model(M)
+    assert model.n_grid == {1: 5, 6: 25, 32: 135}[M]
+    batch = model.to_grid(_criterion_8_batch(M, M))
+    for Q in (batch, batch[1]):
+        for bound, public in ((_fft, np.fft.fft), (_ifft, lambda a: np.fft.ifft(a, norm="forward"))):
+            want = public(Q)
+            assert np.array_equal(bound(Q, 1.0, out=np.empty_like(Q)), want)
+            aliased = Q.copy()
+            assert bound(aliased, 1.0, out=aliased) is aliased and np.array_equal(aliased, want)
+
+
+def test_batch_members_evolve_bit_identically_alone_and_in_any_batch():
+    # criterion 8's size and step: a batch of 6, its halves as batches of 3
+    # and each member alone all end on the same bits
+    M = 32
+    q0 = np.concatenate([_criterion_8_batch(M, 21), _criterion_8_batch(M, 22)])
+    cfg = FlowConfig(dt=1e-3, t_end=0.3, record_interval=0.1)
+    six = evolve_vec(q0, M, cfg)[2]
+    threes = np.concatenate([evolve_vec(q0[:3], M, cfg)[2], evolve_vec(q0[3:], M, cfg)[2]])
+    alone = np.stack([evolve_vec(member, M, cfg)[2] for member in q0])
+    assert six.shape == (6, 2 * M)
+    assert np.array_equal(six, threes) and np.array_equal(six, alone)
+
+
+def test_missing_pocketfft_ufuncs_fail_the_import_naming_numpy_version():
+    code = (
+        "import sys, types, numpy.fft\n"
+        "numpy.fft._pocketfft_umath = sys.modules['numpy.fft._pocketfft_umath'] = types.ModuleType('stub')\n"
+        "try:\n"
+        "    import dnls_nflab.flows\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(dnls_nflab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(f"numpy {np.__version__}:") and "fft/ifft" in run.stdout
 
 
 def test_evolve_vec_buffers_carry_nothing_from_one_call_to_the_next(monkeypatch):
