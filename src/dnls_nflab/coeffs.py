@@ -9,7 +9,6 @@ zero iff its rational parts are zero, with no floating arithmetic involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -22,26 +21,55 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class ExactCoeff:
     """Value (re + i*im) / pi**pi_power, with exact equality.
 
     Addition requires matching pi powers (or a zero operand): distinct powers
     never meet on one monomial in any construction here, and merging them
     would silently break exactness since pi is transcendental.
+
+    The one constructor converts rational parts to Fractions, taking parts
+    that already are Fractions as they are, and raises TypeError for any
+    other part (a float or a string); pi_power must be nonnegative, and a
+    zero value carries pi_power 0.  The instance is a frozen value: the
+    constructor fills its slots through their descriptors, and assignment
+    raises AttributeError.
     """
 
-    re: Fraction
-    im: Fraction
-    pi_power: int = 0
+    __slots__ = ("re", "im", "pi_power")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
-        if self.pi_power < 0:
+    def __init__(self, re, im, pi_power: int = 0):
+        if type(re) is not Fraction:
+            re = _as_fraction(re)
+        if type(im) is not Fraction:
+            im = _as_fraction(im)
+        if pi_power < 0:
             raise ValueError("pi_power must be nonnegative")
-        if self.re == 0 and self.im == 0:
-            object.__setattr__(self, "pi_power", 0)
+        if not (re or im):
+            pi_power = 0
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_pi_power(self, pi_power)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ExactCoeff is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: ExactCoeff is immutable")
+
+    def __reduce__(self):
+        return ExactCoeff, (self.re, self.im, self.pi_power)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExactCoeff:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im and self.pi_power == other.pi_power
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im, self.pi_power))
+
+    def __repr__(self) -> str:
+        return f"ExactCoeff(re={self.re!r}, im={self.im!r}, pi_power={self.pi_power!r})"
 
     # -- constructors -----------------------------------------------------
 
@@ -61,7 +89,7 @@ class ExactCoeff:
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     # -- ring operations ----------------------------------------------------
 
@@ -123,5 +151,11 @@ class ExactCoeff:
             return core + "/pi"
         return core + f"/pi^{self.pi_power}"
 
+
+_set_re, _set_im, _set_pi_power = (
+    ExactCoeff.re.__set__,
+    ExactCoeff.im.__set__,
+    ExactCoeff.pi_power.__set__,
+)
 
 ZERO = ExactCoeff.zero()

@@ -38,7 +38,7 @@ from .poly import (
     bracket,
     build_B_closed_form,
     build_Q,
-    quartets,
+    homological_solve,
 )
 from .states import (
     alternating_sum,
@@ -172,18 +172,14 @@ def random_divisor_audit(n_samples: int, max_abs: int, seed: int) -> dict:
 
 
 def build_F4(M: int, Mx: int | None = None) -> PolyHamiltonian:
-    """Quartic generator solving the homological equation at truncation M.
+    """Quartic generator solving the homological equation at truncation M:
+    the homological solve of Q, so {Lambda, F4} = -Q term by term.
 
     With Mx > M it also carries the generator terms with one mode in
     M < |n| <= Mx (see quartets), on a polynomial of truncation Mx.
     """
     Mx = M if Mx is None else Mx
-    items = [
-        (mono, ExactCoeff.imag(Fraction(arr, 4) / mono.square_divisor(), pi_power=1))
-        for mono, arr in quartets(M, Mx)
-        if not mono.is_normal()
-    ]
-    return PolyHamiltonian.from_terms(Mx, items)
+    return homological_solve(build_Q(M, Mx), Mx)
 
 
 # -- sextic remainder --------------------------------------------------------------
@@ -193,14 +189,16 @@ def compute_R6(M: int) -> PolyHamiltonian:
     """Exact degree-6 remainder of the order-4 step, windowed to |j| <= M.
 
     Every stored coefficient equals its untruncated value: the bracket runs
-    with intermediate modes up to 3M before restriction.
+    with intermediate modes up to 3M before restriction.  Q at 3M is built
+    once and gives both the partner and F4.
     """
     if M < 2:
         raise ValueError("need M >= 2")
-    # past the enumerator's radius the 3M builders raise before any bracket
-    # runs; the 1/2 scales Q's terms, far fewer than the bracket's
-    partner = build_B_closed_form(M).with_truncation(3 * M) + build_Q(M, 3 * M).scaled(Fraction(1, 2))
-    return bracket(partner, build_F4(M, 3 * M), support_bound=M)
+    # past the enumerator's radius build_Q raises before any bracket runs;
+    # the 1/2 scales Q's terms, far fewer than the bracket's
+    Qx = build_Q(M, 3 * M)
+    partner = build_B_closed_form(M).with_truncation(3 * M) + Qx.scaled(Fraction(1, 2))
+    return bracket(partner, homological_solve(Qx, 3 * M), support_bound=M)
 
 
 # -- closed form of R6, one monomial at a time --------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .coeffs import ExactCoeff
 from .identities import TriplePair, _images, enumerate_triple_pairs, nine_term_sums, tau
 from .order4 import in_delta, iter_delta
-from .poly import Monomial, PolyHamiltonian, split_normal
+from .poly import Monomial, PolyHamiltonian, homological_solve, split_normal
 from .states import (
     alternating_sum,
     bound_audit,
@@ -131,7 +131,7 @@ def verify_Ktilde_zero(M: int, r6: PolyHamiltonian) -> KtildeReport:
         _, II = nine_term_sums(pair)
         if II != 0:
             report.tau_sum_failures.append((mono, II))
-    for mono, coeff in r6.terms():
+    for mono, coeff in r6._coeffs.items():
         if not mono.is_normal() and mono.square_divisor() == 0:
             report.structural_violations.append((mono, coeff))
     return report
@@ -164,17 +164,14 @@ def split_r6(r6: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
 def build_F6(M: int, r6: PolyHamiltonian) -> PolyHamiltonian:
     """Sextic generator: i/(square divisor) times the non-resonant part.
 
-    One coefficient per term of the split of R6 (split_r6, computed once per
-    R6), so F6 solves {Lambda, F6} = -Qtilde term by term.
+    The homological solve of the non-normal part of R6 (split_r6, computed
+    once per R6), so F6 solves {Lambda, F6} = -Qtilde term by term, the
+    solve that gives F4 from Q.
     """
     if r6.truncation > M:
         raise ValueError(f"R6 of truncation {r6.truncation} exceeds M = {M}")
     _, qtilde = split_r6(r6)
-    coeffs = {}
-    for mono, c in qtilde._coeffs.items():
-        d = mono.square_divisor()
-        coeffs[mono] = ExactCoeff(-c.im / d if c.im else c.im, c.re / d if c.re else c.re, c.pi_power)
-    return PolyHamiltonian(M, coeffs)
+    return homological_solve(qtilde, M)
 
 
 # -- sextuple small-divisor bound ------------------------------------------------------
@@ -352,13 +349,13 @@ def qtilde0_crosscheck(M: int, n: int, r6: PolyHamiltonian) -> Qtilde0Report:
     _, qtilde = split_r6(r6)
     extracted: dict[Monomial, ExactCoeff] = {}
     regime = True
-    for mono, coeff in qtilde.terms():
+    for mono, coeff in qtilde._coeffs.items():
         if mono.plus.count(n) == 1 and mono.minus.count(n) == 1:
             extracted[mono] = coeff
             window_max_sq = max(v * v for v in mono.plus + mono.minus if v != n)
             if not abs(n) > 100 * window_max_sq:
                 regime = False
-    constructed = {m: c for m, c in build_Qtilde0(M, n).terms()}
+    constructed = build_Qtilde0(M, n)._coeffs
     mismatches = []
     for mono in sorted(
         set(extracted) | set(constructed), key=lambda m: (m.plus, m.minus)

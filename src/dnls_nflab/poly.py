@@ -1,9 +1,11 @@
 """Exact symbolic polynomials in (q, qbar) with the weighted Poisson bracket.
 
 Monomials are indexed by a pair of sorted integer multisets: the unbarred
-slots (plus) and the barred slots (minus).  Coefficients are ExactCoeff
-values, so bracket identities and cancellations are checked with zero
-floating error.  The bracket carries the mode weight j:
+slots (plus) and the barred slots (minus).  A Monomial is a NamedTuple
+(plus, minus): it hashes, compares and unpacks as that plain pair of
+tuples, and equals it.  Coefficients are ExactCoeff values, so bracket
+identities and cancellations are checked with zero floating error.  The
+bracket carries the mode weight j:
 
     {H, F} = -i * sum_j j * (dH/dq_j dF/dqbar_j - dH/dqbar_j dF/dq_j)
 
@@ -11,10 +13,16 @@ A polynomial is one flat map Monomial -> nonzero ExactCoeff; terms() lists
 it by (degree, plus, minus), the order of the serialized records.
 
 bracket indexes both operands per call by contracted mode n: one entry per
-derivative by q_n or qbar_n, holding the remaining multisets, their largest
-|mode| and one int per nonzero real or imaginary part, its numerator over
-the operand's one common denominator (the LCM of all its coefficient
-denominators).  A kept pair costs one int product and one int add, and each
+derivative by q_n or qbar_n, holding the remaining multisets, their additive
+code, their largest |mode| and one int per nonzero real or imaginary part,
+its numerator over the operand's one common denominator (the LCM of all its
+coefficient denominators).  The code of a multiset pair is the sum of
+base^(offset + j + T) over its modes j, T the truncation, offset 0 for the
+plus slot and 2T + 1 for the minus slot; base exceeds the longest output
+slot, so the code of a product monomial is the sum of its two factors'
+codes and no two output monomials share one.  A kept pair costs one int
+product and two int adds, one of them its output key, and each output's
+sorted slots are built once, for the first pair that reaches it.  Each
 output part becomes one Fraction over the product of the two denominators.
 Sorted by that largest mode, a support bound becomes a bisect prefix of each
 list, so pairs whose product leaves the window are never formed.  For real
@@ -54,9 +62,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -71,9 +79,13 @@ def _sorted_tuple(entries: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Canonical monomial q_{plus} * qbar_{minus}, multisets sorted ascending."""
+class Monomial(NamedTuple):
+    """Canonical monomial q_{plus} * qbar_{minus}, multisets sorted ascending.
+
+    A named pair, so hashing and equality run on the tuple (plus, minus),
+    which it equals.  Monomial.of is the validating constructor; the bare
+    constructor takes slots that are already sorted tuples of nonzero ints.
+    """
 
     plus: tuple[int, ...]
     minus: tuple[int, ...]
@@ -91,7 +103,7 @@ class Monomial:
 
     def square_divisor(self) -> int:
         """Alternating sum of squares: the eigenvalue of {Lambda, .} over i."""
-        return sum(j * j for j in self.plus) - sum(j * j for j in self.minus)
+        return sum(map(mul, self.plus, self.plus)) - sum(map(mul, self.minus, self.minus))
 
     def is_normal(self) -> bool:
         """True iff the monomial depends only on actions |q_j|**2."""
@@ -101,7 +113,7 @@ class Monomial:
         return Monomial(self.minus, self.plus)
 
     def max_abs(self) -> int:
-        return max((abs(j) for j in self.plus + self.minus), default=0)
+        return max(map(abs, self.plus + self.minus), default=0)
 
     def arrangements(self) -> int:
         """Number of ordered tuples mapping to this canonical monomial."""
@@ -169,8 +181,9 @@ class PolyHamiltonian:
         return self._coeffs.get(mono, ZERO)
 
     def terms(self) -> Iterator[tuple[Monomial, ExactCoeff]]:
-        """Terms in (degree, plus, minus) order."""
-        for mono in sorted(self._coeffs, key=lambda m: (m.degree, m.plus, m.minus)):
+        """Terms in (degree, plus, minus) order: monomials sort as (plus,
+        minus) tuples, and the stable sort by degree keeps that order."""
+        for mono in sorted(sorted(self._coeffs), key=lambda m: len(m.plus) + len(m.minus)):
             yield mono, self._coeffs[mono]
 
     def degrees(self) -> list[int]:
@@ -239,6 +252,24 @@ def split_normal(H: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
     return H.filtered(Monomial.is_normal), H.filtered(lambda m: not m.is_normal())
 
 
+def homological_solve(X: PolyHamiltonian, truncation: int) -> PolyHamiltonian:
+    """The F with {Lambda, F} = -X, term by term: F = i X / d, d the square
+    divisor of each monomial of X, on a polynomial of the given truncation.
+
+    {Lambda, .} multiplies a term by i d, so i d (i c / d) = -c.  Each part
+    is one Fraction built from the numerator and the denominator times d.
+    Raises ZeroDivisionError on a term of zero divisor: only a non-resonant
+    X has a solution.
+    """
+    coeffs = {}
+    for mono, c in X._coeffs.items():
+        d = mono.square_divisor()
+        re = Fraction(-c.im.numerator, c.im.denominator * d) if c.im else c.im
+        im = Fraction(c.re.numerator, c.re.denominator * d) if c.re else c.re
+        coeffs[mono] = ExactCoeff(re, im, c.pi_power)
+    return PolyHamiltonian(truncation, coeffs)
+
+
 # -- bracket ----------------------------------------------------------------------
 
 
@@ -260,23 +291,39 @@ def _common_denominator(P: PolyHamiltonian) -> int:
     return math.lcm(*(part.denominator for c in P._coeffs.values() for part in (c.re, c.im)))
 
 
-def _contraction_index(P: PolyHamiltonian, slot: str, scale: int) -> dict[int, list]:
-    """n -> entries (top, plus, minus, value, phase, pi_power) of the
+def _longest_slot(P: PolyHamiltonian, slot: str) -> int:
+    """The largest number of modes in the slot of any monomial of P."""
+    return max((len(getattr(m, slot)) for m in P._coeffs), default=0)
+
+
+def _contraction_index(P: PolyHamiltonian, slot: str, scale: int, digits: dict) -> dict[int, list]:
+    """n -> entries (top, code, rest, value, phase, pi_power) of the
     derivatives of P by the slot's mode n, sorted by top: the largest |mode|
-    of the remainder (plus, minus).  value is the int multiplicity times the
-    real (phase 0) or imaginary (phase 1) part times scale, a common
-    denominator of P's parts; one entry per nonzero part.
+    of the remainder rest = (plus, minus).  code is the remainder's additive
+    code, the sum of digits[s][j] over the modes j of each slot s.  value is
+    the int multiplicity times the real (phase 0) or imaginary (phase 1)
+    part times scale, a common denominator of P's parts; one entry per
+    nonzero part.
     """
     index: dict[int, list] = {}
+    plus_digits, minus_digits, slot_digits = digits["plus"], digits["minus"], digits[slot]
     for mono, c in P._coeffs.items():
         parts = [(ph, x.numerator * (scale // x.denominator)) for ph, x in ((0, c.re), (1, c.im)) if x]
+        code = sum(map(plus_digits.__getitem__, mono.plus)) + sum(map(minus_digits.__getitem__, mono.minus))
         for n, mult, plus, minus in _derivatives(mono, slot):
             top = max(map(abs, plus + minus), default=0)
+            rest_code = code - slot_digits[n]
             for phase, value in parts:
-                index.setdefault(n, []).append((top, plus, minus, value * mult, phase, c.pi_power))
+                index.setdefault(n, []).append((top, rest_code, (plus, minus), value * mult, phase, c.pi_power))
     for entries in index.values():
         entries.sort(key=lambda e: e[0])
     return index
+
+
+def _product(h_rest: tuple, f_rest: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted (plus, minus) of the product of two remainders."""
+    (hp, hm), (fp, fm) = h_rest, f_rest
+    return tuple(sorted(hp + fp)), tuple(sorted(hm + fm))
 
 
 def _diagonal_weights(P: PolyHamiltonian) -> dict[int, ExactCoeff] | None:
@@ -362,14 +409,23 @@ def bracket(
     Every product term pairs an entry of _contraction_index(H) with one of F
     for the same n, at the cost of one int product and one int add: -i n
     (dH/dq_n dF/dqbar_n) or +i n (dH/dqbar_n dF/dq_n), whose phase picks the
-    output's real or imaginary part.  Each output part is one Fraction over
-    D_H D_F.  If both operands are real valued the second pass is the
-    conjugate of the first, so only the first runs and its sums A are
-    folded once over their monomials: {H, F}(m) = A(m) + conj(A(conj m)).
-    If support_bound is given, output terms with any mode exceeding it are
-    dropped; an output's modes are the two remainders', so only the
-    bisected prefixes with top <= support_bound are ever paired.  Terms of
-    different pi powers meeting on one monomial raise ValueError.
+    output's real or imaginary part.  The output monomial of a pair is keyed
+    by one more int add: each entry carries the additive code of its
+    remainder, the sum over its modes j of base^(offset + j + T), with T the
+    truncation, offset 0 for the plus slot and 2T + 1 for the minus slot, and
+    base the larger of the two slot-length sums of the operands, so it
+    exceeds the longest output slot.  A code's base-digits then count each
+    (slot, mode) of the remainder, the product's code is the sum of the two
+    codes, and distinct output monomials have distinct codes.  Each output's
+    sorted (plus, minus) is built once, from the remainders of the first
+    pair that reaches it.  Each output part is one Fraction over D_H D_F.
+    If both operands are real valued the second pass is the conjugate of the
+    first, so only the first runs and its sums A are folded once over their
+    monomials: {H, F}(m) = A(m) + conj(A(conj m)).  If support_bound is
+    given, output terms with any mode exceeding it are dropped; an output's
+    modes are the two remainders', so only the bisected prefixes with top <=
+    support_bound are ever paired.  Terms of different pi powers meeting on
+    one monomial raise ValueError.
     """
     if H.truncation != F.truncation:
         raise ValueError("truncation mismatch")
@@ -380,6 +436,15 @@ def bracket(
             return _diagonal_bracket(weights, G, bound, sign)
     real = H.is_real_valued() and F.is_real_valued()
     h_scale, f_scale = _common_denominator(H), _common_denominator(F)
+    T = H.truncation
+    base = max(
+        _longest_slot(H, "plus") + _longest_slot(F, "plus"),
+        _longest_slot(H, "minus") + _longest_slot(F, "minus"),
+    )
+    digits = {
+        slot: {j: base ** (offset + j + T) for j in range(-T, T + 1)}
+        for slot, offset in (("plus", 0), ("minus", 2 * T + 1))
+    }
 
     def window(entries):
         return entries[: bisect_right(entries, bound, key=lambda e: e[0])]
@@ -387,24 +452,25 @@ def bracket(
     def clash(key, pi, other):
         return ValueError(f"pi powers {pi} and {other} meet on {key}")
 
-    acc: dict[tuple, list] = {}
+    by_code: dict[int, list] = {}
     for h_slot, f_slot, sign in (("plus", "minus", -1), ("minus", "plus", 1))[: 1 if real else 2]:
-        h_index = _contraction_index(H, h_slot, h_scale)
-        f_index = _contraction_index(F, f_slot, f_scale)
+        h_index = _contraction_index(H, h_slot, h_scale, digits)
+        f_index = _contraction_index(F, f_slot, f_scale, digits)
         for n in h_index.keys() & f_index.keys():
             f_entries = window(f_index[n])
-            for _, hp, hm, hv, hph, hpi in window(h_index[n]):
+            for _, hc, hr, hv, hph, hpi in window(h_index[n]):
                 w = sign * n * hv
                 weights = (w, -w, -w)  # i^(hph + fph + 1): imaginary +, real -, imaginary -
-                for _, fp, fm, fv, fph, fpi in f_entries:
-                    key = (tuple(sorted(hp + fp)), tuple(sorted(hm + fm)))
-                    slot = acc.get(key)
+                for _, fc, fr, fv, fph, fpi in f_entries:
+                    key = hc + fc
+                    slot = by_code.get(key)
                     if slot is None:
-                        acc[key] = slot = [0, 0, hpi + fpi]
+                        by_code[key] = slot = [0, 0, hpi + fpi, hr, fr]
                     elif slot[2] != hpi + fpi:
-                        raise clash(key, slot[2], hpi + fpi)
+                        raise clash(_product(hr, fr), slot[2], hpi + fpi)
                     ph = hph + fph
                     slot[1 - ph % 2] += weights[ph] * fv
+    acc = {_product(hr, fr): (re, im, pi) for re, im, pi, hr, fr in by_code.values()}
     if real:
         folded = {}
         for (plus, minus), (re, im, pi) in acc.items():

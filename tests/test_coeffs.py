@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,38 @@ def test_zero_is_canonical():
 def test_negative_pi_power_rejected():
     with pytest.raises(ValueError):
         ExactCoeff(Fraction(1), Fraction(0), -1)
+
+
+def test_constructor_checks_its_parts_and_pi_power():
+    for bad in (0.5, "1/3", 1j):
+        with pytest.raises(TypeError):
+            ExactCoeff(bad, Fraction(0))
+        with pytest.raises(TypeError):
+            ExactCoeff(Fraction(1), bad)
+    with pytest.raises(ValueError):
+        ExactCoeff(Fraction(0), Fraction(0), -1)
+    # int parts become Fractions; zero resets the pi power whatever the parts' type
+    c = ExactCoeff(3, 0, 1)
+    assert type(c.re) is Fraction and type(c.im) is Fraction
+    assert c == ExactCoeff(Fraction(3), Fraction(0), 1)
+    assert ExactCoeff(0, Fraction(0), 5).pi_power == 0
+    assert ExactCoeff.real(0, pi_power=3).pi_power == 0
+    assert ExactCoeff.imag(Fraction(0, 7), pi_power=2) == ExactCoeff.zero()
+
+
+def test_coefficient_is_a_frozen_hashable_value():
+    c = ExactCoeff(Fraction(1, 3), Fraction(-2, 5), 2)
+    for name in ("re", "im", "pi_power", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert c == ExactCoeff(Fraction(2, 6), Fraction(-4, 10), 2)
+    assert hash(c) == hash(ExactCoeff(Fraction(2, 6), Fraction(-4, 10), 2))
+    assert c != ExactCoeff(Fraction(1, 3), Fraction(-2, 5), 1)
+    assert c != (c.re, c.im, c.pi_power)
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert repr(c) == "ExactCoeff(re=Fraction(1, 3), im=Fraction(-2, 5), pi_power=2)"
 
 
 def test_mixed_pi_power_addition_rejected():

@@ -188,6 +188,44 @@ def test_ktilde_example_monomial(r6_at_8):
     assert r6_at_8.coefficient(mono).is_zero
 
 
+# -- negative controls: one wrong coefficient in R6 is caught -------------------------
+
+
+def _with_term(r6, mono, coeff):
+    return r6 + PolyHamiltonian.from_terms(r6.truncation, [(mono, coeff)])
+
+
+def test_resonant_check_names_a_resonant_term_added_to_r6(r6_at_8):
+    mono = Monomial.of((1, 5, 6), (2, 3, 7))
+    coeff = ExactCoeff.real(Fraction(1, 10**9), pi_power=2)
+    rep = verify_Ktilde_zero(8, _with_term(r6_at_8, mono, coeff))
+    assert not rep.passed
+    assert rep.coefficient_violations == [(mono, coeff)]
+    assert rep.structural_violations == [(mono, coeff)]
+    assert rep.tau_sum_failures == []
+    assert not resonant_cancellation(8, _with_term(r6_at_8, mono, coeff)).passed
+
+
+def test_action_part_check_fails_on_a_normal_term_added_to_r6(r6_at_8):
+    mono = Monomial.of((1, 1, 3), (1, 1, 3))
+    assert not r6_at_8.coefficient(mono).is_zero
+    bad = _with_term(r6_at_8, mono, ExactCoeff.real(Fraction(1, 10**9), pi_power=2))
+    check = action_part(8, bad)
+    assert action_part(8, r6_at_8).passed and not check.passed
+    normal, _, K = check.report
+    assert [m for m, c in normal.terms() if K.coefficient(m) != c] == [mono]
+
+
+def test_reducible_crosscheck_fails_on_one_changed_coefficient(r6_at_8):
+    M = n = 8
+    _, qtilde = split_r6(r6_at_8)
+    mono = next(m for m, _ in qtilde.terms() if m.plus.count(n) == 1 and m.minus.count(n) == 1)
+    delta = ExactCoeff.real(Fraction(1, 10**9), pi_power=2)
+    rep = qtilde0_crosscheck(M, n, _with_term(r6_at_8, mono, delta))
+    assert not rep.passed
+    assert rep.mismatches == [(mono, qtilde.coefficient(mono) + delta, qtilde.coefficient(mono))]
+
+
 # -- generator --------------------------------------------------------------------
 
 

@@ -48,6 +48,27 @@ def test_monomial_zero_mode_rejected():
         Monomial.of((0, 1), (1, 0))
 
 
+def test_monomial_is_a_named_sorted_pair():
+    m = Monomial.of([4, -2, 1], (3, 3, -1))
+    assert type(m.plus) is tuple and type(m.minus) is tuple
+    assert m == ((-2, 1, 4), (-1, 3, 3)) and hash(m) == hash(((-2, 1, 4), (-1, 3, 3)))
+    plus, minus = m
+    assert (plus, minus) == (m.plus, m.minus)
+    assert repr(m) == "Monomial(plus=(-2, 1, 4), minus=(-1, 3, 3))"
+    assert str(m) == "q[-2, 1, 4]*qbar[-1, 3, 3]"
+    with pytest.raises(ValueError):
+        Monomial.of((1,), (2, 0))
+
+
+def test_bracket_monomials_equal_and_hash_like_validated_ones():
+    out = bracket(build_Q(3), build_B_closed_form(3))
+    assert not out.is_zero
+    for mono, coeff in out.terms():
+        again = Monomial.of(reversed(mono.plus), reversed(mono.minus))
+        assert type(mono) is Monomial and mono == again and hash(mono) == hash(again)
+        assert out.coefficient(again) is coeff
+
+
 def test_is_normal_form_examples():
     assert Monomial.of((1, 3), (1, 3)).is_normal()
     assert not Monomial.of((2, 3), (1, 4)).is_normal()
@@ -344,6 +365,33 @@ def _bracket_operands(name):
         return build_F4(3)
     if name in ("lam3", "lam9"):
         return build_lambda(int(name[3:]))
+    if name == "F6x":
+        from dnls_nflab.order4 import compute_R6
+        from dnls_nflab.order6 import build_F6
+
+        return build_F6(9, compute_R6(3))
+    if name in ("cube", "cube_real"):
+        # q1^3 against q1 qbar1^3 and qbar1^4 fills an output slot with
+        # three 1s, one below the code's base of 4; q1 q2 against qbar1^3
+        # gives (2 | 1, 1), which a base of 3 would carry onto (1, 1, 1 | 1, 1)
+        P = PolyHamiltonian.from_terms(
+            2,
+            [
+                (Monomial.of((1, 1, 1), ()), ExactCoeff(Fraction(1, 3), Fraction(-2, 7))),
+                (Monomial.of((1, 2), ()), ExactCoeff(Fraction(5, 2), Fraction(1, 9))),
+            ],
+        )
+        return _real_part(P) if name == "cube_real" else P
+    if name in ("qbar1_heavy", "qbar1_heavy_real"):
+        P = PolyHamiltonian.from_terms(
+            2,
+            [
+                (Monomial.of((1,), (1, 1, 1)), ExactCoeff(Fraction(-4, 5), Fraction(3, 11))),
+                (Monomial.of((), (1, 1, 1, 1)), ExactCoeff(Fraction(7, 6), Fraction(0))),
+                (Monomial.of((), (1, 1, 1)), ExactCoeff(Fraction(0), Fraction(-1, 13))),
+            ],
+        )
+        return _real_part(P) if name == "qbar1_heavy_real" else P
     if name == "diag":
         # diagonal, mixed denominators, both parts nonzero, pi power 1
         return PolyHamiltonian.from_terms(
@@ -374,6 +422,12 @@ def _bracket_operands(name):
         ("random_real", "B", 2),
         ("random", "random_real", None),
         ("random", "F4", 2),
+        # output slots at the additive code's carry boundary
+        ("cube", "qbar1_heavy", None),
+        ("qbar1_heavy", "cube", 1),
+        ("cube_real", "qbar1_heavy_real", None),
+        # a real degree-6 generator against F4 on the 3M window, bounded
+        ("F6x", "F4x", 3),
         # a diagonal operand takes the per-term path, on either side
         ("lam9", "F4x", None),
         ("lam9", "F4x", 3),
