@@ -12,49 +12,19 @@ bracket carries the mode weight j:
 A polynomial is one flat map Monomial -> nonzero ExactCoeff; terms() lists
 it by (degree, plus, minus), the order of the serialized records.
 
-bracket indexes both operands per call by contracted mode n: one entry per
-derivative by q_n or qbar_n, holding the remaining multisets, their additive
-code, their largest |mode| and one int per nonzero real or imaginary part,
-its numerator over the operand's one common denominator (the LCM of all its
-coefficient denominators).  The code of a multiset pair is the sum of
-base^(offset + j + T) over its modes j, T the truncation, offset 0 for the
-plus slot and 2T + 1 for the minus slot; base exceeds the longest output
-slot, so the code of a product monomial is the sum of its two factors'
-codes and no two output monomials share one.  A kept pair costs one int
-product and two int adds, one of them its output key, and each output's
-sorted slots are built once, for the first pair that reaches it.  Each
-output part becomes one Fraction over the product of the two denominators.
-Sorted by that largest mode, a support bound becomes a bisect prefix of each
-list, so pairs whose product leaves the window are never formed.  For real
-valued operands the dH/dqbar dF/dq pass is the conjugate of the dH/dq
-dF/dqbar pass, so only the latter runs and is folded onto the conjugate
-monomials once.
+bracket pairs int numerators over each operand's common denominator and
+keys each product monomial by the sum of its two factors' additive codes; a
+diagonal operand such as Lambda multiplies each term of the other by i w(m),
+for Lambda the square divisor of m, which is how {Lambda, F6} = -Qtilde is
+checked, and forms no pairs (see bracket, _contraction_index and
+_diagonal_bracket, which hold the details).
 
-A diagonal operand, sum_n h_n q_n qbar_n as Lambda, needs no pairs: its
-bracket with F multiplies each term c m of F by i w(m), with
-w(m) = sum_n n h_n (alpha_n(m) - beta_n(m)) over the multiplicities of n in
-the plus and minus slots of m, so it costs one step per term of F, again
-in int numerators over the two common denominators.  For Lambda, w(m) is the
-square divisor of m, which is how {Lambda, F6} = -Qtilde is checked.
-
-The numeric value and the vector field share one product kernel.  Each
-compiles a polynomial into rows: one per term for the value, one per qbar
-derivative term for the field, each an output component, a prefactor and
-a list of factors, the plus slots then the minus slots.  A factor is an
-index into ext = concatenate(vec, conj(vec)), so a barred slot needs no
-conjugation mask.  Rows of one width are sorted by (component, last
-factor) and their first width-1 factors, the head, share a prefix plan:
-level k holds the distinct length-k head prefixes, each as (index of its
-length-(k-1) prefix, index of its last factor).  A call gathers every
-level's last factors with one take, multiplies one level at a time, so a
-prefix shared by many rows is multiplied once, and takes each row's head
-times its prefactor.  The last factor multiplies the sum of each (component,
-last factor) segment once, and the segments are summed per component.
-Each numeric form has one dtype, fixed by its role and compiled once per
-polynomial: the value is evaluated in clongdouble, where the residual
-ladder's cancellation needs extended precision, and the field in
-complex128, several times faster per product.  The field is -i j times
-the qbar gradient, with -i j multiplied into each row's prefactor once.
+The numeric value and the vector field share one product kernel: each
+compiles a polynomial once per form into rows, built in numpy from one table
+of its terms, and multiplies them along a prefix plan (see _compile_rows and
+_poly_sums).  The value is evaluated in clongdouble, where the residual
+ladder's cancellation needs extended precision, and the field, -i j times
+the qbar gradient, in complex128.
 """
 
 from __future__ import annotations
@@ -63,6 +33,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -175,6 +146,16 @@ class PolyHamiltonian:
     def zero(cls, truncation: int) -> "PolyHamiltonian":
         return cls(truncation)
 
+    @classmethod
+    def _nonzero(cls, truncation: int, coeffs: dict[Monomial, ExactCoeff]) -> "PolyHamiltonian":
+        """The polynomial on coeffs as given, every value nonzero by
+        construction: a sum after its cancelled terms are deleted, a negation,
+        a nonzero multiple, a restriction or a homological solve skips the
+        constructor's per-term zero test."""
+        P = cls(truncation)
+        P._coeffs = coeffs
+        return P
+
     # -- inspection --------------------------------------------------------------
 
     def coefficient(self, mono: Monomial) -> ExactCoeff:
@@ -204,10 +185,13 @@ class PolyHamiltonian:
         return f"PolyHamiltonian(M={self.truncation}, terms={self.num_terms})"
 
     def is_real_valued(self) -> bool:
-        """Exact conjugation symmetry: coeff(m) == conj(coeff(conj(m)))."""
-        for m, c in self._coeffs.items():
-            d = self._coeffs.get(m.conjugate())
-            if d is None or d.re != c.re or d.im != -c.im or d.pi_power != c.pi_power:
+        """Exact conjugation symmetry: coeff(m) == conj(coeff(conj(m))), read
+        off the normalized numerators and denominators as _cancels does."""
+        for (plus, minus), c in self._coeffs.items():
+            d = self._coeffs.get((minus, plus))
+            if d is None or d.pi_power != c.pi_power or d.re.as_integer_ratio() != c.re.as_integer_ratio():
+                return False
+            if d.im.numerator != -c.im.numerator or d.im.denominator != c.im.denominator:
                 return False
         return True
 
@@ -225,10 +209,11 @@ class PolyHamiltonian:
                 del coeffs[mono]
             else:  # raises on mixed pi powers
                 coeffs[mono] = acc + coeff
-        return PolyHamiltonian(self.truncation, coeffs)
+        # the copy is compact: it drops the table slots of deleted terms
+        return PolyHamiltonian._nonzero(self.truncation, dict(coeffs))
 
     def __neg__(self) -> "PolyHamiltonian":
-        return PolyHamiltonian(self.truncation, {m: -c for m, c in self._coeffs.items()})
+        return PolyHamiltonian._nonzero(self.truncation, {m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         return self + (-other)
@@ -237,14 +222,14 @@ class PolyHamiltonian:
         f = Fraction(factor)
         if f == 0:
             return PolyHamiltonian.zero(self.truncation)
-        return PolyHamiltonian(self.truncation, {m: c.scaled(f) for m, c in self._coeffs.items()})
+        return PolyHamiltonian._nonzero(self.truncation, {m: c.scaled(f) for m, c in self._coeffs.items()})
 
     def with_truncation(self, M: int) -> "PolyHamiltonian":
         """Reinterpret at truncation M; restricts or embeds as needed."""
-        return PolyHamiltonian(M, {m: c for m, c in self._coeffs.items() if m.max_abs() <= M})
+        return PolyHamiltonian._nonzero(M, {m: c for m, c in self._coeffs.items() if m.max_abs() <= M})
 
     def filtered(self, predicate) -> "PolyHamiltonian":
-        return PolyHamiltonian(self.truncation, {m: c for m, c in self._coeffs.items() if predicate(m)})
+        return PolyHamiltonian._nonzero(self.truncation, {m: c for m, c in self._coeffs.items() if predicate(m)})
 
 
 def split_normal(H: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
@@ -267,7 +252,7 @@ def homological_solve(X: PolyHamiltonian, truncation: int) -> PolyHamiltonian:
         re = Fraction(-c.im.numerator, c.im.denominator * d) if c.im else c.im
         im = Fraction(c.re.numerator, c.re.denominator * d) if c.re else c.re
         coeffs[mono] = ExactCoeff(re, im, c.pi_power)
-    return PolyHamiltonian(truncation, coeffs)
+    return PolyHamiltonian._nonzero(truncation, coeffs)
 
 
 # -- bracket ----------------------------------------------------------------------
@@ -628,15 +613,6 @@ def poly_from_records(records: list[dict], truncation: int) -> PolyHamiltonian:
 LONG_COMPLEX = np.dtype(np.clongdouble)
 
 
-def _to_dtype_coeff(coeff: ExactCoeff, dtype):
-    if np.dtype(dtype) == LONG_COMPLEX:
-        scale = np.longdouble(math.pi) ** (-coeff.pi_power)
-        re = np.longdouble(coeff.re.numerator) / np.longdouble(coeff.re.denominator)
-        im = np.longdouble(coeff.im.numerator) / np.longdouble(coeff.im.denominator)
-        return np.clongdouble(re * scale) + np.clongdouble(1j) * np.clongdouble(im * scale)
-    return coeff.to_complex()
-
-
 def evaluate_poly(poly: PolyHamiltonian, vec: np.ndarray) -> np.clongdouble:
     """Numeric value at a dense state vector over mode_range(truncation),
     evaluated in clongdouble.  Raises ValueError unless vec has one entry
@@ -664,85 +640,104 @@ def _prefix_plan(factors: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray
 
 
 def _compile_rows(poly: PolyHamiltonian, field: bool) -> tuple[list[tuple], np.ndarray]:
-    """Rows of a polynomial's value or vector field as width groups, widths
-    ascending, and the ext buffer each call loads the state into; compiled
-    once per polynomial and form.
-
-    field=False: one row per term, all in component 0 (the value), in
-                 clongdouble;
-    field=True:  rows for -i n dP/dqbar_n (the vector field), in
-                 complex128; the weight -i n multiplies the prefactors
-                 once, here.
-    A factor is an index into ext = concatenate(vec, conj(vec)): q_j first,
-    then qbar_j.  A row's value is its prefactor times its factors.  The
-    prefix plan covers each row's first width-1 factors, so every level is
-    a table of distinct prefixes, and the last factor multiplies once the
-    sum of each (component, last factor) segment, of which a component has
-    at most 2 * n_modes.
-
-    A group is (width, comp, comp_starts, seg_starts, pref, take, levels,
-    head, work): its components in order, or None if it has every one;
-    where each component's run of segments starts; where each segment's
-    run of rows starts; the rows' prefactors; the ext indices gathered once
-    per call, the last factors of every prefix level and then each
-    segment's last factor; (parent, slice of the gathered factors) per
-    prefix level; each row's head in the last level; and the work buffers
-    for the gathered factors, two levels and the rows.
+    """The value's rows (field=False: one per term, component 0, in
+    clongdouble) or the field's (field=True: one per -i n dP/dqbar_n, in
+    complex128) as width groups, widths ascending, and the ext buffer each
+    call loads the state into; compiled once per polynomial and form.  Rows
+    sort by (component, last factor, rank in terms()).
     """
     key = ("rows", field)
     compiled = poly._cache.get(key)
     if compiled is not None:
         return compiled
-    dtype = np.dtype(np.complex128) if field else LONG_COMPLEX
-    modes = mode_range(poly.truncation)
-    index = {j: i for i, j in enumerate(modes)}
-    n_modes = len(index)
-    by_width: dict[int, list] = {}
-    for mono, coeff in poly.terms():
-        derivs = _derivatives(mono, "minus") if field else [(None, 1, mono.plus, mono.minus)]
-        for n, mult, plus, minus in derivs:
-            factors = [index[j] for j in plus] + [n_modes + index[j] for j in minus]
-            pref = _to_dtype_coeff(coeff if mult == 1 else coeff.scaled(mult), dtype)
-            by_width.setdefault(len(factors), []).append((index[n] if field else 0, pref, factors))
+    rank, comp, pref, rows = _term_rows(poly, field)
+    n_modes = 2 * poly.truncation
+    widths = (rows >= 0).sum(axis=1)
     groups = []
-    for width in sorted(by_width):
-        rows = by_width[width]
-        comp = np.array([r[0] for r in rows], dtype=np.intp)
-        pref = np.array([r[1] for r in rows], dtype=dtype)
-        factors = np.array([r[2] for r in rows], dtype=np.intp).reshape(len(rows), width)
-        # a stable sort: a segment's rows keep the terms' order
-        order = np.lexsort((factors[:, -1] if width else comp, comp))
-        comp, pref, factors = comp[order], pref[order], factors[order]
-        if field:
-            pref *= -1j * np.array(modes)[comp]
-        last = factors[:, -1] if width else comp
-        seg_starts = np.flatnonzero(np.r_[True, (comp[1:] != comp[:-1]) | (last[1:] != last[:-1])])
-        seg_comp = comp[seg_starts]
-        comp_starts = np.flatnonzero(np.r_[True, seg_comp[1:] != seg_comp[:-1]])
-        levels, head = _prefix_plan(factors[:, :-1]) if width > 1 else ([], None)
-        lasts = [level_last for _, level_last in levels] + ([last[seg_starts]] if width else [])
-        ends = np.cumsum([0] + [len(x) for x in lasts])
-        level_size = max((len(parent) for parent, _ in levels[1:]), default=0)
-        work = (
-            np.empty(ends[-1], dtype=dtype),
-            *np.empty((2, level_size), dtype=dtype),
-            np.empty(len(rows) if levels else 0, dtype=dtype),
-        )
-        groups.append(
-            (
-                width,
-                None if len(comp_starts) == (n_modes if field else 1) else seg_comp[comp_starts],
-                comp_starts,
-                seg_starts,
-                pref,
-                np.concatenate(lasts) if lasts else np.zeros(0, dtype=np.intp),
-                [(parent, slice(a, b)) for (parent, _), a, b in zip(levels, ends, ends[1:])],
-                head,
-                work,
-            )
-        )
-    compiled = poly._cache[key] = (groups, np.empty(2 * n_modes, dtype=dtype))
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        sel = np.flatnonzero(widths == width)
+        sel = sel[np.lexsort((rank[sel], rows[sel, -1] if width else comp[sel], comp[sel]))]
+        factors = rows[sel, rows.shape[1] - width :]
+        groups.append(_width_group(width, comp[sel], pref[sel], factors, n_modes if field else 1))
+    compiled = poly._cache[key] = (groups, np.empty(2 * n_modes, dtype=pref.dtype))
     return compiled
+
+
+def _term_rows(poly: PolyHamiltonian, field: bool) -> tuple[np.ndarray, ...]:
+    """Every row of the value (field=False) or the field as arrays: its rank
+    in terms(), component, prefactor and factors.  The factors are indices
+    into ext after -1 pads: ext ascends along a row, so a sort puts the pads
+    first and keeps the factors' order.  numpy builds the rows at once from
+    one pass over the terms, which reads their slots, plus then minus, and
+    exact parts; returning frees the temporaries before the groups are built.
+
+    A qbar_n row drops the first minus entry n, and mult counts them.  A
+    row's prefactor is (num mult) / den pi**-p: for the field, -i n times its
+    division in Python ints, rounded as float(Fraction) is, and pi**-p as in
+    to_complex; for the value, in clongdouble from longdouble parts.
+    """
+    M = poly.truncation
+    coeffs = list(poly._coeffs.values())
+    parts = chain.from_iterable(c.re.as_integer_ratio() + c.im.as_integer_ratio() for c in coeffs)
+    parts = np.fromiter(parts, object).reshape(-1, 4)  # Python ints: exact products
+    pi = math.pi if field else np.longdouble(math.pi)
+    powers = {p: pi**-p for p in {c.pi_power for c in coeffs}}
+    scale = np.array([powers[c.pi_power] for c in coeffs])
+    # padded by -M - 1, below every mode, a slot sorts before its extensions
+    lens = np.fromiter(map(len, chain.from_iterable(poly._coeffs)), np.intp).reshape(-1, 2)
+    P, Q = lens.max(axis=0, initial=0)
+    filled = np.hstack((np.arange(P) < lens[:, :1], np.arange(Q) < lens[:, 1:]))
+    slots = np.full(filled.shape, -M - 1)
+    slots[filled] = list(chain.from_iterable(chain.from_iterable(poly._coeffs)))
+    rank = np.lexsort((*slots.T[::-1], lens.sum(axis=1))).argsort()
+    # q_j sits at j + M - (j > 0) in vec, and qbar_j 2M further on in ext
+    ext = np.where(filled, slots + M - (slots > 0) + 2 * M * (np.arange(P + Q) >= P), -1)
+    if not field:  # each term's value, from longdouble parts
+        re, im = (parts[:, k].astype(np.longdouble) / parts[:, k + 1].astype(np.longdouble) * scale for k in (0, 2))
+        pref = re.astype(LONG_COMPLEX) + LONG_COMPLEX.type(1j) * im
+        return rank, np.zeros(len(coeffs), dtype=np.intp), pref, np.sort(ext, axis=1)
+    bars = slots[:, P:]
+    term, i = np.nonzero(filled[:, P:] & (np.diff(bars, axis=1, prepend=0) != 0))
+    n, rows = bars[term, i], ext[term]
+    rows[np.arange(len(term)), P + i] = -1
+    mult = (bars[term] == n[:, None]).sum(axis=1)
+    # -i n (num mult) / den in Python ints, rounded as float(Fraction) is
+    pref = np.empty(len(term), np.complex128)
+    pref.real, pref.imag = ((parts[term, k] * mult / parts[term, k + 1]).astype(float) * scale[term] for k in (0, 2))
+    pref *= -1j * n
+    rows.sort(axis=1)
+    return rank[term], n + M - (n > 0), pref, rows
+
+
+def _width_group(width: int, comp: np.ndarray, pref: np.ndarray, factors: np.ndarray, n_out: int) -> tuple:
+    """One width's rows, sorted by (component, last factor), as a group
+    (width, comp, comp_starts, seg_starts, pref, take, levels, head, work).
+
+    A factor is an index into ext = concatenate(vec, conj(vec)).  The
+    prefix plan covers each row's first width-1 factors, and the last factor
+    multiplies once the sum of each (component, last factor) segment.  The
+    group holds its components in order, or None if it has all n_out; where
+    each component's run of segments starts; where each segment's run of
+    rows starts; the prefactors; the ext indices gathered once per call,
+    every prefix level's last factors and then each segment's; (parent,
+    slice of the gathered factors) per prefix level; each row's head in the
+    last level; and the work buffers for the gathered factors, two levels
+    and the rows.
+    """
+    last = factors[:, -1] if width else comp
+    seg_starts = np.flatnonzero(np.r_[True, (comp[1:] != comp[:-1]) | (last[1:] != last[:-1])])
+    seg_comp = comp[seg_starts]
+    comp_starts = np.flatnonzero(np.r_[True, seg_comp[1:] != seg_comp[:-1]])
+    levels, head = _prefix_plan(factors[:, :-1]) if width > 1 else ([], None)
+    lasts = [level_last for _, level_last in levels] + ([last[seg_starts]] if width else [])
+    ends = np.cumsum([0] + [len(x) for x in lasts])
+    level_size = max((len(parent) for parent, _ in levels[1:]), default=0)
+    dtype = pref.dtype
+    work = (np.empty(ends[-1], dtype), *np.empty((2, level_size), dtype), np.empty(len(pref) if levels else 0, dtype))
+    present = None if len(comp_starts) == n_out else seg_comp[comp_starts]
+    take = np.concatenate(lasts) if lasts else np.zeros(0, dtype=np.intp)
+    plan = [(parent, slice(a, b)) for (parent, _), a, b in zip(levels, ends, ends[1:])]
+    return width, present, comp_starts, seg_starts, pref, take, plan, head, work
 
 
 def _prefix_products(levels, lasts: np.ndarray, work) -> np.ndarray:

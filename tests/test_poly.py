@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -570,6 +571,17 @@ def test_vector_field_matches_finite_differences():
             assert abs(analytic[idx] - expect) <= 1e-7 * max(1.0, abs(expect))
 
 
+def _to_dtype_coeff(coeff, dtype):
+    """A coefficient's prefactor, one term at a time: complex128 by
+    to_complex, clongdouble from longdouble parts and pi power."""
+    if np.dtype(dtype) == LONG_COMPLEX:
+        scale = np.longdouble(math.pi) ** (-coeff.pi_power)
+        re = np.longdouble(coeff.re.numerator) / np.longdouble(coeff.re.denominator)
+        im = np.longdouble(coeff.im.numerator) / np.longdouble(coeff.im.denominator)
+        return np.clongdouble(re * scale) + np.clongdouble(1j) * np.clongdouble(im * scale)
+    return coeff.to_complex()
+
+
 def _reference_rows(P, vec, field):
     """Rows (width, component, last, prefactor, factors) of the value
     (field=False) or the vector field (field=True) at vec, in term order.
@@ -580,8 +592,6 @@ def _reference_rows(P, vec, field):
     The factors are q_j for the plus slots, then conj(q_j) for the minus
     slots, and last indexes the last of them in concatenate(vec, conj(vec)).
     """
-    from dnls_nflab.poly import _to_dtype_coeff
-
     dtype = np.complex128 if field else LONG_COMPLEX
     v = vec.astype(dtype)
     index = {j: i for i, j in enumerate(mode_range(P.truncation))}
@@ -642,8 +652,6 @@ def _scalar_reference_gradient(P, vec):
     Python complex scalars, then its prefactor, and the rows of one
     component are summed.
     """
-    from dnls_nflab.poly import _to_dtype_coeff
-
     index = {j: i for i, j in enumerate(mode_range(P.truncation))}
     out = np.zeros(len(vec), dtype=np.complex128)
     for mono, coeff in P.terms():
@@ -709,6 +717,131 @@ def test_row_kernel_matches_per_term_reference(name, dtype):
     low = vec.astype(np.complex128)
     want = -1j * np.array(mode_range(P.truncation)) * _scalar_reference_gradient(P, low)
     assert np.linalg.norm(field - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _reference_groups(P, field):
+    """The width groups of a per-row loop over terms(): each term in turn,
+    and for the field each distinct minus entry n of it, ascending, gives a
+    row (component, prefactor, factors), the prefactor _to_dtype_coeff of
+    the coefficient times the multiplicity of n.  Each width's rows are
+    stably sorted by (component, last factor), the field's prefactors are
+    multiplied by -i n, and _width_group forms the group.
+    """
+    from dnls_nflab.poly import _width_group
+
+    dtype = np.complex128 if field else LONG_COMPLEX
+    modes = mode_range(P.truncation)
+    index = {j: i for i, j in enumerate(modes)}
+    by_width = {}
+    for mono, coeff in P.terms():
+        derivs = [(0, 1, mono.minus)]
+        if field:
+            derivs = [
+                (index[n], mono.minus.count(n), mono.minus[:k] + mono.minus[k + 1 :])
+                for k, n in enumerate(mono.minus)
+                if n not in mono.minus[:k]
+            ]
+        for comp, mult, minus in derivs:
+            factors = [index[j] for j in mono.plus] + [len(modes) + index[j] for j in minus]
+            pref = _to_dtype_coeff(coeff.scaled(mult), dtype)
+            by_width.setdefault(len(factors), []).append((comp, pref, factors))
+    groups = []
+    for width, rows in sorted(by_width.items()):
+        comp = np.array([r[0] for r in rows], dtype=np.intp)
+        pref = np.array([r[1] for r in rows], dtype=dtype)
+        factors = np.array([r[2] for r in rows], dtype=np.intp).reshape(len(rows), width)
+        order = np.lexsort((factors[:, -1] if width else comp, comp))
+        comp, pref, factors = comp[order], pref[order], factors[order]
+        if field:
+            pref *= -1j * np.array(modes)[comp]
+        groups.append(_width_group(width, comp, pref, factors, len(modes) if field else 1))
+    return groups
+
+
+def _assert_same_arrays(got, want, path="groups"):
+    """Equal nesting, equal scalars and slices, and arrays of one dtype and
+    shape, equal bit for bit: a complex value also in its zeros' signs."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype, path
+        assert np.array_equal(got, want), path
+        if want.dtype.kind == "c":
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part))), path
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), path
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_same_arrays(a, b, f"{path}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+def _table_poly():
+    """At M = 3, 400 random monomials of up to three plus and three minus
+    slots, inserted in a shuffled order, with parts from 0 to numerators
+    and denominators past 2**64 and pi powers 0, 1 and 2, and some chosen
+    terms: width-0 rows of both forms, minus multiplicities 2 and 3, and two
+    terms of one degree whose field rows share a segment while their plus
+    slots, (-2,) and (-2, -1), sort by length."""
+    rng = np.random.default_rng(29)
+    parts = [
+        Fraction(0),
+        Fraction(1, 3),
+        Fraction(-7, 2),
+        # past 2**53 and 2**64, where float(num mult) / float(den) is off
+        # for mult = 1, 2 and 3, and true division is not
+        Fraction(8788444088577677, 16092568269997993),
+        Fraction(-52285821743603973653, 82952357057965791015),
+        Fraction(2**64 + 13, 2**65 + 7),
+        Fraction(-(2**70) - 1, 11),
+    ]
+    modes = [j for j in range(-3, 4) if j]
+    chosen = [((), ()), ((), (2,)), ((3,), ()), ((1,), (2, 2, 2)), ((), (-3, -3))]
+    chosen += [((-2,), (-1, 1, 3)), ((-2, -1), (1, 3))]
+    draws = [rng.integers(0, 4, size=2) for _ in range(400)]
+    slots = [tuple(tuple(sorted(rng.choice(modes, k).tolist())) for k in ks) for ks in draws]
+    coeffs = {}
+    for plus, minus in chosen + slots:
+        re, im = rng.integers(len(parts), size=2)
+        coeffs[Monomial(plus, minus)] = ExactCoeff(parts[re], parts[im], int(rng.integers(3)))
+    items = list(coeffs.items())
+    rng.shuffle(items)
+    return PolyHamiltonian(3, dict(items))
+
+
+@pytest.mark.parametrize("field", [False, True])
+@pytest.mark.parametrize("name", ["table", "mixed", "F6"])
+def test_compiled_groups_match_the_per_row_loop(name, field):
+    # the term-table compile reproduces every array of the per-row loop it
+    # replaced: prefactors and their dtype, row order, segments and plan
+    from dnls_nflab.poly import _compile_rows
+
+    P = _table_poly() if name == "table" else _kernel_poly(name)
+    groups, ext = _compile_rows(P, field)
+    want = _reference_groups(P, field)
+    assert ext.dtype == (np.complex128 if field else LONG_COMPLEX)
+    _assert_same_arrays([g[:8] for g in groups], [w[:8] for w in want])
+    assert [[(w.dtype, w.shape) for w in g[8]] for g in groups] == [[(w.dtype, w.shape) for w in g[8]] for g in want]
+    if name == "table":
+        # the shuffle leaves terms() order to the compile, and some segment
+        # holds several rows, whose order the sums keep
+        assert list(P._coeffs) != [m for m, _ in P.terms()]
+        assert any(np.diff(np.r_[g[3], len(g[4])]).max() > 2 for g in groups)
+        assert groups[0][0] == 0 and {g[0] for g in groups} >= {0, 1, 2, 3, 4, 5}
+
+
+@pytest.mark.slow
+def test_m8_f6_field_matches_per_term_reference_bitwise():
+    from dnls_nflab.flows import normal_form_bundle
+    from dnls_nflab.poly import _compile_rows
+
+    P = normal_form_bundle(8).F6
+    rng = np.random.default_rng(8)
+    n = len(mode_range(8))
+    vec = 0.2 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    want = _reference_groups(P, field=True)
+    _assert_same_arrays([g[:8] for g in _compile_rows(P, True)[0]], [w[:8] for w in want])
+    field = vector_field_vec(P, vec)
+    _assert_same_arrays(field, _reference_sums(P, vec, field=True))
 
 
 @pytest.mark.parametrize("size", [10, 14])
