@@ -32,14 +32,25 @@ class Check:
 
 
 def order4_homological(M: int) -> Check:
-    """{Lambda, F4} + Q = 0 at truncation M; the report is (residual, F4)."""
+    """{Lambda, F4} + Q = 0 at truncation M; the report is (residual, F4).
+
+    F4 is homological_solve(Q), which divides each term by its square
+    divisor d(m), and the bracket's Lambda path multiplies it by i w(m),
+    with w built from Lambda's own coefficients.  The check confirms that
+    the two agree term by term; it does not check Q against G."""
     F4 = build_F4(M)
     residual = bracket(build_lambda(M), F4) + build_Q(M)
     return Check("order-4 homological equation", residual.is_zero, f"M={M}", (residual, F4))
 
 
 def order6_homological(M: int, r6: PolyHamiltonian) -> Check:
-    """{Lambda, F6} + Qtilde = 0 at truncation M; the report is (residual, F6)."""
+    """{Lambda, F6} + Qtilde = 0 at truncation M; the report is (residual, F6).
+
+    As in order4_homological, the check confirms that homological_solve's
+    division by d(m) and the Lambda path's product with i w(m) agree on
+    every term of Qtilde.  It holds for any r6 that split_r6 accepts, so it
+    does not confirm R6 itself; the action part, resonant cancellation and
+    reducible closed-form checks do."""
     F6 = build_F6(M, r6)
     residual = bracket(build_lambda(M), F6) + split_r6(r6)[1]
     return Check("order-6 homological equation", residual.is_zero, f"M={M}", (residual, F6))

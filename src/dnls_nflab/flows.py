@@ -197,9 +197,21 @@ class SpectralModel:
         self.jsq = (self.modes**2).astype(float)
         self.grid_weight = self.to_grid(-1j * self.modes / (TWO_PI * self.n_grid))
 
+    def _check_window(self, q) -> None:
+        """Raise ValueError unless the last axis of q holds one entry per
+        mode: numpy would broadcast a length-1 axis into every mode."""
+        shape = np.shape(q)
+        if shape[-1:] != (2 * self.M,):
+            raise ValueError(
+                f"state of shape {shape} does not fit truncation {self.M}: "
+                f"its last axis needs {2 * self.M} entries, one per mode"
+            )
+
     def to_grid(self, q: np.ndarray) -> np.ndarray:
         """A fresh grid-layout copy Q of window-layout q; Q[..., bins]
-        gathers it back."""
+        gathers it back.  Raises ValueError unless the last axis of q has
+        one entry per mode."""
+        self._check_window(q)
         grid = np.zeros(q.shape[:-1] + (self.n_grid,), dtype=complex)
         grid[..., self.bins] = q
         return grid
@@ -225,7 +237,8 @@ class SpectralModel:
         return N
 
     def nonlinear(self, q: np.ndarray) -> np.ndarray:
-        """Derivative nonlinearity in mode coordinates: -i j (|u|^2 u)^_j."""
+        """Derivative nonlinearity in mode coordinates: -i j (|u|^2 u)^_j.
+        Raises ValueError as to_grid does."""
         Q = self.to_grid(q)
         return self.grid_kernel(Q.shape)(Q, Q)[..., self.bins]
 
@@ -237,9 +250,11 @@ class SpectralModel:
         return np.sum(sq * sq, axis=-1) / (2 * TWO_PI * self.n_grid)
 
     def sobolev_sq(self, q: np.ndarray, s: float) -> np.ndarray:
-        """The squared s-norm sum |j|^(2s) |q_j|^2 over the last axis; s >= 0."""
+        """The squared s-norm sum |j|^(2s) |q_j|^2 over the last axis; s >= 0.
+        Raises ValueError unless that axis has one entry per mode."""
         if s < 0:
             raise ValueError(f"Sobolev index must be nonnegative, got {s}")
+        self._check_window(q)
         return np.sum(np.abs(q) ** 2 * np.abs(self.modes) ** (2.0 * s), axis=-1)
 
 
@@ -277,9 +292,10 @@ def evolve_vec(
     Returns (times, channels, q_final, snapshots): channel arrays have shape
     (n_records, *batch) and snapshots holds a copy of the state at each
     record point.  Raises BlowupError if the l2 norm exceeds 1000x its
-    initial value or is not finite, and StepBudgetError if the step count
-    exceeds MAX_STEPS.  At t_end = 0 no step is taken: the t = 0 record is
-    the only one and q_final is a copy of q0.
+    initial value or is not finite, StepBudgetError if the step count
+    exceeds MAX_STEPS, and ValueError unless the last axis of q0 has one
+    entry per mode (see SpectralModel.to_grid).  At t_end = 0 no step is
+    taken: the t = 0 record is the only one and q_final is a copy of q0.
     """
     model = spectral_model(M)
     q = np.array(q0, dtype=complex)

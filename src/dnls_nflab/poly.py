@@ -13,11 +13,11 @@ A polynomial is one flat map Monomial -> nonzero ExactCoeff; terms() lists
 it by (degree, plus, minus), the order of the serialized records.
 
 bracket pairs int numerators over each operand's common denominator and
-keys each product monomial by the sum of its two factors' additive codes; a
-diagonal operand such as Lambda multiplies each term of the other by i w(m),
-for Lambda the square divisor of m, which is how {Lambda, F6} = -Qtilde is
-checked, and forms no pairs (see bracket, _contraction_index and
-_diagonal_bracket, which hold the details).
+keys each product monomial by the sum of its two factors' additive codes;
+Lambda, or any sum_n h_n |q_n|^2 of int h_n without pi, multiplies each
+term of the other by i w(m), the square divisor of m for Lambda, which is
+how {Lambda, F6} = -Qtilde is checked, and forms no pairs (see bracket,
+_contraction_index and _diagonal_bracket, which hold the details).
 
 The numeric value and the vector field share one product kernel: each
 compiles a polynomial once per form into rows, built in numpy from one table
@@ -150,8 +150,8 @@ class PolyHamiltonian:
     def _nonzero(cls, truncation: int, coeffs: dict[Monomial, ExactCoeff]) -> "PolyHamiltonian":
         """The polynomial on coeffs as given, every value nonzero by
         construction: a sum after its cancelled terms are deleted, a negation,
-        a nonzero multiple, a restriction or a homological solve skips the
-        constructor's per-term zero test."""
+        a nonzero multiple, a restriction, a bracket or a homological solve
+        skips the constructor's per-term zero test."""
         P = cls(truncation)
         P._coeffs = coeffs
         return P
@@ -237,20 +237,26 @@ def split_normal(H: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
     return H.filtered(Monomial.is_normal), H.filtered(lambda m: not m.is_normal())
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """num / den, or the shared zero Fraction: the one step from the int
+    numerators of the bracket and the homological solve to an output part."""
+    return Fraction(num, den) if num else ZERO.re
+
+
 def homological_solve(X: PolyHamiltonian, truncation: int) -> PolyHamiltonian:
     """The F with {Lambda, F} = -X, term by term: F = i X / d, d the square
     divisor of each monomial of X, on a polynomial of the given truncation.
 
     {Lambda, .} multiplies a term by i d, so i d (i c / d) = -c.  Each part
-    is one Fraction built from the numerator and the denominator times d.
+    is one _fraction of the numerator over the denominator times d.
     Raises ZeroDivisionError on a term of zero divisor: only a non-resonant
     X has a solution.
     """
     coeffs = {}
     for mono, c in X._coeffs.items():
         d = mono.square_divisor()
-        re = Fraction(-c.im.numerator, c.im.denominator * d) if c.im else c.im
-        im = Fraction(c.re.numerator, c.re.denominator * d) if c.re else c.re
+        re = _fraction(-c.im.numerator, c.im.denominator * d)
+        im = _fraction(c.re.numerator, c.re.denominator * d)
         coeffs[mono] = ExactCoeff(re, im, c.pi_power)
     return PolyHamiltonian._nonzero(truncation, coeffs)
 
@@ -311,70 +317,39 @@ def _product(h_rest: tuple, f_rest: tuple) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(sorted(hp + fp)), tuple(sorted(hm + fm))
 
 
-def _diagonal_weights(P: PolyHamiltonian) -> dict[int, ExactCoeff] | None:
-    """n -> h_n if P = sum_n h_n q_n qbar_n (every monomial diagonal), else None."""
-    weights = {}
-    for mono, c in P._coeffs.items():
-        if len(mono.plus) != 1 or mono.plus != mono.minus:
+def _diagonal_weights(P: PolyHamiltonian) -> defaultdict[int, int] | None:
+    """n -> n h_n (0 for modes P lacks) if P = sum_n h_n q_n qbar_n with
+    every h_n an int of pi power 0, as Lambda is; else None."""
+    weights = defaultdict(int)
+    for (plus, minus), c in P._coeffs.items():
+        if len(plus) != 1 or plus != minus or c.im or c.pi_power or c.re.denominator != 1:
             return None
-        weights[mono.plus[0]] = c
+        weights[plus[0]] = plus[0] * c.re.numerator
     return weights
 
 
-def _diagonal_bracket(
-    weights: dict[int, ExactCoeff], F: PolyHamiltonian, bound: float, sign: int
-) -> PolyHamiltonian:
-    """sign * {D, F} for the diagonal D = sum_n h_n q_n qbar_n.
+def _diagonal_bracket(weights: defaultdict[int, int], F: PolyHamiltonian, bound: float, sign: int) -> PolyHamiltonian:
+    """sign * {D, F} for D = sum_n h_n q_n qbar_n of the int weights n h_n.
 
     {D, F} multiplies each term c m of F by i w(m), where
     w(m) = sum_n n h_n (alpha_n(m) - beta_n(m)) and alpha_n, beta_n count n
-    among the plus and minus slots of m.  As in the pair loop, the parts of
-    n h_n are ints over D's common denominator and those of c over F's, so a
-    term costs a few int sums and products, and each output part is one
-    Fraction over the product of the two denominators.  The output monomial
-    is m itself, so the support bound keeps the terms with max_abs(m) within
-    it.  Every n of m held by D contracts with m, so their pi powers must
-    agree, as the pair loop checks, even where w(m) is zero.
+    among the plus and minus slots of m: the square divisor of m for
+    Lambda, but read off D's coefficients, so the homological checks hold
+    homological_solve's division by d(m) against an independent product.
+    The output monomial is m, so the support bound keeps the terms with
+    max_abs(m) within it.
     """
-    d_scale = math.lcm(*(x.denominator for c in weights.values() for x in (c.re, c.im)))
-    w_re, w_im = defaultdict(int), defaultdict(int)
-    for n, c in weights.items():
-        w_re[n] = n * c.re.numerator * (d_scale // c.re.denominator)
-        w_im[n] = n * c.im.numerator * (d_scale // c.im.denominator)
-    complex_weights = any(w_im.values())
-    pis = {n: c.pi_power for n, c in weights.items()}
-    pi_values = set(pis.values())
-    one_pi = len(pi_values) < 2
-    f_scale = _common_denominator(F)
-    scale = d_scale * f_scale
-
-    def part(x):
-        return Fraction(x, scale) if x else ZERO.re
-
-    def weight(w, mono):
-        return sum(map(w.__getitem__, mono.plus)) - sum(map(w.__getitem__, mono.minus))
-
+    get = weights.__getitem__
     out = {}
     for mono, c in F._coeffs.items():
         if bound < math.inf and mono.max_abs() > bound:
             continue
-        held = pi_values if one_pi else {pis[n] for n in mono.plus + mono.minus if n in pis}
-        if len(held) > 1:
-            lo, hi = min(held) + c.pi_power, max(held) + c.pi_power
-            raise ValueError(f"pi powers {lo} and {hi} meet on {(mono.plus, mono.minus)}")
-        wr = weight(w_re, mono)
-        wi = weight(w_im, mono) if complex_weights else 0
-        if not (wr or wi):
-            continue
-        x = c.re.numerator * (f_scale // c.re.denominator)
-        y = c.im.numerator * (f_scale // c.im.denominator)
-        # i (wr + i wi)(x + i y) = -(wr y + wi x) + i (wr x - wi y)
-        out[mono] = ExactCoeff(
-            part(-sign * (wr * y + wi * x)),
-            part(sign * (wr * x - wi * y)),
-            next(iter(held)) + c.pi_power,
-        )
-    return PolyHamiltonian(min(F.truncation, bound), out)
+        w = sign * (sum(map(get, mono.plus)) - sum(map(get, mono.minus)))
+        if w:  # i w (x + i y) = -w y + i w x
+            re = _fraction(-w * c.im.numerator, c.im.denominator)
+            im = _fraction(w * c.re.numerator, c.re.denominator)
+            out[mono] = ExactCoeff(re, im, c.pi_power)
+    return PolyHamiltonian._nonzero(min(F.truncation, bound), out)
 
 
 def bracket(
@@ -384,11 +359,11 @@ def bracket(
 ) -> PolyHamiltonian:
     """Exact weighted Poisson bracket {H, F}.
 
-    If either operand is diagonal, sum_n h_n q_n qbar_n as Lambda is, the
-    bracket is a per-term product and no pairs are formed: {D, F} is
-    i w(m) c m for each term c m of F, w(m) = sum_n n h_n (alpha_n(m) -
-    beta_n(m)), and {F, D} = -{D, F} (see _diagonal_bracket).  For Lambda,
-    w(m) is the square divisor of m.
+    If either operand D has Lambda's shape, sum_n h_n q_n qbar_n of int h_n
+    and pi power 0, the bracket is a per-term product and no pairs are
+    formed: {D, F} is i w(m) c m for each term c m of F, and {F, D} =
+    -{D, F} (see _diagonal_bracket).  Any other diagonal operand, of
+    rational, complex or pi-weighted h_n, takes the pair loop.
 
     Otherwise each operand's parts are ints over its common denominator D.
     Every product term pairs an entry of _contraction_index(H) with one of F
@@ -403,7 +378,8 @@ def bracket(
     (slot, mode) of the remainder, the product's code is the sum of the two
     codes, and distinct output monomials have distinct codes.  Each output's
     sorted (plus, minus) is built once, from the remainders of the first
-    pair that reaches it.  Each output part is one Fraction over D_H D_F.
+    pair that reaches it.  Each output part is one _fraction over D_H D_F,
+    and outputs whose int parts cancel are dropped before any is built.
     If both operands are real valued the second pass is the conjugate of the
     first, so only the first runs and its sums A are folded once over their
     monomials: {H, F}(m) = A(m) + conj(A(conj m)).  If support_bound is
@@ -469,15 +445,12 @@ def bracket(
             folded[plus, minus] = (re, im, pi)
         acc = folded
     scale = h_scale * f_scale
-
-    def part(x):
-        return Fraction(x, scale) if x else ZERO.re
-
-    return PolyHamiltonian(
+    return PolyHamiltonian._nonzero(
         min(H.truncation, bound),
         {
-            Monomial(plus, minus): ExactCoeff(part(re), part(im), pi)
+            Monomial(plus, minus): ExactCoeff(_fraction(re, scale), _fraction(im, scale), pi)
             for (plus, minus), (re, im, pi) in acc.items()
+            if re or im
         },
     )
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -412,6 +413,25 @@ def test_zero_mean_structural():
     # the grid transform never populates a zero mode: modes are nonzero ints
     model = spectral_model(4)
     assert 0 not in model.modes
+
+
+@pytest.mark.parametrize("shape", [(1,), (10,), (3, 1), (3, 10)])
+def test_a_state_of_the_wrong_length_is_refused(shape):
+    # a last axis of length 1 would broadcast into all 2M = 8 modes
+    q = np.full(shape, 0.1 + 0j)
+    model = spectral_model(4)
+    message = rf"state of shape {re.escape(str(shape))} does not fit truncation 4: its last axis needs 8 entries"
+    calls = (
+        lambda: evolve_vec(q, 4, FlowConfig(dt=1e-3, t_end=0.01)),
+        lambda: model.nonlinear(q),
+        lambda: model.quartic_energy(q),
+        lambda: model.sobolev_sq(q, 1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a state of one entry per mode passes, batched or not
+    assert model.sobolev_sq(np.ones((3, 8)), 1).tolist() == [60.0] * 3
 
 
 def test_blowup_guard():

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dnls_nflab import poly
 from dnls_nflab.coeffs import ExactCoeff
 from dnls_nflab.poly import (
     LONG_COMPLEX,
@@ -521,6 +522,54 @@ def test_diagonal_bracket_rejects_colliding_pi_powers_like_the_pair_loop(plus, m
     if max(plus + minus) > 2:
         # outside the support bound no contraction is formed, so nothing meets
         assert bracket(H, F, support_bound=2).is_zero
+
+
+@lru_cache(maxsize=None)
+def _homological_pair(order, M=6):
+    """(F, X) with {Lambda, F} = -X at truncation M: (F4, Q) or (F6, Qtilde)."""
+    from dnls_nflab.order4 import build_F4, compute_R6
+    from dnls_nflab.order6 import build_F6, split_r6
+
+    if order == 4:
+        return build_F4(M), build_Q(M)
+    r6 = compute_R6(M)
+    return build_F6(M, r6), split_r6(r6)[1]
+
+
+@pytest.mark.parametrize("support_bound", [None, 2])
+@pytest.mark.parametrize("order", [4, 6])
+def test_lambda_brackets_form_no_pairs(monkeypatch, order, support_bound):
+    F, X = _homological_pair(order)
+
+    def refuse(*args):
+        raise AssertionError("a contraction index was built")
+
+    monkeypatch.setattr(poly, "_contraction_index", refuse)
+    want = -X.with_truncation(6 if support_bound is None else support_bound)
+    lam = build_lambda(6)
+    for got in (bracket(lam, F, support_bound), -bracket(F, lam, support_bound)):
+        assert got == want and got.truncation == want.truncation
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        lambda j: ExactCoeff.real(j, pi_power=1),  # int weights over pi
+        lambda j: ExactCoeff(j, 1),  # complex weights
+        lambda j: ExactCoeff.real(Fraction(j, 2)),  # rational weights
+    ],
+    ids=["pi", "complex", "rational"],
+)
+def test_other_diagonals_form_pairs(monkeypatch, weight):
+    calls = []
+    index = poly._contraction_index
+    monkeypatch.setattr(poly, "_contraction_index", lambda *args: calls.append(args) or index(*args))
+    D = PolyHamiltonian.from_terms(3, [(Monomial.of((j,), (j,)), weight(j)) for j in mode_range(3)])
+    F = _bracket_operands("F4")
+    for left, right in ((D, F), (F, D)):
+        calls.clear()
+        assert bracket(left, right) == _reference_bracket(left, right)
+        assert calls
 
 
 # -- numeric evaluation -----------------------------------------------------------

@@ -65,6 +65,17 @@ def test_omega_bound_requires_s_geq_1():
         omega_bound_check((1, 2, 5, 3, 6, 7), 0.5)
 
 
+def test_omega_at_a_non_integer_s_is_the_float_sum():
+    # 2s odd: omega_kernel's float branch, the alternating sum of j |j|^(2s)
+    t = (1, 2, 5, 3, 6, 7)
+    direct = sum((-1) ** i * j * abs(j) ** 3.0 for i, j in enumerate(t))
+    assert omega_s(t, 1.5) == direct == -576.0
+    assert omega_bound_check(t, 1.5).holds
+    assert exhaustive_omega_audit(6, (1.5, 2.5))["violations"] == []
+    rep = random_omega_audit(2000, max_abs=50, s_values=(1.5,), seed=1)
+    assert rep["checked"] == 2000 and rep["violations"] == []
+
+
 def test_exhaustive_omega_audit_small():
     rep = exhaustive_omega_audit(6, (1, 2, 3))
     assert rep["violations"] == []
