@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
@@ -258,13 +258,9 @@ class SpectralModel:
         return np.sum(np.abs(q) ** 2 * np.abs(self.modes) ** (2.0 * s), axis=-1)
 
 
-_models: dict[int, SpectralModel] = {}
-
-
+@cache
 def spectral_model(M: int) -> SpectralModel:
-    if M not in _models:
-        _models[M] = SpectralModel(M)
-    return _models[M]
+    return SpectralModel(M)
 
 
 def _channel_values(model, q, track_s):
@@ -422,13 +418,9 @@ class NormalFormBundle:
         return self.lam + self.B + self.K
 
 
-_bundles: dict[int, NormalFormBundle] = {}
-
-
+@cache
 def normal_form_bundle(M: int) -> NormalFormBundle:
-    if M not in _bundles:
-        _bundles[M] = NormalFormBundle(M)
-    return _bundles[M]
+    return NormalFormBundle(M)
 
 
 # -- transformed-Hamiltonian residuals ---------------------------------------------------------
@@ -520,6 +512,27 @@ def scaling_base_state(
     return _ProfileState(_random_profile(M, seed, 2.0, norm, support_radius=support_radius))
 
 
+def amplitude_ladder(measure, amplitudes) -> dict:
+    """Call measure(a) once per amplitude, in order, and fit the ladder: the
+    measured "values", the least-squares "slope" of log2(value) against
+    log2(a) and the "local_slopes" between neighbouring rungs.  Raises
+    ValueError before any measure runs unless there are two or more
+    amplitudes, distinct, finite and positive, and ValueError naming the
+    amplitude whose measured value is not finite and positive."""
+    amplitudes = tuple(amplitudes)
+    if len(set(amplitudes)) < max(2, len(amplitudes)) or not all(0 < a < math.inf for a in amplitudes):
+        raise ValueError(f"a ladder needs two or more distinct, finite, positive amplitudes, got {amplitudes}")
+    values = []
+    for a in amplitudes:
+        value = measure(a)
+        if not 0 < value < math.inf:
+            raise ValueError(f"the measurement at amplitude {a} is {value}, not finite and positive")
+        values.append(value)
+    xs, ys = np.log2(amplitudes), np.log2(values)
+    local = (np.diff(ys) / np.diff(xs)).tolist()
+    return {"values": values, "slope": float(np.polyfit(xs, ys, 1)[0]), "local_slopes": local}
+
+
 def residual_scaling(
     M: int,
     orders: tuple[int, ...] = (4, 6),
@@ -529,8 +542,10 @@ def residual_scaling(
 ) -> dict:
     """Residual magnitude along an amplitude ladder, with fitted slopes.
 
-    The log-log slope against the scaling factor is the dynamical check that
-    the residual after each step vanishes to the advertised order.
+    Per order, one amplitude_ladder of transformed_hamiltonian_residual at
+    lambda times the base profile: its slope checks that the residual
+    vanishes to the advertised order, local_slopes[order] show where the
+    ladder bends, and its ValueError refuses a ladder it cannot fit.
 
     The base data is supported on modes |j| <= max(1, M // 3).  Degree-6
     coefficients of the truncated system agree with the untruncated ones only
@@ -542,25 +557,10 @@ def residual_scaling(
     nf = normal_form_bundle(M)
     radius = max(1, M // 3)
     base_vec = _random_profile(M, seed, 2.0, 1.0, support_radius=radius)
-    rows = []
-    slopes = {}
+    rows, slopes, local_slopes = [], {}, {}
     for order in orders:
-        residuals = []
-        for lam in lambdas:
-            r = transformed_hamiltonian_residual(lam * base_vec, order, cfg, nf)
-            residuals.append(r)
-            rows.append({"order": order, "lambda": lam, "residual": r})
-        logs = np.log2(np.array(residuals))
-        xs = np.log2(np.array(lambdas))
-        slope = float(np.polyfit(xs, logs, 1)[0])
-        slopes[order] = slope
-    return {
-        "rows": rows,
-        "slopes": slopes,
-        "lambdas": list(lambdas),
-        "M": M,
-        "seed": seed,
-        "data_radius": radius,
-        "flow_dt": cfg.dt,
-        "flow_tolerance": cfg.tolerance,
-    }
+        ladder = amplitude_ladder(lambda lam: transformed_hamiltonian_residual(lam * base_vec, order, cfg, nf), lambdas)
+        rows += [{"order": order, "lambda": lam, "residual": r} for lam, r in zip(lambdas, ladder["values"])]
+        slopes[order], local_slopes[order] = ladder["slope"], ladder["local_slopes"]
+    return {"rows": rows, "slopes": slopes, "local_slopes": local_slopes, "lambdas": list(lambdas), "M": M,
+            "seed": seed, "data_radius": radius, "flow_dt": cfg.dt, "flow_tolerance": cfg.tolerance}

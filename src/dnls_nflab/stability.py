@@ -22,6 +22,7 @@ from .flows import (
     StepBudgetError,
     _ProfileState,
     _random_profile,
+    amplitude_ladder,
     coordinate_change,
     evolve_vec,
     normal_form_bundle,
@@ -316,34 +317,33 @@ def norm_derivative_audit(
 ) -> dict:
     """Growth rate of the s-norm squared in transformed coordinates.
 
-    For data of size a in the new coordinates, maps through the order-4
-    coordinate change (flows.coordinate_change), evolves the truncated
-    equation for +-delta, pulls back through its inverse, and measures the centered difference of the squared norm.  The quadratic
-    and quartic normal-form parts commute with every action functional, so
-    the rate is controlled by the sextic-and-up remainder: the fitted
-    amplitude exponent should be 6 and the fitted constant bounds
-    |d/dt ||q||_s^2| / ||q||_s^6.
+    One amplitude_ladder, whose measure at data of size a in the new
+    coordinates maps through flows.coordinate_change at order 4, evolves
+    the truncated equation for +-delta, pulls back through its inverse, and
+    takes the centred difference of the squared norm.  The quadratic and
+    quartic normal-form parts commute with every action functional, so the
+    rate is controlled by the sextic-and-up remainder: the fitted exponent
+    should be 6.  C3 is an empirical constant, the largest measured
+    rate / ||q||_s^6 over the rungs.  The ladder's ValueError refuses
+    amplitudes it cannot fit and a rate that is zero or not finite.
     """
     cfg = cfg or FlowConfig(dt=0.01, tolerance=1e-13, max_refinements=12)
     back_cfg = replace(cfg, t_end=-cfg.t_end)
     nf = normal_form_bundle(M)
     base_vec = _random_profile(M, seed, s + 1.0, 1.0, s)
     model = spectral_model(M)
-    rows = []
-    for a in amplitudes:
-        vec_new = a * base_vec
-        vec_orig = coordinate_change(vec_new, 4, cfg, nf)
-        derivs = {}
+
+    def rate(a):
+        vec_orig = coordinate_change(a * base_vec, 4, cfg, nf)
+        squares = []
         for sign in (+1, -1):
-            ecfg = FlowConfig(dt=delta / 8, t_end=sign * delta)
-            _, _, moved, _ = evolve_vec(vec_orig, M, ecfg)
-            back = coordinate_change(moved, 4, back_cfg, nf)
-            derivs[sign] = float(model.sobolev_sq(back, s))
-        rate = (derivs[+1] - derivs[-1]) / (2 * delta)
-        norm_s = math.sqrt(float(model.sobolev_sq(vec_new, s)))
-        rows.append({"amplitude": a, "rate": abs(rate), "norm_s": norm_s})
-    xs = np.log2([r["amplitude"] for r in rows])
-    ys = np.log2([max(r["rate"], 1e-300) for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+            _, _, moved, _ = evolve_vec(vec_orig, M, FlowConfig(dt=delta / 8, t_end=sign * delta))
+            squares.append(float(model.sobolev_sq(coordinate_change(moved, 4, back_cfg, nf), s)))
+        return abs((squares[0] - squares[1]) / (2 * delta))
+
+    ladder = amplitude_ladder(rate, amplitudes)
+    rows = [{"amplitude": a, "rate": r, "norm_s": math.sqrt(float(model.sobolev_sq(a * base_vec, s)))}
+            for a, r in zip(amplitudes, ladder["values"])]
     c3 = max(r["rate"] / r["norm_s"] ** 6 for r in rows)
-    return {"rows": rows, "slope": slope, "C3": c3, "M": M, "s": s, "seed": seed}
+    return {"rows": rows, "slope": ladder["slope"], "local_slopes": ladder["local_slopes"], "C3": c3,
+            "M": M, "s": s, "seed": seed}

@@ -16,6 +16,7 @@ from dnls_nflab.flows import (
     FlowConfig,
     FlowConvergenceError,
     StepBudgetError,
+    amplitude_ladder,
     coordinate_change,
     evolve_vec,
     flow_time_one_vec,
@@ -25,6 +26,7 @@ from dnls_nflab.flows import (
     transformed_hamiltonian_residual,
 )
 from dnls_nflab.poly import PolyHamiltonian, build_lambda
+from dnls_nflab.stability import norm_derivative_audit
 from dnls_nflab.states import TWO_PI, mode_range, state_vector
 
 CFG = FlowConfig(dt=0.05, tolerance=1e-12)
@@ -303,7 +305,7 @@ def test_missing_pocketfft_ufuncs_fail_the_import_naming_numpy_version():
     assert run.stdout.startswith(f"numpy {np.__version__}:") and "fft/ifft" in run.stdout
 
 
-def test_evolve_vec_buffers_carry_nothing_from_one_call_to_the_next(monkeypatch):
+def test_evolve_vec_buffers_carry_nothing_from_one_call_to_the_next():
     # batch 3, then 1, then 3 on one model, each against a fresh model
     from dnls_nflab import flows
 
@@ -312,7 +314,7 @@ def test_evolve_vec_buffers_carry_nothing_from_one_call_to_the_next(monkeypatch)
     batches = [_criterion_8_batch(M, 5), _criterion_8_batch(M, 6)[:1], _criterion_8_batch(M, 7)]
     runs = [evolve_vec(q0, M, cfg, track_s=(2.0,)) for q0 in batches]
     for q0, (times, channels, q_final, snapshots) in zip(batches, runs):
-        monkeypatch.setattr(flows, "_models", {})
+        flows.spectral_model.cache_clear()
         fresh_times, fresh_channels, fresh_final, fresh_snapshots = evolve_vec(q0, M, cfg, track_s=(2.0,))
         assert np.array_equal(times, fresh_times)
         assert all(np.array_equal(channels[k], fresh_channels[k]) for k in fresh_channels)
@@ -475,6 +477,90 @@ def test_residual_scaling_two_rungs(bundle8):
         cfg=FlowConfig(dt=0.02, tolerance=1e-15, max_refinements=8),
     )
     assert 5.7 <= rep["slopes"][4] <= 6.3
+    assert rep["local_slopes"][4] == [pytest.approx(rep["slopes"][4], rel=1e-12)]
+
+
+def test_amplitude_ladder_fits_a_pure_power_exactly():
+    # on criterion 6's powers of two every log2 is an integer
+    calls = []
+
+    def measure(a):
+        calls.append(a)
+        return a**6
+
+    lambdas = tuple(2.0**-k for k in range(2, 7))
+    ladder = amplitude_ladder(measure, lambdas)
+    assert calls == list(lambdas)
+    assert ladder["values"] == [a**6 for a in lambdas]
+    assert ladder["slope"] == 6.0
+    assert ladder["local_slopes"] == [6.0] * 4
+
+
+def _frozen_audit(monkeypatch):
+    # both flows stubbed to the identity: the centred difference is exactly 0
+    from dnls_nflab import stability
+
+    monkeypatch.setattr(stability, "coordinate_change", lambda vec, *args: vec)
+    monkeypatch.setattr(stability, "evolve_vec", lambda q0, M, cfg: (None, None, q0, None))
+    norm_derivative_audit(M=6, amplitudes=(0.4, 0.2))
+
+
+def _refused_ladders():
+    ladders = {
+        "one-rung": (0.25,),
+        "repeated-rung": (0.25, 0.25),
+        "zero": (0.25, 0.0),
+        "negative": (0.25, -0.125),
+        "nan": (0.25, math.nan),
+        "inf": (0.25, math.inf),
+    }
+    for name, amps in ladders.items():
+        yield pytest.param(
+            lambda mp, amps=amps: residual_scaling(6, orders=(4,), lambdas=amps),
+            "two or more distinct, finite, positive amplitudes",
+            id=f"residual_scaling-{name}",
+        )
+        yield pytest.param(
+            lambda mp, amps=amps: norm_derivative_audit(M=6, amplitudes=amps),
+            "two or more distinct, finite, positive amplitudes",
+            id=f"norm_derivative_audit-{name}",
+        )
+    for bad in (0.0, math.nan, math.inf):
+        yield pytest.param(
+            lambda mp, bad=bad: amplitude_ladder(lambda a: bad if a == 0.125 else a**6, (0.25, 0.125, 0.0625)),
+            f"measurement at amplitude 0.125 is {bad}",
+            id=f"measure-{bad}",
+        )
+    yield pytest.param(_frozen_audit, "measurement at amplitude 0.4 is 0.0", id="norm_derivative_audit-zero-rate")
+
+
+@pytest.mark.parametrize("call, message", _refused_ladders())
+def test_a_ladder_that_cannot_fit_a_slope_is_refused_before_any_flow(monkeypatch, call, message):
+    from dnls_nflab import flows, stability
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(flows, "flow_time_one_vec", no_flow)
+    monkeypatch.setattr(stability, "evolve_vec", no_flow)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(monkeypatch)
+
+
+def test_seed_8_order_4_ladder_bends_at_its_top_rung():
+    """At lambda = 1/4 the lambda**8 term of the order-4 residual cancels
+    most of its lambda**6 term for profile seed 8 at M = 6, so the five-point
+    fit leaves criterion 6's window while the bottom rungs scale as
+    lambda**6."""
+    rep = residual_scaling(
+        6,
+        orders=(4,),
+        lambdas=tuple(2.0**-k for k in range(2, 7)),
+        cfg=FlowConfig(dt=0.01, tolerance=1e-17, max_refinements=10),
+        seed=8,
+    )
+    assert not 5.7 <= rep["slopes"][4] <= 6.3
+    assert 5.9 <= rep["local_slopes"][4][-1] <= 6.1
 
 
 def test_ladder_residuals_match_the_extended_precision_field(monkeypatch):
