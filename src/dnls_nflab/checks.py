@@ -48,7 +48,7 @@ def order6_homological(M: int, r6: PolyHamiltonian) -> Check:
 
     As in order4_homological, the check confirms that homological_solve's
     division by d(m) and the Lambda path's product with i w(m) agree on
-    every term of Qtilde.  It holds for any r6 that split_r6 accepts, so it
+    every term of Qtilde.  It holds for any r6 that build_F6 accepts, so it
     does not confirm R6 itself; the action part, resonant cancellation and
     reducible closed-form checks do."""
     F6 = build_F6(M, r6)

@@ -182,9 +182,10 @@ def cmd_nf6(args) -> int:
     M = args.modes
     r6 = compute_R6(M)
     action = action_part(M, r6)
-    ktilde = [resonant_cancellation(M, r6)] if args.verify_ktilde else []
+    # printed before F6 is built, whose solve refuses a resonant survivor
+    ok = _print_checks([action, *([resonant_cancellation(M, r6)] if args.verify_ktilde else [])])
     homological = order6_homological(M, r6)
-    ok = _print_checks([action, *ktilde, homological])
+    ok &= _print_checks([homological])
     if args.audit_f6:
         # steep-head shape (j1*)^(-7/2) (j2*...j6*)^(5/2)
         audit = coefficient_growth_audit(homological.report[1], Fraction(5, 2), Fraction(7, 2))

@@ -123,10 +123,6 @@ class ExactCoeff:
         f = _as_fraction(factor)
         return ExactCoeff(self.re * f, self.im * f, self.pi_power)
 
-    def mul_imag_int(self, n: int) -> "ExactCoeff":
-        """Multiply by i*n for integer n (the bracket's weight factor)."""
-        return ExactCoeff(-self.im * n, self.re * n, self.pi_power)
-
     def conjugate(self) -> "ExactCoeff":
         return ExactCoeff(self.re, -self.im, self.pi_power)
 

@@ -67,10 +67,6 @@ class TriplePair:
             raise ValueError("triples must have length 3")
         return cls(xt, yt)
 
-    def hypothesis_violations(self) -> list[str]:
-        _, X, Y = _scaled(self)
-        return _violations(X, Y)
-
     def translated(self, t) -> "TriplePair":
         t = _frac(t)
         return TriplePair(
@@ -285,13 +281,6 @@ def enumerate_triple_pairs(bound: int) -> list[TriplePair]:
                 canonical.add(_canonical_pair(x, y))
     # sorted as int tuples, the order of the pairs' (x, y)
     return [TriplePair.of(x, y) for x, y in sorted(canonical)]
-
-
-def pair_matches(pair: TriplePair, x: Iterable, y: Iterable) -> bool:
-    """True if pair equals ({x},{y}) modulo the enumeration symmetries."""
-    xt = tuple(sorted(_frac(v) for v in x))
-    yt = tuple(sorted(_frac(v) for v in y))
-    return (tuple(sorted(pair.x)), tuple(sorted(pair.y))) in _images(xt, yt)
 
 
 # -- random rational families -----------------------------------------------------

@@ -190,7 +190,9 @@ def compute_R6(M: int) -> PolyHamiltonian:
 
     Every stored coefficient equals its untruncated value: the bracket runs
     with intermediate modes up to 3M before restriction.  Q at 3M is built
-    once and gives both the partner and F4.
+    once and gives both the partner and F4.  Raises ValueError for M < 2
+    and, through build_Q, for M > 352, where 3M passes the enumerator's
+    radius.
     """
     if M < 2:
         raise ValueError("need M >= 2")

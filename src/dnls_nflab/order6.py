@@ -141,23 +141,17 @@ def verify_Ktilde_zero(M: int, r6: PolyHamiltonian) -> KtildeReport:
 
 
 def split_r6(r6: PolyHamiltonian) -> tuple[PolyHamiltonian, PolyHamiltonian]:
-    """(action part, non-resonant non-normal part) of R6.
+    """split_normal(r6): (action part, non-normal part) of R6.
 
-    Raises if any stored non-normal term has zero divisor; such a term would
-    be a resonant survivor and signals a classification bug.  The checked
-    pair is kept in r6's cache (a polynomial's terms never change after
+    The pair is kept in r6's cache (a polynomial's terms never change after
     construction), so the split is computed once per R6 however many of
-    build_F6, qtilde0_crosscheck and the callers ask for it.
+    build_F6, qtilde0_crosscheck and the callers ask for it.  A resonant
+    survivor, a non-normal term of zero square divisor, stays in the
+    non-normal part: verify_Ktilde_zero reports it, and build_F6 refuses it.
     """
     split = r6._cache.get("split_r6")
     if split is None:
-        normal, rest = split_normal(r6)
-        for mono, coeff in rest._coeffs.items():
-            if mono.square_divisor() == 0:
-                raise ArithmeticError(
-                    f"resonant term {mono} with coefficient {coeff} survived in R6"
-                )
-        split = r6._cache["split_r6"] = (normal, rest)
+        split = r6._cache["split_r6"] = split_normal(r6)
     return split
 
 
@@ -166,7 +160,9 @@ def build_F6(M: int, r6: PolyHamiltonian) -> PolyHamiltonian:
 
     The homological solve of the non-normal part of R6 (split_r6, computed
     once per R6), so F6 solves {Lambda, F6} = -Qtilde term by term, the
-    solve that gives F4 from Q.
+    solve that gives F4 from Q.  Raises ValueError for an R6 of truncation
+    above M, and ZeroDivisionError, an ArithmeticError naming the monomial,
+    for a resonant survivor in R6's non-normal part.
     """
     if r6.truncation > M:
         raise ValueError(f"R6 of truncation {r6.truncation} exceeds M = {M}")

@@ -249,12 +249,14 @@ def homological_solve(X: PolyHamiltonian, truncation: int) -> PolyHamiltonian:
 
     {Lambda, .} multiplies a term by i d, so i d (i c / d) = -c.  Each part
     is one _fraction of the numerator over the denominator times d.
-    Raises ZeroDivisionError on a term of zero divisor: only a non-resonant
-    X has a solution.
+    Raises ZeroDivisionError naming the first term of zero divisor: only a
+    non-resonant X has a solution.
     """
     coeffs = {}
     for mono, c in X._coeffs.items():
         d = mono.square_divisor()
+        if not d:
+            raise ZeroDivisionError(f"resonant term {mono} with coefficient {c} has zero square divisor")
         re = _fraction(-c.im.numerator, c.im.denominator * d)
         im = _fraction(c.re.numerator, c.re.denominator * d)
         coeffs[mono] = ExactCoeff(re, im, c.pi_power)
@@ -527,7 +529,9 @@ def build_Q(M: int, Mx: int | None = None) -> PolyHamiltonian:
     """Non-normal quartic part: zero momentum with plus != minus.
 
     With Mx > M the terms with one mode in M < |n| <= Mx are included too
-    (see quartets), on a polynomial of truncation Mx.
+    (see quartets), on a polynomial of truncation Mx.  Raises ValueError,
+    as quartets does, when min(Mx, 3M) exceeds the enumerator's radius
+    1058.
     """
     Mx = M if Mx is None else Mx
     items = [
@@ -538,23 +542,13 @@ def build_Q(M: int, Mx: int | None = None) -> PolyHamiltonian:
     return PolyHamiltonian.from_terms(Mx, items)
 
 
-def ordered_coefficient(poly: PolyHamiltonian, entries: tuple[int, ...]) -> ExactCoeff:
-    """Per-ordered-tuple coefficient: canonical value over arrangement count.
-
-    Well defined for the constructions here, whose ordered coefficients are
-    arrangement-invariant (they depend on index multisets only).
-    """
-    plus = entries[0::2]
-    minus = entries[1::2]
-    mono = Monomial.of(plus, minus)
-    c = poly.coefficient(mono)
-    return c.scaled(Fraction(1, mono.arrangements()))
-
-
 # -- serialization ---------------------------------------------------------------------
 
 
 def poly_to_records(poly: PolyHamiltonian) -> list[dict]:
+    """One JSON row per term, in terms() order: the "plus" and "minus"
+    slots, the "re" and "im" parts as "num/den" strings and the
+    "pi_power"."""
     records = []
     for mono, coeff in poly.terms():
         records.append(
@@ -567,17 +561,6 @@ def poly_to_records(poly: PolyHamiltonian) -> list[dict]:
             }
         )
     return records
-
-
-def poly_from_records(records: list[dict], truncation: int) -> PolyHamiltonian:
-    items = []
-    for row in records:
-        mono = Monomial.of(row["plus"], row["minus"])
-        coeff = ExactCoeff(
-            Fraction(row["re"]), Fraction(row["im"]), int(row["pi_power"])
-        )
-        items.append((mono, coeff))
-    return PolyHamiltonian.from_terms(truncation, items)
 
 
 # -- numeric evaluation -----------------------------------------------------------------
@@ -647,7 +630,10 @@ def _term_rows(poly: PolyHamiltonian, field: bool) -> tuple[np.ndarray, ...]:
     A qbar_n row drops the first minus entry n, and mult counts them.  A
     row's prefactor is (num mult) / den pi**-p: for the field, -i n times its
     division in Python ints, rounded as float(Fraction) is, and pi**-p as in
-    to_complex; for the value, in clongdouble from longdouble parts.
+    to_complex; for the value, in clongdouble from longdouble parts.  The
+    rank is the lexsort of the padded slots under the degree, so every
+    compiled array equals that of a loop over terms() converting one term
+    at a time.
     """
     M = poly.truncation
     coeffs = list(poly._coeffs.values())

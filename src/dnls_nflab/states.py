@@ -7,7 +7,8 @@ Mode 0 does not exist: the phase space consists of zero-mean functions on
 the circle.  state_vector builds one from its modes, state_to_json and
 state_from_json write and read it, and eval_physical and
 hamiltonian_physical evaluate it in physical space, an oracle for the
-coefficient-space channels of flows.SpectralModel.
+coefficient-space channels of flows.SpectralModel.  These three raise
+ValueError for a vector of odd or zero length.
 """
 
 from __future__ import annotations
@@ -172,7 +173,10 @@ def bound_audit(blocks, verdicts, record, max_abs: int, int64: bool, names=("che
     of ints, at the n-th s.  The counts are summed over the blocks, 0 with
     no block, and the first MAX_VIOLATIONS violations listed in row order
     and by s within a row.  A block's kernel outputs go when verdicts
-    returns, the block when the next one replaces it.
+    returns, the block when the next one replaces it.  The caller asks for
+    int64 when max_abs is at most its kernel's int64 radius, exhaustive or
+    random alike.  The report holds the counts, "violations", "max_abs" and
+    "arithmetic" ("int64" or "python int").
     """
     counts = dict.fromkeys(names, 0)
     violations = []
@@ -291,14 +295,23 @@ def state_to_json(vec) -> str:
     return json.dumps(rows)
 
 
+# the JSON type of each kind of value json.loads returns
+_JSON_TYPES = {
+    dict: "an object", str: "a string", int: "a number", float: "a number", bool: "a boolean", type(None): "null"
+}
+
+
 def state_from_json(text: str, truncation: int) -> np.ndarray:
     """The state vector of a JSON list of {"j", "re", "im"} rows, as
-    state_to_json writes it.  Raises ValueError for a row without these
-    keys, a mode that is not a JSON integer, a part that is not a JSON
-    number, a duplicate mode, a non-finite amplitude and the modes
-    state_vector rejects."""
+    state_to_json writes it.  Raises ValueError for a document that is not
+    a list, naming its JSON type, a row without these keys, a mode that is
+    not a JSON integer, a part that is not a JSON number, a duplicate mode,
+    a non-finite amplitude and the modes state_vector rejects."""
+    doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise ValueError(f"a state is a JSON list of rows, not {_JSON_TYPES[type(doc)]}")
     amp: dict[int, complex] = {}
-    for row in json.loads(text):
+    for row in doc:
         if not isinstance(row, dict) or not {"j", "re", "im"} <= row.keys():
             raise ValueError(f"row {json.dumps(row)} is not an object with the keys j, re and im")
         j = row["j"]

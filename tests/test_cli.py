@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,30 @@ def test_verify_all_reports_a_failing_check(monkeypatch, capsys):
     assert lines[0] == "FAIL order-4 homological equation (M=4)"
     assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines[1:10])
     assert lines[10] == "verify-all: FAIL"
+
+
+@pytest.mark.parametrize("argv", [["verify-all"], ["nf6", "--verify-ktilde"]])
+def test_a_resonant_survivor_is_reported_before_it_is_refused(monkeypatch, capsys, argv):
+    import dnls_nflab.order4
+    from dnls_nflab.coeffs import ExactCoeff
+    from dnls_nflab.order4 import compute_R6
+    from dnls_nflab.poly import Monomial, PolyHamiltonian
+
+    survivor = Monomial.of((-4, 1, 3), (-3, -1, 4))
+    assert survivor.momentum() == survivor.square_divisor() == 0
+    bad = compute_R6(4) + PolyHamiltonian.from_terms(4, [(survivor, ExactCoeff.real(Fraction(1, 7), pi_power=2))])
+    monkeypatch.setattr(checks, "compute_R6", lambda M: bad)
+    monkeypatch.setattr(dnls_nflab.order4, "compute_R6", lambda M: bad)
+    # the survivor is non-normal, so the action part passes; the resonant
+    # cancellation reports it, and the order-6 solve then refuses it
+    with pytest.raises(ArithmeticError, match=r"q\[-4, 1, 3\]\*qbar\[-3, -1, 4\]"):
+        main([*argv, "--modes", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "PASS sextic action part matches closed form (M=4)",
+        "FAIL resonant cancellation (8 monomials)",
+    ]
+    assert lines[:-2] == (["PASS order-4 homological equation (M=4)"] if argv == ["verify-all"] else [])
 
 
 def test_nf6_audit_f6(capsys):

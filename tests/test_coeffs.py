@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dnls_nflab.coeffs import ExactCoeff
+from helpers import mul_imag_int
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -77,7 +78,7 @@ def test_to_complex():
 
 def test_mul_imag_int():
     c = ExactCoeff(Fraction(2), Fraction(3), 1)
-    assert c.mul_imag_int(5) == ExactCoeff(Fraction(-15), Fraction(10), 1)
+    assert mul_imag_int(c, 5) == ExactCoeff(Fraction(-15), Fraction(10), 1)
 
 
 @given(coeffs, coeffs)

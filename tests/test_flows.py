@@ -25,7 +25,7 @@ from dnls_nflab.flows import (
     spectral_model,
     transformed_hamiltonian_residual,
 )
-from dnls_nflab.poly import PolyHamiltonian, build_lambda
+from dnls_nflab.poly import PolyHamiltonian, build_lambda, vector_field_vec
 from dnls_nflab.stability import norm_derivative_audit
 from dnls_nflab.states import TWO_PI, mode_range, state_vector
 
@@ -148,6 +148,26 @@ def test_flow_convergence_error():
 
     with pytest.raises(FlowConvergenceError):
         flow_time_one_vec(build_G(2), state_vector({1: 1.0}, 2), cfg)
+
+
+@pytest.mark.parametrize("state", ["nan", "overflow"])
+def test_non_finite_generator_flow_is_a_blowup_at_once(monkeypatch, state):
+    # the first refinement's error is already not finite: 50 RK4 steps and
+    # then 100 at dt = 0.02, four field calls each
+    from dnls_nflab import flows
+    from dnls_nflab.order4 import build_F4
+
+    calls = []
+
+    def counted(F, vec):
+        calls.append(1)
+        return vector_field_vec(F, vec)
+
+    monkeypatch.setattr(flows, "vector_field_vec", counted)
+    vec = state_vector({1: math.nan, 2: 0.1}, 6) if state == "nan" else 1000 * state_vector({1: 1.0, -2: 1.0}, 6)
+    with np.errstate(all="ignore"), pytest.raises(BlowupError, match="not finite"):
+        flow_time_one_vec(build_F4(6), vec, FlowConfig(dt=0.02))
+    assert len(calls) <= 600
 
 
 # -- PDE evolution ------------------------------------------------------------------

@@ -29,9 +29,9 @@ from dnls_nflab.poly import (
     build_B_closed_form,
     build_lambda,
     build_Q,
-    ordered_coefficient,
 )
 from dnls_nflab.states import alternating_sum, zero_momentum_rows
+from helpers import ordered_coefficient
 
 
 def test_delta_membership():

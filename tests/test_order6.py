@@ -10,7 +10,7 @@ import pytest
 from dnls_nflab import order6
 from dnls_nflab.checks import action_part, order4_homological, order6_homological, resonant_cancellation
 from dnls_nflab.coeffs import ExactCoeff
-from dnls_nflab.identities import tau
+from dnls_nflab.identities import TriplePair, tau
 from dnls_nflab.order4 import build_F4, coefficient_growth_audit, compute_R6
 from dnls_nflab.order6 import (
     build_F6,
@@ -36,6 +36,7 @@ from dnls_nflab.poly import (
     split_normal,
 )
 from dnls_nflab.states import alternating_sum, zero_momentum_rows
+from helpers import pair_matches
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,8 +127,6 @@ def test_K_is_action_only():
 
 
 def test_resonant_smallest_members():
-    from dnls_nflab.identities import TriplePair, pair_matches
-
     assert enumerate_resonant(1) == []
     # sign-mixed members exist from max index 2 on
     two = enumerate_resonant(2)
@@ -148,8 +147,6 @@ def test_resonant_smallest_members():
 
 
 def test_resonant_contains_known_member_at_seven():
-    from dnls_nflab.identities import TriplePair, pair_matches
-
     assert any(
         pair_matches(TriplePair.of(t[0::2], t[1::2]), (1, 5, 6), (2, 3, 7))
         for t in enumerate_resonant(7)
@@ -251,18 +248,18 @@ def test_criteria_1_to_3_at_m12():
     assert action_part(M, r6).passed
 
 
-def test_split_r6_refuses_resonant_survivor():
+def test_build_F6_refuses_resonant_survivor():
     bad = PolyHamiltonian.from_terms(
         8,
         [
             (Monomial.of((1, 5, 6), (2, 3, 7)), ExactCoeff.real(1, pi_power=2)),
         ],
     )
+    with pytest.raises(ArithmeticError, match=r"q\[1, 5, 6\]\*qbar\[2, 3, 7\]"):
+        build_F6(8, bad)
+    # the cached split still holds the survivor, so a second build refuses it too
     with pytest.raises(ArithmeticError):
-        split_r6(bad)
-    # a refused split is not cached
-    with pytest.raises(ArithmeticError):
-        split_r6(bad)
+        build_F6(8, bad)
 
 
 def test_build_F6_rejects_r6_beyond_its_truncation():

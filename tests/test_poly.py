@@ -22,14 +22,13 @@ from dnls_nflab.poly import (
     build_lambda,
     build_Q,
     evaluate_poly,
-    ordered_coefficient,
-    poly_from_records,
     poly_to_records,
     quartets,
     split_normal,
     vector_field_vec,
 )
 from dnls_nflab.states import mode_range, state_vector
+from helpers import mul_imag_int, ordered_coefficient
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -337,12 +336,12 @@ def _reference_bracket(H, F, support_bound=None):
                     f_mult, (fp, fmi) = derivative(fm, f_slot, n)
                     mono = Monomial.of(list(hp) + list(fp), list(hmi) + list(fmi))
                     if mono.max_abs() <= bound:
-                        items.append((mono, (hc * fc).scaled(h_mult * f_mult).mul_imag_int(sign * n)))
+                        items.append((mono, mul_imag_int((hc * fc).scaled(h_mult * f_mult), sign * n)))
     return PolyHamiltonian.from_terms(bound, items)
 
 
 def _times_i(P):
-    return PolyHamiltonian(P.truncation, {m: c.mul_imag_int(1) for m, c in P.terms()})
+    return PolyHamiltonian(P.truncation, {m: mul_imag_int(c, 1) for m, c in P.terms()})
 
 
 def _real_part(P):
@@ -910,6 +909,16 @@ def test_a_state_of_the_wrong_length_is_refused(size):
 
 
 # -- serialization ------------------------------------------------------------------
+
+
+def poly_from_records(records: list[dict], truncation: int) -> PolyHamiltonian:
+    """The polynomial of poly_to_records' rows, the inverse the round trips check."""
+    items = []
+    for row in records:
+        mono = Monomial.of(row["plus"], row["minus"])
+        coeff = ExactCoeff(Fraction(row["re"]), Fraction(row["im"]), int(row["pi_power"]))
+        items.append((mono, coeff))
+    return PolyHamiltonian.from_terms(truncation, items)
 
 
 def test_records_roundtrip():

@@ -154,13 +154,16 @@ def test_json_roundtrip():
     assert back.dtype == complex and np.array_equal(back, vec)
 
 
-def test_json_rejects_mode_zero_and_duplicates():
+def test_json_rejects_mode_zero_duplicates_and_a_document_not_a_list():
     with pytest.raises(ValueError, match="mode 0"):
         state_from_json('[{"j": 0, "re": 1, "im": 0}]', 4)
     with pytest.raises(ValueError, match="duplicate mode 1"):
         state_from_json(
             '[{"j": 1, "re": 1, "im": 0}, {"j": 1, "re": 2, "im": 0}]', 4
         )
+    for text, kind in (("5", "a number"), ("null", "null"), ("true", "a boolean"), ('{"j": 1}', "an object")):
+        with pytest.raises(ValueError, match=f"^a state is a JSON list of rows, not {kind}$"):
+            state_from_json(text, 4)
 
 
 def test_vector_roundtrip():
